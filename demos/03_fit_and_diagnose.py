@@ -36,7 +36,8 @@ print(f"{'truth':10}" + "".join(f"{v:12.4f}" for v in theta0.theta))
 for label, fit in (("sw", sw), ("one-step", local)):
     print(f"{label:10}" + "".join(f"{v:12.4f}" for v in fit.theta_hat.theta))
     print(f"{'  (se)':10}" + "".join(f"{v:12.4f}" for v in fit.std_errors))
-print(f"\nconverged={sw.converged} after {sw.iterations} simplex iterations; "
+print(f"\nconverged={sw.converged} after {sw.iterations} optimizer iterations "
+      f"({sw.nfev} criterion evaluations); "
       f"g0={local.g0:.3f}, eta2_hat={local.eta2:.3f}")
 
 eta = standardized_residuals(local, data)

@@ -167,6 +167,9 @@ def cmd_fit(args):
         optimizer=OptimizerConfig(
             max_iter=int(pick(args.max_iter, "optimizer", "max_iter", cp.getint if cp else None, 3000)),
             restarts=int(pick(args.restarts, "optimizer", "restarts", cp.getint if cp else None, 5)),
+            simplex_tolerance=pick(
+                None, "optimizer", "simplex_tolerance", cp.getfloat if cp else None, 1e-7
+            ),
         ),
         g0_mode=g0_mode,
         seed=args.seed,
@@ -359,8 +362,10 @@ def build_parser():
     p.add_argument("--weight-threshold", default=None, choices=["signed", "absolute"])
     p.add_argument("--g0-known", type=float, default=None,
                    help="inject a known innovation density at zero instead of the kernel estimate")
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None,
+                   help="seeded jittered starts, tried only if the first descent fails (default 5)")
+    p.add_argument("--max-iter", type=int, default=None,
+                   help="iteration cap of each optimizer run (default 3000)")
     p.add_argument("--max-lag", type=int, default=20, help="diagnostic ACF/PACF lags")
     p.add_argument("--hill-k-max", type=int, default=None)
     p.set_defaults(func=cmd_fit)

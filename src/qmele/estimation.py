@@ -8,8 +8,10 @@ Two per-observation criteria are supported:
 * gaussian ("qmle"): l_t = log h_t + eps_t^2 / h_t, the classical
   quasi-likelihood with E eta^2 = 1.
 
-The self-weighted estimator minimizes (1/n) sum_t w_t l_t(theta) by a
-derivative-free simplex search on transformed coordinates. The "local"
+The self-weighted estimator minimizes (1/n) sum_t w_t l_t(theta) by an
+L-BFGS-B descent on the exact weighted score, in transformed coordinates
+that keep the variance constraints; for the exponential criterion a
+simplex pass then settles the minimizer on its |eps| kink. The "local"
 estimator takes a single Newton-type step from the self-weighted fit,
 
     theta_1 = theta_0 - [2 Sigma*(theta_0)]^{-1} T*(theta_0),
@@ -26,6 +28,7 @@ from scipy.optimize import minimize
 from .exceptions import (
     DomainError,
     InsufficientDataError,
+    NumericOverflowError,
     SingularInformationError,
 )
 from .model import (
@@ -48,7 +51,10 @@ ESTIMATOR_KINDS = (SW_QMELE, LOCAL_QMELE, SW_QMLE, LOCAL_QMLE)
 ETA2_FLOOR = 1.0 + 1e-6
 COND_LIMIT = 1e12
 MAX_STEP_HALVINGS = 30
-_XCLIP = 60.0
+# bound on the log/softmax coordinates of the variance parameters: keeps
+# every exp finite, so the optimizers never leave the region where the
+# value and its gradient are exact
+_XBOUND = 60.0
 
 
 @dataclass(frozen=True)
@@ -80,10 +86,17 @@ class G0Mode:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings of the self-weighted fit.
+
+    max_iter caps the iterations of each optimizer run; restarts is the
+    number of seeded jittered starts tried when the descent from the
+    initializer fails; simplex_tolerance is the parameter tolerance of the
+    simplex polish that ends an exponential-criterion fit.
+    """
+
     max_iter: int = 3000
     restarts: int = 5
     simplex_tolerance: float = 1e-7
-    parameter_transform: bool = True
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -109,6 +122,9 @@ class FitResult:
     covariance already carries the (1/4) Sigma^-1 Omega Sigma^-1 / n scaling,
     i.e. it estimates Var(theta_hat); std_errors are the square roots of its
     diagonal. g0 and eta2 record the nuisance quantities used to build it.
+    converged says whether the optimizer run that produced theta_hat met its
+    termination tolerances; iterations and nfev count the iterations and
+    criterion evaluations over all optimizer runs of the fit.
     """
 
     theta_hat: ParamVector
@@ -122,6 +138,7 @@ class FitResult:
     eta2: float = np.nan
     weights: np.ndarray | None = None
     shrink_count: int = 0
+    nfev: int = 0
 
     @property
     def orders(self):
@@ -176,6 +193,34 @@ def qmle_objective(theta, data, weights):
 # scores and information-type matrices
 
 
+def _score_coefficients(out, criterion):
+    """Per-observation factors (a_t, b_t) with score_t = a_t deps_t + b_t dh_t.
+
+    exponential: a = sign(eps)/sqrt(h), b = (1 - |eta|)/(2h);
+    gaussian:    a = 2 eps/h,           b = (1 - eta^2)/h.
+    """
+    if criterion == "qmele":
+        eta = out.eps / np.sqrt(out.h)
+        return np.sign(eta) / np.sqrt(out.h), (1.0 - np.abs(eta)) / (2.0 * out.h)
+    eta2 = out.eps**2 / out.h
+    return 2.0 * out.eps / out.h, (1.0 - eta2) / out.h
+
+
+def _score(out, criterion):
+    a, b = _score_coefficients(out, criterion)
+    return a @ out.deps + b @ out.dh
+
+
+def _information(out, criterion, g0):
+    """Unweighted information-type sum (Sigma* for the exponential criterion,
+    the half-Hessian for the gaussian one) from one filter pass."""
+    if criterion == "qmele":
+        e_scale = g0 / out.h
+        h_scale = 1.0 / (8.0 * out.h**2)
+        return _weighted_cross(out.deps, e_scale) + _weighted_cross(out.dh, h_scale)
+    return _weighted_cross(out.deps, 1.0 / out.h) + _weighted_cross(out.dh, 1.0 / (2.0 * out.h**2))
+
+
 def t_star(theta, data):
     """Exponential-criterion score sum
 
@@ -185,10 +230,7 @@ def t_star(theta, data):
     with sign(0) = 0. Equals n times the gradient of the unweighted
     exponential objective wherever no eta_t sits on the kink.
     """
-    out = filter_series(theta, data)
-    eta = out.eps / np.sqrt(out.h)
-    sgn = np.sign(eta)
-    return (sgn / np.sqrt(out.h)) @ out.deps + ((1.0 - np.abs(eta)) / (2.0 * out.h)) @ out.dh
+    return _score(filter_series(theta, data), "qmele")
 
 
 def sigma_star(theta, data, g0):
@@ -199,23 +241,7 @@ def sigma_star(theta, data, g0):
     """
     if g0 <= 0.0:
         raise DomainError("g0 must be > 0")
-    out = filter_series(theta, data)
-    e_scale = g0 / out.h
-    h_scale = 1.0 / (8.0 * out.h**2)
-    return _weighted_cross(out.deps, e_scale) + _weighted_cross(out.dh, h_scale)
-
-
-def _t_gauss(theta, data):
-    """Gaussian-criterion score sum (gradient of sum_t [log h_t + eps_t^2/h_t])."""
-    out = filter_series(theta, data)
-    eta2 = out.eps**2 / out.h
-    return (2.0 * out.eps / out.h) @ out.deps + ((1.0 - eta2) / out.h) @ out.dh
-
-
-def _sigma_gauss(theta, data):
-    """Gaussian-criterion half-Hessian sum, mirroring sigma_star."""
-    out = filter_series(theta, data)
-    return _weighted_cross(out.deps, 1.0 / out.h) + _weighted_cross(out.dh, 1.0 / (2.0 * out.h**2))
+    return _information(filter_series(theta, data), "qmele", g0)
 
 
 def _weighted_cross(mat, scale):
@@ -335,11 +361,11 @@ def _covariance_gauss(theta, data, weights, eta2, eta_sq_dev):
 
 
 # ---------------------------------------------------------------------------
-# coordinate transform for the simplex search
+# transformed coordinates for the optimizers
 
 
 def _to_unconstrained(theta):
-    """Map a valid ParamVector to unconstrained coordinates.
+    """Map a valid ParamVector to transformed coordinates.
 
     gamma passes through; alpha coordinates map by log; beta maps by the
     softmax-with-slack inverse z_j = log(beta_j / (1 - sum beta)).
@@ -355,9 +381,9 @@ def _to_unconstrained(theta):
 
 
 def _from_unconstrained(x, orders):
-    """Inverse of _to_unconstrained; clips to keep exp in the finite range."""
+    """Inverse of _to_unconstrained, for alpha/beta coordinates within +-_XBOUND."""
     o = orders
-    x = np.clip(np.asarray(x, dtype=float), -_XCLIP, _XCLIP)
+    x = np.asarray(x, dtype=float)
     n_gamma = o.p + o.q + 1
     gamma = x[:n_gamma]
     alpha_part = np.exp(x[n_gamma : n_gamma + 1 + o.r])
@@ -369,6 +395,32 @@ def _from_unconstrained(x, orders):
     else:
         beta = np.empty(0)
     return ParamVector(orders, gamma, np.concatenate([alpha_part, beta]))
+
+
+def _value_and_gradient(x, orders, data, w, criterion):
+    """Weighted criterion mean and its exact gradient in transformed
+    coordinates, from one filter pass; (nan, 0) where the filter overflows.
+
+    NaN rather than inf: after an infinite trial value the L-BFGS-B line
+    search can accept a near-zero step and report convergence, while NaN
+    ends the descent as a failure, which the fit then handles.
+    """
+    theta = _from_unconstrained(x, orders)
+    try:
+        out = filter_series(theta, data)
+    except (DomainError, NumericOverflowError):
+        # DomainError: softmax rounding can reach sum(beta) = 1 at the bound
+        return np.nan, np.zeros(x.size)
+    value = float(np.mean(w * _objective_values(out.eps, out.h, criterion)))
+    a, b = _score_coefficients(out, criterion)
+    grad = ((w * a) @ out.deps + (w * b) @ out.dh) / w.size
+    # chain rule: d alpha/dx = alpha; d beta_j/dz_k = beta_j (delta_jk - beta_k)
+    k = orders.p + orders.q + 1
+    grad[k : k + 1 + orders.r] *= theta.delta[: 1 + orders.r]
+    if orders.s > 0:
+        beta, g_beta = theta.beta, grad[k + 1 + orders.r :]
+        grad[k + 1 + orders.r :] = beta * g_beta - beta * (beta @ g_beta)
+    return value, grad
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +483,18 @@ def _initial_params(y, orders):
 def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     """Minimize the self-weighted criterion over the constrained space.
 
-    Runs a Nelder-Mead search from a moment-based initializer plus
-    `config.optimizer.restarts` seeded random restarts around it, keeps the
-    best local minimum, polishes it with one more simplex pass, and fills in
-    the matching sandwich covariance.
+    Runs one L-BFGS-B descent on the exact weighted score from a
+    moment-based initializer, in transformed coordinates that keep
+    alpha > 0 and sum beta < 1. Only if that descent fails (no success or a
+    non-finite value) are `config.optimizer.restarts` seeded jittered starts
+    descended too, and the best point is kept. The exponential criterion's
+    minimizer sits on an |eps| kink, where the descent stops short, so its
+    fit ends with one simplex polish pass. The matching sandwich covariance
+    is filled in.
 
-    Returns a FitResult; converged=False flags that no simplex run met the
-    termination tolerances (the best point found is still reported, with
-    NaN covariance).
+    Returns a FitResult; converged=False flags that the run which produced
+    theta_hat did not meet its termination tolerances (the point is still
+    reported, with NaN covariance).
     """
     if criterion not in ("qmele", "qmle"):
         raise DomainError(f"unknown criterion {criterion!r}")
@@ -453,99 +509,62 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
 
     w = compute_weights(data, config.weight_spec, orders)
     opt = config.optimizer
-    init = _initial_params(y, orders)
-
-    if not opt.parameter_transform:
-        return _fit_raw(data, orders, config, criterion, init, w)
-
-    def loss(x):
-        return _objective(_from_unconstrained(x, orders), y, w, criterion)
-
-    x0 = _to_unconstrained(init)
-    rng = np.random.default_rng(config.seed)
+    x0 = _to_unconstrained(_initial_params(y, orders))
     n_gamma = orders.p + orders.q + 1
-    jitter_scale = np.concatenate([np.full(n_gamma, 0.3), np.full(orders.m - n_gamma, 0.7)])
-    starts = [x0] + [x0 + rng.normal(0.0, 1.0, orders.m) * jitter_scale for _ in range(opt.restarts)]
+    bounds = [(None, None)] * n_gamma + [(-_XBOUND, _XBOUND)] * (orders.m - n_gamma)
 
-    nm_options = dict(
-        maxiter=opt.max_iter,
-        maxfev=10 * opt.max_iter,
-        xatol=opt.simplex_tolerance,
-        fatol=opt.simplex_tolerance * 1e-3,
-    )
-    best = None
-    total_iter = 0
-    any_success = False
-    for xs in starts:
-        res = minimize(loss, xs, method="Nelder-Mead", options=nm_options)
-        total_iter += res.nit
-        any_success = any_success or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-    # polish: restart the simplex at the incumbent to escape collapsed shapes
-    res = minimize(loss, best.x, method="Nelder-Mead", options=nm_options)
-    total_iter += res.nit
-    any_success = any_success or bool(res.success)
-    if res.fun <= best.fun:
-        best = res
+    def descend(start):
+        return minimize(
+            _value_and_gradient,
+            start,
+            args=(orders, data, w, criterion),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=bounds,
+            options=dict(maxiter=opt.max_iter, maxfun=10 * opt.max_iter),
+        )
 
-    theta_hat = _from_unconstrained(best.x, orders)
+    runs = [descend(x0)]
+    if not (runs[0].success and np.isfinite(runs[0].fun)):
+        rng = np.random.default_rng(config.seed)
+        jitter_scale = np.concatenate([np.full(n_gamma, 0.3), np.full(orders.m - n_gamma, 0.7)])
+        for _ in range(opt.restarts):
+            runs.append(descend(x0 + rng.normal(0.0, 1.0, orders.m) * jitter_scale))
+    best = min(runs, key=lambda r: np.nan_to_num(r.fun, nan=np.inf))
+
+    if criterion == "qmele":
+        # The simplex keeps its start as a vertex, so the polish never ends
+        # above the descent. Its dimension-adaptive coefficients (Gao & Han
+        # 2012) stall less often on the kinks than the standard ones.
+        best = minimize(
+            lambda x: _objective(_from_unconstrained(x, orders), y, w, criterion),
+            best.x,
+            method="Nelder-Mead",
+            bounds=bounds,
+            options=dict(
+                maxiter=opt.max_iter,
+                maxfev=10 * opt.max_iter,
+                xatol=opt.simplex_tolerance,
+                fatol=opt.simplex_tolerance * 1e-3,
+                adaptive=True,
+            ),
+        )
+        runs.append(best)
+
     return _finalize_fit(
-        theta_hat,
+        _from_unconstrained(best.x, orders),
         data,
         w,
         config,
         criterion,
         objective_value=float(best.fun),
-        converged=any_success and np.isfinite(best.fun),
-        iterations=total_iter,
+        converged=bool(best.success and np.isfinite(best.fun)),
+        iterations=sum(r.nit for r in runs),
+        nfev=sum(r.nfev for r in runs),
     )
 
 
-def _fit_raw(data, orders, config, criterion, init, w):
-    """Untransformed-coordinate fallback; invalid points get +inf."""
-    y = data.values
-    opt = config.optimizer
-
-    def loss(x):
-        theta = ParamVector.from_theta(orders, x)
-        if not theta.is_valid():
-            return np.inf
-        return _objective(theta, y, w, criterion)
-
-    nm_options = dict(
-        maxiter=opt.max_iter,
-        maxfev=10 * opt.max_iter,
-        xatol=opt.simplex_tolerance,
-        fatol=opt.simplex_tolerance * 1e-3,
-    )
-    rng = np.random.default_rng(config.seed)
-    x0 = init.theta
-    starts = [x0] + [x0 * (1.0 + 0.2 * rng.normal(size=orders.m)) for _ in range(opt.restarts)]
-    best = None
-    total_iter = 0
-    any_success = False
-    for xs in starts:
-        res = minimize(loss, xs, method="Nelder-Mead", options=nm_options)
-        total_iter += res.nit
-        any_success = any_success or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-    theta_hat = ParamVector.from_theta(orders, best.x)
-    return _finalize_fit(
-        theta_hat,
-        data,
-        w,
-        config,
-        criterion,
-        objective_value=float(best.fun),
-        converged=any_success and np.isfinite(best.fun) and theta_hat.is_valid(),
-        iterations=total_iter,
-    )
-
-
-def _residual_moments(theta, data, config):
-    eps, h = _eps_h(theta, data.values)
+def _residual_moments(eps, h, config):
     eta = eps / np.sqrt(h)
     eta2 = max(estimate_eta2(eta), ETA2_FLOOR)
     g0 = estimate_g0(eta, config.g0_mode)
@@ -553,7 +572,7 @@ def _residual_moments(theta, data, config):
     return eta, g0, eta2, eta_sq_dev
 
 
-def _finalize_fit(theta_hat, data, w, config, criterion, objective_value, converged, iterations):
+def _finalize_fit(theta_hat, data, w, config, criterion, objective_value, converged, iterations, nfev):
     kind = SW_QMELE if criterion == "qmele" else SW_QMLE
     m = theta_hat.m
     cov = np.full((m, m), np.nan)
@@ -561,7 +580,7 @@ def _finalize_fit(theta_hat, data, w, config, criterion, objective_value, conver
     g0 = eta2 = np.nan
     if converged:
         try:
-            _, g0, eta2, eta_sq_dev = _residual_moments(theta_hat, data, config)
+            _, g0, eta2, eta_sq_dev = _residual_moments(*_eps_h(theta_hat, data.values), config)
             if criterion == "qmele":
                 cov = covariance_self_weighted(theta_hat, data, w, g0, eta2)
             else:
@@ -581,6 +600,7 @@ def _finalize_fit(theta_hat, data, w, config, criterion, objective_value, conver
         g0=float(g0),
         eta2=float(eta2),
         weights=w,
+        nfev=nfev,
     )
 
 
@@ -603,17 +623,15 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
     theta0 = theta_init.theta_hat
     gaussian = theta_init.estimator_kind in (SW_QMLE, LOCAL_QMLE)
 
-    eta0, g0_est, _, _ = _residual_moments(theta0, data, config)
+    criterion = "qmle" if gaussian else "qmele"
+
+    out = filter_series(theta0, data)
+    _, g0_est, _, _ = _residual_moments(out.eps, out.h, config)
     if g0 is None:
         g0 = g0_est
-
-    if gaussian:
-        T = _t_gauss(theta0, data)
-        S = _sigma_gauss(theta0, data)
-    else:
-        T = t_star(theta0, data)
-        S = sigma_star(theta0, data, g0)
-    step = -_sym_inv(2.0 * S) @ T
+    if not gaussian and g0 <= 0.0:
+        raise DomainError("g0 must be > 0")
+    step = -_sym_inv(2.0 * _information(out, criterion, g0)) @ _score(out, criterion)
 
     shrink = 0
     theta1 = ParamVector.from_theta(theta0.orders, theta0.theta + step)
@@ -634,7 +652,7 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
         cov = covariance_local(theta1, data, g0, eta2)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     w = theta_init.weights
-    objective = _objective(theta1, data.values, np.ones(data.n), "qmle" if gaussian else "qmele")
+    objective = _objective(theta1, data.values, np.ones(data.n), criterion)
     return FitResult(
         theta_hat=theta1,
         objective_value=objective,

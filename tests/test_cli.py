@@ -247,6 +247,17 @@ def test_cli_fit_accepts_config_file(tmp_path):
     assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", bad, "--out-dir", out) == 3
 
 
+def test_cli_fit_config_simplex_tolerance_is_used(tmp_path):
+    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 300, seed=98).values
+    data = tmp_path / "y.csv"
+    data.write_text("y\n" + "\n".join(f"{x:.10g}" for x in y) + "\n")
+    cfg = tmp_path / "fit.ini"
+    cfg.write_text("[optimizer]\nsimplex_tolerance = 0\n")
+    out = tmp_path / "out"
+    assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", cfg, "--out-dir", out) == 3
+    assert not (out / "fit_report.json").exists()
+
+
 def test_cli_fit_log_returns_path(tmp_path):
     # prices built from a simulated return series: the fit sees the returns
     y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 601, seed=77).values

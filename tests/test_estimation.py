@@ -29,6 +29,7 @@ from qmele import (
     simulate,
     t_star,
 )
+from qmele.estimation import _from_unconstrained, _to_unconstrained, _value_and_gradient
 from qmele.model import _eps_h
 
 from conftest import AR1_GARCH11, THETA_FINITE, estimates_matrix, make_theta
@@ -377,14 +378,67 @@ def test_optimizer_config_validation():
         G0Mode("known")
 
 
-def test_fit_without_parameter_transform():
+def test_converged_describes_the_returned_point():
     theta0 = make_theta(THETA_FINITE)
-    data = simulate(theta0, InnovationDist("laplace"), 1000, seed=601)
-    config = FitConfig(
-        optimizer=OptimizerConfig(restarts=2, parameter_transform=False),
-        g0_mode=G0Mode.known(0.5),
-        seed=3,
-    )
-    fit = fit_self_weighted(data, AR1_GARCH11, config)
-    assert fit.theta_hat.is_valid()
-    assert np.all(np.abs(fit.theta_hat.theta - theta0.theta) <= 6.0 * np.maximum(fit.std_errors, 0.02))
+    data = simulate(theta0, InnovationDist("laplace"), 300, seed=602)
+    capped = FitConfig(optimizer=OptimizerConfig(max_iter=1, restarts=0), g0_mode=G0Mode.known(0.5))
+    fit = fit_self_weighted(data, AR1_GARCH11, capped)
+    assert fit.converged is False
+    assert fit.nfev > 0
+    assert np.all(np.isnan(fit.std_errors))
+    full = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5)))
+    assert full.converged is True
+    assert full.nfev > fit.nfev
+
+
+@pytest.mark.parametrize(
+    "orders, truth, point",
+    [
+        (AR1_GARCH11, THETA_FINITE, [0.02, 0.45, 0.12, 0.2, 0.35]),
+        (
+            ModelOrders(1, 1, 1, 2),
+            [0.0, 0.5, 0.3, 0.1, 0.18, 0.2, 0.2],
+            [0.03, 0.42, 0.25, 0.14, 0.12, 0.3, 0.15],
+        ),
+    ],
+)
+@pytest.mark.parametrize("criterion, objective", [("qmele", qmele_objective), ("qmle", qmle_objective)])
+def test_fit_gradient_matches_finite_differences(orders, truth, point, criterion, objective):
+    data = simulate(make_theta(truth, orders), InnovationDist("laplace"), 400, seed=16)
+    theta = make_theta(point, orders)
+    eps, h = _eps_h(theta, data.values)
+    assert np.min(np.abs(eps / np.sqrt(h))) > 1e-4  # kink-free for this seed
+    w = np.random.default_rng(17).uniform(0.5, 2.0, data.n)
+    x = _to_unconstrained(theta)
+    value, grad = _value_and_gradient(x, orders, data, w, criterion)
+    assert value == pytest.approx(objective(theta, data, w), rel=1e-12)
+    fd = np.zeros(x.size)
+    for j in range(x.size):
+        step = 1e-6 * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += step
+        xm[j] -= step
+        fd[j] = (
+            objective(_from_unconstrained(xp, orders), data, w)
+            - objective(_from_unconstrained(xm, orders), data, w)
+        ) / (2 * step)
+    assert np.max(np.abs(grad - fd)) / np.max(np.abs(grad)) <= 1e-6
+
+
+def test_fit_value_is_nan_where_the_filter_overflows():
+    # NaN ends an L-BFGS-B descent as a failure; inf could end it as a success
+    orders = ModelOrders(0, 1, 0, 0)
+    theta = ParamVector.from_parts(orders, mu=0.0, psi=[3.0], alpha0=1.0)
+    value, grad = _value_and_gradient(_to_unconstrained(theta), orders, np.ones(1000), np.ones(1000), "qmele")
+    assert np.isnan(value)
+    np.testing.assert_array_equal(grad, 0.0)
+
+
+def test_garch12_fit_not_above_criterion_at_truth():
+    orders = ModelOrders(1, 0, 1, 2)
+    theta0 = make_theta([0.0, 0.5, 0.1, 0.18, 0.2, 0.2], orders)
+    data = simulate(theta0, InnovationDist("laplace"), 1000, seed=603)
+    fit = fit_self_weighted(data, orders, FitConfig(g0_mode=G0Mode.known(0.5), seed=5))
+    assert fit.converged
+    assert fit.objective_value <= qmele_objective(theta0, data, fit.weights)
+    assert fit.objective_value == pytest.approx(qmele_objective(fit.theta_hat, data, fit.weights), rel=1e-12)
