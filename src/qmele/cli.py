@@ -180,11 +180,13 @@ def cmd_fit(args):
 
     fits = [("sw", sw)]
     if sw.converged:
-        local = local_qmele_step(sw, data, g0=g0_mode.value, config=config)
-        fits.append(("local", local))
-        final = local
-    else:
-        final = sw
+        # a failed one-step update leaves the converged self-weighted fit
+        # to report, as in a replication study
+        try:
+            fits.append(("local", local_qmele_step(sw, data, g0=g0_mode.value, config=config)))
+        except (DomainError, ArithmeticError) as exc:
+            print(f"local step failed, reporting the self-weighted fit: {exc}", file=sys.stderr)
+    final = fits[-1][1]
 
     text_parts, json_parts = [], []
     for label, fit in fits:

@@ -20,6 +20,7 @@ with the score T* and information-type matrix Sigma* evaluated without
 weights, and reports sandwich standard errors (1/4) Sigma^-1 Omega Sigma^-1 / n.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,12 +158,21 @@ def _objective_values(eps, h, criterion):
     raise DomainError(f"unknown criterion {criterion!r}")
 
 
+def _criterion_mean(eps, h, w, criterion):
+    """Weighted criterion mean (1/n) sum_t w_t l_t; +inf if not finite.
+
+    Callers silence floating-point warnings around it. The sum over n is
+    np.mean's arithmetic, without its call overhead.
+    """
+    terms = w * _objective_values(eps, h, criterion)
+    val = float(terms.sum() / terms.size)
+    return val if math.isfinite(val) else math.inf
+
+
 def _objective(theta, y, w, criterion):
     """Weighted criterion mean; +inf if the filter leaves the finite range."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eps, h = _eps_h(theta, y)
-        val = float(np.mean(w * _objective_values(eps, h, criterion)))
-    return val if np.isfinite(val) else np.inf
+        return _criterion_mean(*_eps_h(theta, y), w, criterion)
 
 
 def _checked_objective(theta, data, weights, criterion):
@@ -382,19 +392,16 @@ def _to_unconstrained(theta):
 
 def _from_unconstrained(x, orders):
     """Inverse of _to_unconstrained, for alpha/beta coordinates within +-_XBOUND."""
-    o = orders
-    x = np.asarray(x, dtype=float)
-    n_gamma = o.p + o.q + 1
-    gamma = x[:n_gamma]
-    alpha_part = np.exp(x[n_gamma : n_gamma + 1 + o.r])
-    if o.s > 0:
-        z = x[n_gamma + 1 + o.r :]
-        zmax = max(0.0, float(np.max(z)))
+    k = orders.p + orders.q + 1
+    j = k + 1 + orders.r
+    delta = np.empty(x.size - k)
+    np.exp(x[k:j], out=delta[: j - k])
+    if orders.s > 0:
+        z = x[j:]
+        zmax = max(0.0, float(z.max()))
         expz = np.exp(z - zmax)
-        beta = expz / (np.exp(-zmax) + expz.sum())
-    else:
-        beta = np.empty(0)
-    return ParamVector(orders, gamma, np.concatenate([alpha_part, beta]))
+        np.divide(expz, np.exp(-zmax) + expz.sum(), out=delta[j - k :])
+    return ParamVector(orders, x[:k], delta)
 
 
 def _value_and_gradient(x, orders, data, w, criterion):
@@ -652,7 +659,8 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
         cov = covariance_local(theta1, data, g0, eta2)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     w = theta_init.weights
-    objective = _objective(theta1, data.values, np.ones(data.n), criterion)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        objective = _criterion_mean(eps1, h1, np.ones(data.n), criterion)
     return FitResult(
         theta_hat=theta1,
         objective_value=objective,

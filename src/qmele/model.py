@@ -14,7 +14,7 @@ fixed point alpha0 / (1 - sum beta_j).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
+from scipy.signal import lfilter
 
 from .exceptions import DomainError, NumericOverflowError
 
@@ -142,16 +142,17 @@ class ParamVector:
 
     def validate(self):
         """Raise DomainError if the variance constraints are violated."""
-        if not np.all(np.isfinite(self.gamma)) or not np.all(np.isfinite(self.delta)):
+        if not (np.isfinite(self.gamma).all() and np.isfinite(self.delta).all()):
             raise DomainError("parameters must be finite")
-        if self.alpha0 <= 0.0:
+        if self.delta[0] <= 0.0:
             raise DomainError(f"alpha0 must be > 0, got {self.alpha0}")
-        if np.any(self.alpha < 0.0):
+        if (self.alpha < 0.0).any():
             raise DomainError("alpha coefficients must be >= 0")
-        if np.any(self.beta < 0.0):
+        beta = self.beta
+        if (beta < 0.0).any():
             raise DomainError("beta coefficients must be >= 0")
-        if self.beta.sum() >= 1.0:
-            raise DomainError(f"sum of beta coefficients must be < 1, got {self.beta.sum()}")
+        if beta.sum() >= 1.0:
+            raise DomainError(f"sum of beta coefficients must be < 1, got {beta.sum()}")
         return self
 
     def is_valid(self):
@@ -247,7 +248,7 @@ class SeriesData:
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size < 1:
             raise DomainError("series must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise DomainError("series values must be finite")
         if self.presample != "zeros":
             raise DomainError("only the zero pre-sample policy is supported")
@@ -288,16 +289,33 @@ def _shift(v, k, fill=0.0):
     return out
 
 
+_ONE = np.ones(1)
+
+
 def _iir(forcing, lag_coeffs, presample_value):
     """Run x_t = forcing_t + sum_j lag_coeffs[j] * x_{t-j} with constant
-    pre-sample outputs x_k = presample_value for k <= 0."""
-    lag_coeffs = np.asarray(lag_coeffs, dtype=float)
-    if lag_coeffs.size == 0:
-        return np.asarray(forcing, dtype=float).copy()
-    a = np.concatenate([[1.0], -lag_coeffs])
-    zi = lfiltic([1.0], a, y=np.full(lag_coeffs.size, presample_value))
-    out, _ = lfilter([1.0], a, forcing, zi=zi)
-    return out
+    pre-sample outputs x_k = c for k <= 0, c = presample_value.
+
+    lfilter carries the pre-sample in its state zi. With a = (1, -lag_coeffs)
+    that state is zi[m] = 0 - sum_{j>m} a_j c, built here from the same
+    products and sums as scipy's lfiltic, so the output equals
+    lfilter([1], a, forcing, zi=lfiltic([1], a, full(s, c)))[0] bit for bit
+    without lfiltic's call cost. For c = 0 lfilter starts from its own zero
+    state. With no lags, forcing itself is returned.
+    """
+    s = lag_coeffs.size
+    if s == 0:
+        return forcing
+    a = np.empty(s + 1)
+    a[0] = 1.0
+    np.negative(lag_coeffs, out=a[1:])
+    if presample_value == 0.0:
+        return lfilter(_ONE, a, forcing)
+    prods = a[1:] * presample_value
+    zi = np.empty(s)
+    for m in range(s):
+        zi[m] = 0.0 - prods[m:].sum()
+    return lfilter(_ONE, a, forcing, zi=zi)[0]
 
 
 def _eps_h(theta, y):
@@ -305,16 +323,14 @@ def _eps_h(theta, y):
 
     Does not raise on overflow; callers check finiteness.
     """
-    o = theta.orders
-    n = y.size
     u = y - theta.mu
-    for i in range(1, o.p + 1):
-        u = u - theta.phi[i - 1] * _shift(y, i)
+    for i, phi in enumerate(theta.phi, 1):
+        u -= phi * _shift(y, i)
     eps = _iir(u, -theta.psi, 0.0)
     e2 = eps * eps
-    forcing = np.full(n, theta.alpha0)
-    for i in range(1, o.r + 1):
-        forcing = forcing + theta.alpha[i - 1] * _shift(e2, i)
+    forcing = np.full(y.size, theta.alpha0)
+    for i, alpha in enumerate(theta.alpha, 1):
+        forcing += alpha * _shift(e2, i)
     h = _iir(forcing, theta.beta, theta.h_presample)
     return eps, h
 
@@ -357,8 +373,9 @@ def filter_series(theta, data):
     _check_finite(h, "h", limit=H_OVERFLOW_LIMIT)
 
     e2 = eps * eps
-    h0 = theta.h_presample
-    one_minus_bsum = 1.0 - theta.beta.sum()
+    alpha, beta = theta.alpha, theta.beta
+    one_minus_bsum = 1.0 - beta.sum()
+    h0 = theta.alpha0 / one_minus_bsum
 
     deps = np.zeros((n, m))
     dh = np.zeros((n, m))
@@ -374,30 +391,34 @@ def filter_series(theta, data):
         col += 1
         deps[:, col] = _iir(-_shift(eps, k), neg_psi, 0.0)
 
-    # volatility derivatives: gamma block feeds through the ARCH terms
+    # volatility derivatives: gamma block feeds through the ARCH terms,
+    # f_t = sum_i 2 alpha_i eps_{t-i} deps_{t-i}
     n_gamma = o.p + o.q + 1
     if o.r > 0:
+        two_alpha = 2.0 * alpha
         for j in range(n_gamma):
             cross = eps * deps[:, j]
             f = np.zeros(n)
             for i in range(1, o.r + 1):
-                f += 2.0 * theta.alpha[i - 1] * _shift(cross, i)
-            dh[:, j] = _iir(f, theta.beta, 0.0)
+                f[i:] += two_alpha[i - 1] * cross[:-i]
+            dh[:, j] = _iir(f, beta, 0.0)
 
     col = n_gamma
-    dh[:, col] = _iir(np.ones(n), theta.beta, 1.0 / one_minus_bsum)
+    dh[:, col] = _iir(np.ones(n), beta, 1.0 / one_minus_bsum)
     for i in range(1, o.r + 1):
         col += 1
-        dh[:, col] = _iir(_shift(e2, i), theta.beta, 0.0)
+        dh[:, col] = _iir(_shift(e2, i), beta, 0.0)
     db0 = theta.alpha0 / one_minus_bsum**2
     for k in range(1, o.s + 1):
         col += 1
-        dh[:, col] = _iir(_shift(h, k, fill=h0), theta.beta, db0)
+        dh[:, col] = _iir(_shift(h, k, fill=h0), beta, db0)
 
     return FilterOutput(eps=eps, h=h, deps=deps, dh=dh)
 
 
 def _check_finite(v, name, limit=None):
+    if np.isfinite(v).all() and (limit is None or np.abs(v).max() <= limit):
+        return
     bad = ~np.isfinite(v)
     if limit is not None:
         bad |= np.abs(v) > limit

@@ -258,6 +258,24 @@ def test_cli_fit_config_simplex_tolerance_is_used(tmp_path):
     assert not (out / "fit_report.json").exists()
 
 
+def test_cli_fit_reports_sw_fit_when_local_step_fails(tmp_path, capsys):
+    # with beta1 = 0 the one-step update on this path cannot be halved into
+    # beta1 >= 0; the converged self-weighted fit is still written
+    assert run_cli(
+        "simulate", "--orders", "1,0,1,1", "--theta", "0,0.5,0.1,0.3,0",
+        "--dist", "laplace", "--n", "600", "--seed", "1", "--out-dir", tmp_path,
+    ) == 0
+    out = tmp_path / "out"
+    assert run_cli("fit", tmp_path / "simulated.csv", "--orders", "1,0,1,1", "--out-dir", out) == 0
+    assert "could not be shrunk into the feasible region" in capsys.readouterr().err
+    report = json.loads((out / "fit_report.json").read_text())
+    assert [r["estimator"] for r in report] == ["sw_qmele"]
+    assert report[0]["converged"] is True
+    assert (out / "fit_report.txt").read_text().startswith("== sw ==")
+    for name in ("residuals.csv", "acf_eta.csv", "pacf_eta_sq.csv", "hill_eta_sq.csv"):
+        assert (out / name).exists()
+
+
 def test_cli_fit_log_returns_path(tmp_path):
     # prices built from a simulated return series: the fit sees the returns
     y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 601, seed=77).values

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter, lfiltic
 
 from qmele import (
     DomainError,
@@ -13,6 +14,8 @@ from qmele import (
     simulate,
     simulate_with_innovations,
 )
+
+from qmele.model import _iir
 
 from conftest import AR1_GARCH11, make_theta
 
@@ -82,6 +85,35 @@ def test_filter_derivatives_match_finite_differences(point_seed):
         fd_dh[:, j] = (op.h - om.h) / (2 * step)
     assert np.max(np.abs(base.deps - fd_deps)) / np.max(np.abs(base.deps)) < 1e-6
     assert np.max(np.abs(base.dh - fd_dh)) / np.max(np.abs(base.dh)) < 1e-6
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("nonzero_presample", [False, True])
+def test_iir_equals_lfilter_from_lfiltic_state(s, nonzero_presample):
+    rng = np.random.default_rng(10 * s + nonzero_presample)
+    for _ in range(20):
+        lag = rng.uniform(-1.0, 1.0, s) / s
+        c = rng.uniform(-5.0, 5.0) if nonzero_presample else 0.0
+        x = rng.standard_normal(200)
+        a = np.concatenate([[1.0], -lag])
+        ref = lfilter([1.0], a, x, zi=lfiltic([1.0], a, y=np.full(s, c)))[0]
+        assert np.array_equal(_iir(x, lag, c), ref)
+
+
+@pytest.mark.parametrize(
+    "orders, theta",
+    [
+        ((1, 0, 1, 1), [0.1, 0.5, 0.2, 0.15, 0.6]),
+        ((2, 2, 2, 2), [0.1, 0.3, -0.1, 0.2, 0.1, 0.2, 0.1, 0.05, 0.3, 0.2]),
+    ],
+)
+def test_filter_derivatives_are_c_contiguous(orders, theta):
+    o = ModelOrders(*orders)
+    y = np.random.default_rng(3).standard_normal(300)
+    out = filter_series(ParamVector.from_theta(o, theta), y)
+    for d in (out.deps, out.dh):
+        assert d.shape == (300, o.m)
+        assert d.flags.c_contiguous
 
 
 def test_filter_delta_columns_of_deps_are_zero():
