@@ -10,6 +10,7 @@ files; repeated runs are byte-identical.
 """
 
 import argparse
+import configparser
 import csv
 import os
 import sys
@@ -18,14 +19,7 @@ import numpy as np
 
 from . import reports
 from .diagnostics import acf, efficiency_compare, pacf, standardized_residuals
-from .estimation import (
-    ESTIMATOR_KINDS,
-    FitConfig,
-    G0Mode,
-    OptimizerConfig,
-    fit_self_weighted,
-    local_qmele_step,
-)
+from .estimation import FitConfig, fit_self_weighted, local_qmele_step
 from .exceptions import DataIngestError, DomainError
 from .model import (
     InnovationDist,
@@ -34,8 +28,8 @@ from .model import (
     log_return_transform,
     simulate,
 )
-from .montecarlo import load_scenario, run_scenario
-from .weights import WeightSpec, hill_sweep, moment_condition_check
+from .montecarlo import _ALLOWED_KEYS, _fit_settings, load_scenario, run_scenario
+from .weights import hill_sweep, moment_condition_check
 
 
 def read_series_csv(path, column=None, no_header=False):
@@ -113,10 +107,6 @@ def _ensure_out_dir(path):
 
 def _read_fit_config_file(path):
     """Optional [weights]/[g0]/[optimizer] sections shared with scenario files."""
-    import configparser
-
-    from .montecarlo import _ALLOWED_KEYS
-
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -143,37 +133,21 @@ def cmd_fit(args):
         data = values
     orders = _parse_orders(args.orders)
 
-    cp = _read_fit_config_file(args.config) if args.config else None
-
-    def pick(flag_value, section, key, getter, default):
-        if flag_value is not None:
-            return flag_value
-        if cp is not None and cp.has_option(section, key):
-            return getter(section, key)
-        return default
-
-    weight_spec = WeightSpec(
-        variant=pick(args.weight_variant, "weights", "variant", cp.get if cp else None, "infinite_k9"),
-        iota=pick(args.iota, "weights", "iota", cp.getfloat if cp else None, None),
-        c_quantile=pick(args.c_quantile, "weights", "c_quantile", cp.getfloat if cp else None, 0.90),
-        threshold=pick(args.weight_threshold, "weights", "threshold", cp.get if cp else None, "signed"),
-    )
-    g0_value = args.g0_known
-    if g0_value is None and cp is not None and cp.get("g0", "mode", fallback="kernel") == "known":
-        g0_value = cp.getfloat("g0", "value")
-    g0_mode = G0Mode.known(g0_value) if g0_value is not None else G0Mode.kernel()
-    config = FitConfig(
-        weight_spec=weight_spec,
-        optimizer=OptimizerConfig(
-            max_iter=int(pick(args.max_iter, "optimizer", "max_iter", cp.getint if cp else None, 3000)),
-            restarts=int(pick(args.restarts, "optimizer", "restarts", cp.getint if cp else None, 5)),
-            simplex_tolerance=pick(
-                None, "optimizer", "simplex_tolerance", cp.getfloat if cp else None, 1e-7
-            ),
-        ),
-        g0_mode=g0_mode,
-        seed=args.seed,
-    )
+    cp = _read_fit_config_file(args.config) if args.config else configparser.ConfigParser()
+    # explicit flags win over the config file
+    flags = {
+        "weights": {
+            "variant": args.weight_variant,
+            "iota": args.iota,
+            "c_quantile": args.c_quantile,
+            "threshold": args.weight_threshold,
+        },
+        "g0": {"mode": None if args.g0_known is None else "known", "value": args.g0_known},
+        "optimizer": {"max_iter": args.max_iter, "restarts": args.restarts},
+    }
+    cp.read_dict({sec: {k: str(v) for k, v in kv.items() if v is not None} for sec, kv in flags.items()})
+    weight_spec, g0_mode, optimizer = _fit_settings(cp)
+    config = FitConfig(weight_spec=weight_spec, optimizer=optimizer, g0_mode=g0_mode, seed=args.seed)
     sw = fit_self_weighted(data, orders, config, criterion="qmele")
     out = _ensure_out_dir(args.out_dir)
     n_obs = np.asarray(data.values if hasattr(data, "values") else data).size

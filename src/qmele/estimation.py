@@ -8,10 +8,11 @@ Two per-observation criteria are supported:
 * gaussian ("qmle"): l_t = log h_t + eps_t^2 / h_t, the classical
   quasi-likelihood with E eta^2 = 1.
 
-The self-weighted estimator minimizes (1/n) sum_t w_t l_t(theta) by an
-L-BFGS-B descent on the exact weighted score, in transformed coordinates
-that keep the variance constraints; for the exponential criterion a
-simplex pass then settles the minimizer on its |eps| kink. The "local"
+The self-weighted estimator minimizes (1/n) sum_t w_t l_t(theta) by
+L-BFGS-B on the exact weighted score, in transformed coordinates that keep
+the variance constraints. The exponential criterion has kinks where
+eps_t = 0, so its fit descends a ladder of smoothed criteria, with |eta|
+replaced by sqrt(eta^2 + mu^2) and mu shrinking to 1e-7. The "local"
 estimator takes a single Newton-type step from the self-weighted fit,
 
     theta_1 = theta_0 - [2 Sigma*(theta_0)]^{-1} T*(theta_0),
@@ -56,6 +57,14 @@ MAX_STEP_HALVINGS = 30
 # every exp finite, so the optimizers never leave the region where the
 # value and its gradient are exact
 _XBOUND = 60.0
+# (mu, L-BFGS-B tolerances) of the exponential fit's stages. The default
+# stop divides the reduction by max(|f|, 1), loose for a criterion below 1,
+# so three stages tighten it; the last repeats mu = 1e-7 at the defaults and
+# decides `converged`, as a tight stage can end in an abnormal line search.
+_TIGHT = {"ftol": 1e-15, "gtol": 1e-12}
+_MU_LADDER = (
+    (1e-2, {}), (1e-3, {}), (1e-4, {}), (1e-5, _TIGHT), (1e-6, _TIGHT), (1e-7, _TIGHT), (1e-7, {})
+)
 
 
 @dataclass(frozen=True)
@@ -91,21 +100,17 @@ class OptimizerConfig:
 
     max_iter caps the iterations of each optimizer run; restarts is the
     number of seeded jittered starts tried when the descent from the
-    initializer fails; simplex_tolerance is the parameter tolerance of the
-    simplex polish that ends an exponential-criterion fit.
+    initializer fails.
     """
 
     max_iter: int = 3000
     restarts: int = 5
-    simplex_tolerance: float = 1e-7
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
         if self.restarts < 0:
             raise DomainError("restarts must be >= 0")
-        if self.simplex_tolerance <= 0.0:
-            raise DomainError("simplex_tolerance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,7 @@ class FitResult:
     diagonal. g0 and eta2 record the nuisance quantities used to build it.
     converged says whether the optimizer run that produced theta_hat met its
     termination tolerances; iterations and nfev count the iterations and
-    criterion evaluations over all optimizer runs of the fit.
+    criterion evaluations over all optimizer runs, starts the descents run.
     """
 
     theta_hat: ParamVector
@@ -140,6 +145,7 @@ class FitResult:
     weights: np.ndarray | None = None
     shrink_count: int = 0
     nfev: int = 0
+    starts: int = 0
 
     @property
     def orders(self):
@@ -150,8 +156,11 @@ class FitResult:
 # objectives
 
 
-def _objective_values(eps, h, criterion):
+def _objective_values(eps, h, criterion, mu=0.0):
+    """Per-observation criterion; mu > 0 smooths |eta| to sqrt(eta^2 + mu^2)."""
     if criterion == "qmele":
+        if mu:
+            return 0.5 * np.log(h) + np.sqrt(eps * eps / h + mu * mu)
         return 0.5 * np.log(h) + np.abs(eps) / np.sqrt(h)
     if criterion == "qmle":
         return np.log(h) + eps * eps / h
@@ -203,14 +212,18 @@ def qmle_objective(theta, data, weights):
 # scores and information-type matrices
 
 
-def _score_coefficients(out, criterion):
+def _score_coefficients(out, criterion, mu=0.0):
     """Per-observation factors (a_t, b_t) with score_t = a_t deps_t + b_t dh_t.
 
     exponential: a = sign(eps)/sqrt(h), b = (1 - |eta|)/(2h);
+    smoothed:    a = eta/(sqrt(h) r),   b = (1 - eta^2/r)/(2h), r = sqrt(eta^2 + mu^2);
     gaussian:    a = 2 eps/h,           b = (1 - eta^2)/h.
     """
     if criterion == "qmele":
         eta = out.eps / np.sqrt(out.h)
+        if mu:
+            r = np.sqrt(eta * eta + mu * mu)
+            return eta / (np.sqrt(out.h) * r), (1.0 - eta * eta / r) / (2.0 * out.h)
         return np.sign(eta) / np.sqrt(out.h), (1.0 - np.abs(eta)) / (2.0 * out.h)
     eta2 = out.eps**2 / out.h
     return 2.0 * out.eps / out.h, (1.0 - eta2) / out.h
@@ -308,6 +321,17 @@ def _sym_inv(mat):
     return (vecs / vals) @ vecs.T
 
 
+def _sandwich(out, sig_deps, sig_dh, omg_deps, omg_dh):
+    """(1/4) Sigma^-1 Omega Sigma^-1 / n from per-observation scales of the
+    deps and dh cross products in Sigma and Omega."""
+    n = out.eps.size
+    sig = (_weighted_cross(out.deps, sig_deps) + _weighted_cross(out.dh, sig_dh)) / n
+    omg = (_weighted_cross(out.deps, omg_deps) + _weighted_cross(out.dh, omg_dh)) / n
+    sig_inv = _sym_inv(sig)
+    cov = 0.25 * sig_inv @ omg @ sig_inv / n
+    return 0.5 * (cov + cov.T)
+
+
 def covariance_self_weighted(theta, data, weights, g0, eta2):
     """Sampling covariance of the self-weighted estimator.
 
@@ -328,18 +352,13 @@ def covariance_self_weighted(theta, data, weights, g0, eta2):
     if w.shape != data.values.shape:
         raise DomainError("weights must match the series length")
     out = filter_series(theta, data)
-    n = data.n
-    sig = (
-        _weighted_cross(out.deps, g0 * w / out.h)
-        + _weighted_cross(out.dh, w / (8.0 * out.h**2))
-    ) / n
-    omg = (
-        _weighted_cross(out.deps, w * w / out.h)
-        + _weighted_cross(out.dh, 0.25 * (eta2 - 1.0) * w * w / out.h**2)
-    ) / n
-    sig_inv = _sym_inv(sig)
-    cov = 0.25 * sig_inv @ omg @ sig_inv / n
-    return 0.5 * (cov + cov.T)
+    return _sandwich(
+        out,
+        g0 * w / out.h,
+        w / (8.0 * out.h**2),
+        w * w / out.h,
+        0.25 * (eta2 - 1.0) * w * w / out.h**2,
+    )
 
 
 def covariance_local(theta, data, g0, eta2):
@@ -354,20 +373,15 @@ def _covariance_gauss(theta, data, weights, eta2, eta_sq_dev):
     eta_sq_dev is the plug-in for E(1 - eta^2)^2; the score outer product is
         Omega = (1/n) sum w^2 [ 4 eta2 / h deps deps' + eta_sq_dev / h^2 dh dh' ].
     """
-    data = as_series(data)
     w = np.asarray(weights, dtype=float)
-    out = filter_series(theta, data)
-    n = data.n
-    sig = (
-        _weighted_cross(out.deps, w / out.h) + _weighted_cross(out.dh, w / (2.0 * out.h**2))
-    ) / n
-    omg = (
-        _weighted_cross(out.deps, 4.0 * eta2 * w * w / out.h)
-        + _weighted_cross(out.dh, eta_sq_dev * w * w / out.h**2)
-    ) / n
-    sig_inv = _sym_inv(sig)
-    cov = 0.25 * sig_inv @ omg @ sig_inv / n
-    return 0.5 * (cov + cov.T)
+    out = filter_series(theta, as_series(data))
+    return _sandwich(
+        out,
+        w / out.h,
+        w / (2.0 * out.h**2),
+        4.0 * eta2 * w * w / out.h,
+        eta_sq_dev * w * w / out.h**2,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +418,8 @@ def _from_unconstrained(x, orders):
     return ParamVector(orders, x[:k], delta)
 
 
-def _value_and_gradient(x, orders, data, w, criterion):
-    """Weighted criterion mean and its exact gradient in transformed
+def _value_and_gradient(x, orders, data, w, criterion, mu=0.0):
+    """Weighted criterion mean (mu-smoothed) and its exact gradient in transformed
     coordinates, from one filter pass; (nan, 0) where the filter overflows.
 
     NaN rather than inf: after an infinite trial value the L-BFGS-B line
@@ -418,8 +432,8 @@ def _value_and_gradient(x, orders, data, w, criterion):
     except (DomainError, NumericOverflowError):
         # DomainError: softmax rounding can reach sum(beta) = 1 at the bound
         return np.nan, np.zeros(x.size)
-    value = float(np.mean(w * _objective_values(out.eps, out.h, criterion)))
-    a, b = _score_coefficients(out, criterion)
+    value = float(np.mean(w * _objective_values(out.eps, out.h, criterion, mu)))
+    a, b = _score_coefficients(out, criterion, mu)
     grad = ((w * a) @ out.deps + (w * b) @ out.dh) / w.size
     # chain rule: d alpha/dx = alpha; d beta_j/dz_k = beta_j (delta_jk - beta_k)
     k = orders.p + orders.q + 1
@@ -490,18 +504,20 @@ def _initial_params(y, orders):
 def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     """Minimize the self-weighted criterion over the constrained space.
 
-    Runs one L-BFGS-B descent on the exact weighted score from a
-    moment-based initializer, in transformed coordinates that keep
-    alpha > 0 and sum beta < 1. Only if that descent fails (no success or a
-    non-finite value) are `config.optimizer.restarts` seeded jittered starts
-    descended too, and the best point is kept. The exponential criterion's
-    minimizer sits on an |eps| kink, where the descent stops short, so its
-    fit ends with one simplex polish pass. The matching sandwich covariance
-    is filled in.
+    Descends by L-BFGS-B on the exact weighted score from a moment-based
+    initializer, in transformed coordinates that keep alpha > 0 and
+    sum beta < 1. The exponential criterion's minimizer sits on |eps| kinks,
+    so its descent is a ladder of stages on the smoothed criterion
+    (|eta| -> sqrt(eta^2 + mu^2), mu = 1e-2 down to 1e-7), each started
+    where the previous one ended, and a last stage again from zero alpha_i
+    or beta_j (i, j >= 1) where that lowers the criterion. Only if the final
+    stage fails (no success or a non-finite value) are
+    `config.optimizer.restarts` seeded jittered starts descended too, and
+    the best end is kept. The objective reported is the exact criterion.
 
-    Returns a FitResult; converged=False flags that the run which produced
-    theta_hat did not meet its termination tolerances (the point is still
-    reported, with NaN covariance).
+    Returns a FitResult; converged=False flags that the final stage which
+    produced theta_hat did not meet its termination tolerances (the point
+    is still reported, with NaN covariance).
     """
     if criterion not in ("qmele", "qmle"):
         raise DomainError(f"unknown criterion {criterion!r}")
@@ -519,55 +535,60 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     x0 = _to_unconstrained(_initial_params(y, orders))
     n_gamma = orders.p + orders.q + 1
     bounds = [(None, None)] * n_gamma + [(-_XBOUND, _XBOUND)] * (orders.m - n_gamma)
+    ladder = _MU_LADDER if criterion == "qmele" else ((0.0, {}),)
+    runs = []
 
-    def descend(start):
-        return minimize(
-            _value_and_gradient,
-            start,
-            args=(orders, data, w, criterion),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options=dict(maxiter=opt.max_iter, maxfun=10 * opt.max_iter),
-        )
+    def descend(start, stages=ladder):
+        for mu, tolerances in stages:
+            runs.append(
+                minimize(
+                    _value_and_gradient,
+                    start,
+                    args=(orders, data, w, criterion, mu),
+                    jac=True,
+                    method="L-BFGS-B",
+                    bounds=bounds,
+                    options=dict(maxiter=opt.max_iter, maxfun=10 * opt.max_iter, **tolerances),
+                )
+            )
+            start = runs[-1].x
+        return runs[-1]
 
-    runs = [descend(x0)]
-    if not (runs[0].success and np.isfinite(runs[0].fun)):
+    ends = [descend(x0)]
+    if not (ends[0].success and np.isfinite(ends[0].fun)):
         rng = np.random.default_rng(config.seed)
         jitter_scale = np.concatenate([np.full(n_gamma, 0.3), np.full(orders.m - n_gamma, 0.7)])
         for _ in range(opt.restarts):
-            runs.append(descend(x0 + rng.normal(0.0, 1.0, orders.m) * jitter_scale))
-    best = min(runs, key=lambda r: np.nan_to_num(r.fun, nan=np.inf))
+            ends.append(descend(x0 + rng.normal(0.0, 1.0, orders.m) * jitter_scale))
+    best = min(ends, key=lambda r: np.nan_to_num(r.fun, nan=np.inf))
+    if criterion == "qmele" and best.success:
+        # alpha_i = 0 and beta_j = 0 lie at the lower bound of coordinates
+        # whose gradient vanishes there, so the ladder stops short of them
+        def exact(x):
+            return _objective(_from_unconstrained(x, orders), y, w, criterion)
 
-    if criterion == "qmele":
-        # The simplex keeps its start as a vertex, so the polish never ends
-        # above the descent. Its dimension-adaptive coefficients (Gao & Han
-        # 2012) stall less often on the kinks than the standard ones.
-        best = minimize(
-            lambda x: _objective(_from_unconstrained(x, orders), y, w, criterion),
-            best.x,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options=dict(
-                maxiter=opt.max_iter,
-                maxfev=10 * opt.max_iter,
-                xatol=opt.simplex_tolerance,
-                fatol=opt.simplex_tolerance * 1e-3,
-                adaptive=True,
-            ),
-        )
-        runs.append(best)
+        snapped = best.x
+        for j in range(n_gamma + 1, orders.m):
+            trial = np.where(np.arange(orders.m) == j, -_XBOUND, snapped)
+            if exact(trial) < exact(snapped):
+                snapped = trial
+        if snapped is not best.x:
+            end = descend(snapped, ladder[-2:])
+            if end.success and end.fun <= best.fun:
+                best = end
+    theta_hat = _from_unconstrained(best.x, orders)
 
     return _finalize_fit(
-        _from_unconstrained(best.x, orders),
+        theta_hat,
         data,
         w,
         config,
         criterion,
-        objective_value=float(best.fun),
+        objective_value=_objective(theta_hat, y, w, criterion),
         converged=bool(best.success and np.isfinite(best.fun)),
         iterations=sum(r.nit for r in runs),
         nfev=sum(r.nfev for r in runs),
+        starts=len(ends),
     )
 
 
@@ -579,7 +600,7 @@ def _residual_moments(eps, h, config):
     return eta, g0, eta2, eta_sq_dev
 
 
-def _finalize_fit(theta_hat, data, w, config, criterion, objective_value, converged, iterations, nfev):
+def _finalize_fit(theta_hat, data, w, config, criterion, objective_value, converged, **counts):
     kind = SW_QMELE if criterion == "qmele" else SW_QMLE
     m = theta_hat.m
     cov = np.full((m, m), np.nan)
@@ -594,20 +615,18 @@ def _finalize_fit(theta_hat, data, w, config, criterion, objective_value, conver
                 cov = _covariance_gauss(theta_hat, data, w, eta2, eta_sq_dev)
             se = np.sqrt(np.maximum(np.diag(cov), 0.0))
         except (SingularInformationError, DomainError, ArithmeticError):
-            cov = np.full((m, m), np.nan)
-            se = np.full(m, np.nan)
+            pass  # cov and se stay NaN
     return FitResult(
         theta_hat=theta_hat,
         objective_value=objective_value,
         covariance=cov,
         std_errors=se,
         converged=converged,
-        iterations=iterations,
         estimator_kind=kind,
         g0=float(g0),
         eta2=float(eta2),
         weights=w,
-        nfev=nfev,
+        **counts,
     )
 
 

@@ -200,7 +200,7 @@ _ALLOWED_KEYS = {
     "study": {"n", "replications", "seed", "burn_in", "estimators", "name"},
     "weights": {"variant", "iota", "c_quantile", "threshold"},
     "g0": {"mode", "value"},
-    "optimizer": {"max_iter", "restarts", "simplex_tolerance"},
+    "optimizer": {"max_iter", "restarts"},
 }
 
 
@@ -209,6 +209,26 @@ def _floats(text):
     if not text:
         return ()
     return tuple(float(x) for x in text.replace(",", " ").split())
+
+
+def _fit_settings(cp):
+    """WeightSpec, G0Mode and OptimizerConfig from the [weights], [g0] and
+    [optimizer] sections of a parsed config; absent keys take defaults."""
+    weight_spec = WeightSpec(
+        variant=cp.get("weights", "variant", fallback="infinite_k9"),
+        iota=cp.getfloat("weights", "iota") if cp.has_option("weights", "iota") else None,
+        c_quantile=cp.getfloat("weights", "c_quantile", fallback=0.90),
+        threshold=cp.get("weights", "threshold", fallback="signed"),
+    )
+    if cp.get("g0", "mode", fallback="kernel") == "known":
+        g0_mode = G0Mode.known(cp.getfloat("g0", "value", fallback=0.0))
+    else:
+        g0_mode = G0Mode.kernel()
+    optimizer = OptimizerConfig(
+        max_iter=cp.getint("optimizer", "max_iter", fallback=3000),
+        restarts=cp.getint("optimizer", "restarts", fallback=5),
+    )
+    return weight_spec, g0_mode, optimizer
 
 
 def parse_scenario(text, name="scenario"):
@@ -257,22 +277,7 @@ def parse_scenario(text, name="scenario"):
             e.strip()
             for e in cp.get("study", "estimators", fallback=SW_QMELE).replace(",", " ").split()
         )
-        weight_spec = WeightSpec(
-            variant=cp.get("weights", "variant", fallback="infinite_k9"),
-            iota=cp.getfloat("weights", "iota") if cp.has_option("weights", "iota") else None,
-            c_quantile=cp.getfloat("weights", "c_quantile", fallback=0.90),
-            threshold=cp.get("weights", "threshold", fallback="signed"),
-        )
-        g0_kind = cp.get("g0", "mode", fallback="kernel")
-        if g0_kind == "known":
-            g0_mode = G0Mode.known(cp.getfloat("g0", "value"))
-        else:
-            g0_mode = G0Mode.kernel()
-        optimizer = OptimizerConfig(
-            max_iter=cp.getint("optimizer", "max_iter", fallback=3000),
-            restarts=cp.getint("optimizer", "restarts", fallback=5),
-            simplex_tolerance=cp.getfloat("optimizer", "simplex_tolerance", fallback=1e-7),
-        )
+        weight_spec, g0_mode, optimizer = _fit_settings(cp)
         return ScenarioConfig(
             orders=orders,
             theta0=theta0,

@@ -109,29 +109,31 @@ def compute_weights(data, spec=WeightSpec(), orders=None, prehistory=None):
     else:
         C = nearest_rank_quantile(np.abs(y), spec.c_quantile)
 
-    if spec.variant == "finite_lag":
-        if orders is None:
-            raise DomainError("finite_lag weights need model orders for p+r")
-        max_k = orders.p + orders.r
-    else:
-        max_k = None
+    if spec.variant == "finite_lag" and orders is None:
+        raise DomainError("finite_lag weights need model orders for p+r")
 
     if prehistory is None:
         prehistory = np.empty(0)
     pre = np.asarray(prehistory, dtype=float)
     ext = np.concatenate([pre, y])
     z = np.where(np.abs(ext) > C, np.abs(ext), 0.0)
-
-    n_lags = ext.size - 1  # deepest lag ever used is pre.size + (n-1)
-    if max_k is not None:
-        n_lags = min(n_lags, max_k)
     if C <= 0.0:
         # all-zero series: indicator fires on nothing
         return np.ones(n)
+
+    # Lags beyond K add at most max(z) K^(1-a)/(a-1) to a sum that matters
+    # only above C, so the kernel is cut where that tail is below 2^-53 C.
+    # A direct (not FFT) convolution keeps each w_t a function of the past.
+    a = spec.exponent()
+    with np.errstate(over="ignore"):
+        tail_lags = np.float64(z.max() / (C * (a - 1.0)) * 2.0**53) ** (1.0 / (a - 1.0))
+    n_lags = int(min(ext.size - 1, np.ceil(tail_lags)))  # deepest lag: pre.size + n - 1
+    if spec.variant == "finite_lag":
+        n_lags = min(n_lags, orders.p + orders.r)
     if n_lags <= 0:
         return np.ones(n)
 
-    kern = np.arange(1, n_lags + 1, dtype=float) ** (-spec.exponent())
+    kern = np.arange(1, n_lags + 1, dtype=float) ** (-a)
     # s[j] = sum_k kern[k-1] * z[j-k] for the extended index j
     s_ext = np.convolve(z, kern)[: ext.size]
     s_ext = np.concatenate([[0.0], s_ext[:-1]])

@@ -245,16 +245,20 @@ def test_cli_fit_accepts_config_file(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[study]\nn = 5\n")
     assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", bad, "--out-dir", out) == 3
+    bad.write_text("[g0]\nmode = known\n")  # no value
+    assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", bad, "--out-dir", out) == 3
 
 
-def test_cli_fit_config_simplex_tolerance_is_used(tmp_path):
+def test_cli_fit_config_rejects_simplex_tolerance(tmp_path, capsys):
+    # the exponential fit has no simplex polish, so the key is unknown
     y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 300, seed=98).values
     data = tmp_path / "y.csv"
     data.write_text("y\n" + "\n".join(f"{x:.10g}" for x in y) + "\n")
     cfg = tmp_path / "fit.ini"
-    cfg.write_text("[optimizer]\nsimplex_tolerance = 0\n")
+    cfg.write_text("[optimizer]\nsimplex_tolerance = 1e-7\n")
     out = tmp_path / "out"
     assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", cfg, "--out-dir", out) == 3
+    assert "unknown key 'simplex_tolerance'" in capsys.readouterr().err
     assert not (out / "fit_report.json").exists()
 
 

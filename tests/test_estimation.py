@@ -32,7 +32,7 @@ from qmele import (
 from qmele.estimation import _from_unconstrained, _to_unconstrained, _value_and_gradient
 from qmele.model import _eps_h
 
-from conftest import AR1_GARCH11, THETA_FINITE, estimates_matrix, make_theta
+from conftest import AR1_GARCH11, LAPLACE, THETA_FINITE, THETA_IGARCH, estimates_matrix, make_theta
 
 CONST = ModelOrders(0, 0, 0, 0)
 
@@ -373,8 +373,6 @@ def test_optimizer_config_validation():
     with pytest.raises(DomainError):
         OptimizerConfig(max_iter=0)
     with pytest.raises(DomainError):
-        OptimizerConfig(simplex_tolerance=0.0)
-    with pytest.raises(DomainError):
         G0Mode("known")
 
 
@@ -425,6 +423,29 @@ def test_fit_gradient_matches_finite_differences(orders, truth, point, criterion
     assert np.max(np.abs(grad - fd)) / np.max(np.abs(grad)) <= 1e-6
 
 
+@pytest.mark.parametrize("mu", [1e-2, 1e-4])
+def test_smoothed_gradient_matches_finite_differences(mu):
+    orders = ModelOrders(1, 1, 1, 2)
+    data = simulate(make_theta([0.0, 0.5, 0.3, 0.1, 0.18, 0.2, 0.2], orders), InnovationDist("laplace"), 400, seed=16)
+    x = _to_unconstrained(make_theta([0.03, 0.42, 0.25, 0.14, 0.12, 0.3, 0.15], orders))
+    w = np.random.default_rng(17).uniform(0.5, 2.0, data.n)
+
+    def value(z):
+        return _value_and_gradient(z, orders, data, w, "qmele", mu)[0]
+
+    grad = _value_and_gradient(x, orders, data, w, "qmele", mu)[1]
+    fd = np.zeros(x.size)
+    for j in range(x.size):
+        step = 1e-6 * max(1.0, abs(x[j]))
+        e = np.zeros(x.size)
+        e[j] = step
+        fd[j] = (value(x + e) - value(x - e)) / (2 * step)
+    assert np.max(np.abs(grad - fd)) / np.max(np.abs(grad)) <= 1e-6
+    # smoothing only adds: sqrt(eta^2 + mu^2) - |eta| lies in (0, mu]
+    exact = qmele_objective(_from_unconstrained(x, orders), data, w)
+    assert exact < value(x) <= exact + mu * w.mean()
+
+
 def test_fit_value_is_nan_where_the_filter_overflows():
     # NaN ends an L-BFGS-B descent as a failure; inf could end it as a success
     orders = ModelOrders(0, 1, 0, 0)
@@ -442,3 +463,42 @@ def test_garch12_fit_not_above_criterion_at_truth():
     assert fit.converged
     assert fit.objective_value <= qmele_objective(theta0, data, fit.weights)
     assert fit.objective_value == pytest.approx(qmele_objective(fit.theta_hat, data, fit.weights), rel=1e-12)
+
+
+def test_igarch_fit_needs_one_ladder():
+    # on this path the exponential fit once ended in an abnormal line search
+    # and ran every fallback start
+    data = simulate(make_theta(THETA_IGARCH), LAPLACE, 1000, burn_in=500, seed=20260604)
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5), seed=20260602))
+    assert fit.converged
+    assert fit.starts == 1
+
+
+@pytest.mark.parametrize(
+    "orders, truth, dist, seed",
+    [
+        (AR1_GARCH11, THETA_FINITE, LAPLACE, 50000),
+        (AR1_GARCH11, THETA_IGARCH, LAPLACE, 20260602),
+        (ModelOrders(1, 1, 1, 1), [0.0, 0.5, 0.3, 0.1, 0.18, 0.4], InnovationDist("normal", "var_one"), 20260603),
+        (ModelOrders(1, 0, 1, 2), [0.0, 0.5, 0.1, 0.18, 0.2, 0.2], LAPLACE, 50000),
+    ],
+)
+def test_exponential_fit_is_a_local_minimum(orders, truth, dist, seed):
+    theta0 = make_theta(truth, orders)
+    for i in range(4):
+        data = simulate(theta0, dist, 1000, burn_in=500, seed=seed + i)
+        fit = fit_self_weighted(data, orders, FitConfig(seed=seed))
+        assert fit.converged
+
+        def objective(theta):
+            try:
+                return qmele_objective(ParamVector.from_theta(orders, theta), data, fit.weights)
+            except DomainError:
+                return np.inf
+
+        assert fit.objective_value == objective(fit.theta_hat.theta)
+        polish = minimize(
+            objective, fit.theta_hat.theta, method="Nelder-Mead",
+            options=dict(xatol=1e-9, fatol=1e-13, maxfev=4000),
+        )
+        assert polish.fun >= fit.objective_value - 1e-9

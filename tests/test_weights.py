@@ -112,6 +112,30 @@ def test_weights_bounds_and_strict_past():
     np.testing.assert_array_equal(w[:201], w2[:201])
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        WeightSpec(),
+        WeightSpec("finite_lag"),
+        WeightSpec("infinite_iota_scaled", iota=0.3),
+        WeightSpec("infinite_iota_scaled", iota=1.0),
+        WeightSpec("infinite_iota_scaled", iota=8.0),
+        WeightSpec(threshold="absolute"),
+    ],
+)
+def test_weights_truncated_kernel_matches_full_convolution(spec):
+    y = np.random.default_rng(44).standard_t(1.5, 5000)
+    orders = ModelOrders(1, 0, 1, 1)
+    base = y if spec.threshold == "signed" else np.abs(y)
+    C = nearest_rank_quantile(base, spec.c_quantile)
+    z = np.where(np.abs(y) > C, np.abs(y), 0.0)
+    n_lags = orders.p + orders.r if spec.variant == "finite_lag" else y.size - 1
+    kern = np.arange(1, n_lags + 1, dtype=float) ** -spec.exponent()
+    s = np.concatenate([[0.0], np.convolve(z, kern)[: y.size - 1]])
+    full = np.maximum(1.0, s / C) ** -4.0
+    np.testing.assert_allclose(compute_weights(y, spec, orders), full, rtol=0, atol=1e-14)
+
+
 def test_weights_prehistory_effect_decays():
     theta = make_theta([0.0, 0.5, 0.1, 0.3, 0.4])
     path = simulate(theta, InnovationDist("laplace"), 2300, burn_in=500, seed=77).values
