@@ -46,6 +46,7 @@ from .model import (
     ParamVector,
     SeriesData,
     filter_series,
+    filter_vjp,
     log_return_transform,
     simulate,
     simulate_with_innovations,

@@ -43,7 +43,7 @@ def read_series_csv(path, column=None, no_header=False):
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataIngestError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    rows = [r for r in rows if "".join(r).strip()]
     if not rows:
         raise DataIngestError(f"{path}: file contains no data rows")
 
@@ -61,16 +61,20 @@ def read_series_csv(path, column=None, no_header=False):
     elif column is not None:
         raise DataIngestError("--column requires a header row (drop --no-header)")
 
-    values = []
+    try:
+        # float() strips surrounding whitespace itself
+        return np.array([float(row[col_idx]) for row in rows[start:]])
+    except (IndexError, ValueError):
+        pass
+    # find the failing row for the message
     for i, row in enumerate(rows[start:], start=start + 1):
         if col_idx >= len(row):
             raise DataIngestError(f"{path}: row {i} has no column {col_idx + 1}")
         cell = row[col_idx].strip()
         try:
-            values.append(float(cell))
+            float(cell)
         except ValueError as exc:
             raise DataIngestError(f"{path}: row {i}: non-numeric cell {cell!r}") from exc
-    return np.asarray(values, dtype=float)
 
 
 def _parse_orders(text):
@@ -175,15 +179,11 @@ def cmd_fit(args):
         eta = standardized_residuals(final, data)
         reports.write_csv(os.path.join(out, "residuals.csv"), *reports.series_csv_rows(eta, "eta"))
         max_lag = min(args.max_lag, eta.size - 1)
-        reports.write_csv(os.path.join(out, "acf_eta.csv"), *reports.acf_csv_rows(acf(eta, max_lag)))
-        reports.write_csv(os.path.join(out, "pacf_eta.csv"), *reports.acf_csv_rows(pacf(eta, max_lag)))
         eta_sq = eta * eta
-        reports.write_csv(
-            os.path.join(out, "acf_eta_sq.csv"), *reports.acf_csv_rows(acf(eta_sq, max_lag))
-        )
-        reports.write_csv(
-            os.path.join(out, "pacf_eta_sq.csv"), *reports.acf_csv_rows(pacf(eta_sq, max_lag))
-        )
+        for name, series in (("eta", eta), ("eta_sq", eta_sq)):
+            for label, corr in (("acf", acf), ("pacf", pacf)):
+                rows = reports.acf_csv_rows(corr(series, max_lag))
+                reports.write_csv(os.path.join(out, f"{label}_{name}.csv"), *rows)
         k_max = args.hill_k_max or min(eta.size // 3, 180)
         reports.write_csv(
             os.path.join(out, "hill_eta_sq.csv"),
@@ -319,6 +319,14 @@ def build_parser():
         p.add_argument("--out-dir", default=".", help="directory for output files")
         p.add_argument("--seed", type=int, default=0)
 
+    def add_dist(p, standardization=True):
+        p.add_argument("--dist", required=True, choices=["laplace", "normal", "student_t3", "mixture"])
+        if standardization:
+            p.add_argument("--standardization", default="abs_mean_one",
+                           choices=["abs_mean_one", "var_one", "raw"])
+        p.add_argument("--epsilon", type=float, default=0.0)
+        p.add_argument("--tau", type=float, default=1.0)
+
     def add_input(p):
         p.add_argument("input", help="input CSV file")
         p.add_argument("--column", default=None, help="named column to read")
@@ -350,11 +358,7 @@ def build_parser():
     add_common(p)
     p.add_argument("--orders", required=True)
     p.add_argument("--theta", required=True, help="comma-separated parameter vector")
-    p.add_argument("--dist", required=True, choices=["laplace", "normal", "student_t3", "mixture"])
-    p.add_argument("--standardization", default="abs_mean_one",
-                   choices=["abs_mean_one", "var_one", "raw"])
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--tau", type=float, default=1.0)
+    add_dist(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=500)
     p.add_argument("--out", default="simulated.csv", help="output file name inside --out-dir")
@@ -378,11 +382,7 @@ def build_parser():
     p.add_argument("--alpha1", required=True, help="grid min:max:steps")
     p.add_argument("--beta1", required=True, help="grid min:max:steps")
     p.add_argument("--iota", type=float, required=True)
-    p.add_argument("--dist", required=True, choices=["laplace", "normal", "student_t3", "mixture"])
-    p.add_argument("--standardization", default="abs_mean_one",
-                   choices=["abs_mean_one", "var_one", "raw"])
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--tau", type=float, default=1.0)
+    add_dist(p)
     p.add_argument("--draws", type=int, default=1_000_000)
     p.set_defaults(func=cmd_region_scan)
 
@@ -394,9 +394,7 @@ def build_parser():
 
     p = sub.add_parser("efficiency", help="criterion efficiency factors for a standardized law")
     add_common(p)
-    p.add_argument("--dist", required=True, choices=["laplace", "normal", "student_t3", "mixture"])
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--tau", type=float, default=1.0)
+    add_dist(p, standardization=False)
     p.set_defaults(func=cmd_efficiency)
 
     return parser

@@ -10,9 +10,14 @@ Two per-observation criteria are supported:
 
 The self-weighted estimator minimizes (1/n) sum_t w_t l_t(theta) by
 L-BFGS-B on the exact weighted score, in transformed coordinates that keep
-the variance constraints. The exponential criterion has kinks where
-eps_t = 0, so its fit descends a ladder of smoothed criteria, with |eta|
-replaced by sqrt(eta^2 + mu^2) and mu shrinking to 1e-7. The "local"
+the variance constraints. The score sum_t w_t (a_t deps_t + b_t dh_t) comes
+from model.filter_vjp's backward passes, lambda_t = w_t b_t + sum_j beta_j
+lambda_{t+j} and kappa_t = w_t a_t + 2 eps_t sum_i alpha_i lambda_{t+i} -
+sum_j psi_j kappa_{t+j}, so no evaluation forms the n x m derivatives of
+filter_series (kept for the covariances and the one-step update). The
+exponential criterion has kinks where eps_t = 0, so its fit descends a
+ladder of smoothed criteria, with |eta| replaced by sqrt(eta^2 + mu^2) and
+mu shrinking to 1e-7. The "local"
 estimator takes a single Newton-type step from the self-weighted fit,
 
     theta_1 = theta_0 - [2 Sigma*(theta_0)]^{-1} T*(theta_0),
@@ -34,13 +39,13 @@ from .exceptions import (
     SingularInformationError,
 )
 from .model import (
-    H_OVERFLOW_LIMIT,
     ModelOrders,
     ParamVector,
-    _check_finite,
     _eps_h,
     as_series,
+    checked_eps_h,
     filter_series,
+    filter_vjp,
 )
 from .weights import WeightSpec, compute_weights
 
@@ -185,16 +190,12 @@ def _objective(theta, y, w, criterion):
 
 
 def _checked_objective(theta, data, weights, criterion):
-    theta.validate()
     data = as_series(data)
     w = np.asarray(weights, dtype=float)
     if w.shape != data.values.shape:
         raise DomainError("weights must match the series length")
-    with np.errstate(over="ignore", invalid="ignore"):
-        eps, h = _eps_h(theta, data.values)
     # filter overflow propagates, as from filter_series
-    _check_finite(eps, "eps")
-    _check_finite(h, "h", limit=H_OVERFLOW_LIMIT)
+    _, eps, h = checked_eps_h(theta, data)
     return float(np.mean(w * _objective_values(eps, h, criterion)))
 
 
@@ -212,7 +213,7 @@ def qmle_objective(theta, data, weights):
 # scores and information-type matrices
 
 
-def _score_coefficients(out, criterion, mu=0.0):
+def _score_coefficients(eps, h, criterion, mu=0.0):
     """Per-observation factors (a_t, b_t) with score_t = a_t deps_t + b_t dh_t.
 
     exponential: a = sign(eps)/sqrt(h), b = (1 - |eta|)/(2h);
@@ -220,17 +221,17 @@ def _score_coefficients(out, criterion, mu=0.0):
     gaussian:    a = 2 eps/h,           b = (1 - eta^2)/h.
     """
     if criterion == "qmele":
-        eta = out.eps / np.sqrt(out.h)
+        eta = eps / np.sqrt(h)
         if mu:
             r = np.sqrt(eta * eta + mu * mu)
-            return eta / (np.sqrt(out.h) * r), (1.0 - eta * eta / r) / (2.0 * out.h)
-        return np.sign(eta) / np.sqrt(out.h), (1.0 - np.abs(eta)) / (2.0 * out.h)
-    eta2 = out.eps**2 / out.h
-    return 2.0 * out.eps / out.h, (1.0 - eta2) / out.h
+            return eta / (np.sqrt(h) * r), (1.0 - eta * eta / r) / (2.0 * h)
+        return np.sign(eta) / np.sqrt(h), (1.0 - np.abs(eta)) / (2.0 * h)
+    eta2 = eps**2 / h
+    return 2.0 * eps / h, (1.0 - eta2) / h
 
 
 def _score(out, criterion):
-    a, b = _score_coefficients(out, criterion)
+    a, b = _score_coefficients(out.eps, out.h, criterion)
     return a @ out.deps + b @ out.dh
 
 
@@ -420,7 +421,8 @@ def _from_unconstrained(x, orders):
 
 def _value_and_gradient(x, orders, data, w, criterion, mu=0.0):
     """Weighted criterion mean (mu-smoothed) and its exact gradient in transformed
-    coordinates, from one filter pass; (nan, 0) where the filter overflows.
+    coordinates, from one filter pass and one adjoint pass (filter_vjp);
+    (nan, 0) where the filter overflows.
 
     NaN rather than inf: after an infinite trial value the L-BFGS-B line
     search can accept a near-zero step and report convergence, while NaN
@@ -428,13 +430,13 @@ def _value_and_gradient(x, orders, data, w, criterion, mu=0.0):
     """
     theta = _from_unconstrained(x, orders)
     try:
-        out = filter_series(theta, data)
+        y, eps, h = checked_eps_h(theta, data)
     except (DomainError, NumericOverflowError):
         # DomainError: softmax rounding can reach sum(beta) = 1 at the bound
         return np.nan, np.zeros(x.size)
-    value = float(np.mean(w * _objective_values(out.eps, out.h, criterion, mu)))
-    a, b = _score_coefficients(out, criterion, mu)
-    grad = ((w * a) @ out.deps + (w * b) @ out.dh) / w.size
+    value = float(np.mean(w * _objective_values(eps, h, criterion, mu)))
+    a, b = _score_coefficients(eps, h, criterion, mu)
+    grad = filter_vjp(theta, y, eps, h, w * a, w * b) / w.size
     # chain rule: d alpha/dx = alpha; d beta_j/dz_k = beta_j (delta_jk - beta_k)
     k = orders.p + orders.q + 1
     grad[k : k + 1 + orders.r] *= theta.delta[: 1 + orders.r]

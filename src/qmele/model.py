@@ -11,6 +11,7 @@ residuals as zeros and starts the volatility recursion at its zero-innovation
 fixed point alpha0 / (1 - sum beta_j).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -361,16 +362,9 @@ def filter_series(theta, data):
         If a recursion leaves the finite range (message names the first
         offending time index).
     """
-    theta.validate()
-    data = as_series(data)
-    y = data.values
+    y, eps, h = checked_eps_h(theta, data)
     o = theta.orders
     n, m = y.size, o.m
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        eps, h = _eps_h(theta, y)
-    _check_finite(eps, "eps")
-    _check_finite(h, "h", limit=H_OVERFLOW_LIMIT)
 
     e2 = eps * eps
     alpha, beta = theta.alpha, theta.beta
@@ -416,6 +410,71 @@ def filter_series(theta, data):
     return FilterOutput(eps=eps, h=h, deps=deps, dh=dh)
 
 
+def checked_eps_h(theta, data):
+    """Validate theta and run the residual and volatility recursions.
+
+    Returns (y, eps, h); raises DomainError for invalid parameters or data
+    and NumericOverflowError naming the first index that leaves the finite
+    range (|h| above H_OVERFLOW_LIMIT counts as overflow).
+    """
+    theta.validate()
+    y = as_series(data).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps, h = _eps_h(theta, y)
+    _check_finite(eps, "eps")
+    _check_finite(h, "h", limit=H_OVERFLOW_LIMIT)
+    return y, eps, h
+
+
+def _reversed_iir(forcing, lag_coeffs):
+    """x_t = forcing_t + sum_j lag_coeffs[j] x_{t+j}, zero past the end; contiguous
+    copies in and out keep later dot products on BLAS."""
+    return np.ascontiguousarray(_iir(np.ascontiguousarray(forcing[::-1]), lag_coeffs, 0.0)[::-1])
+
+
+def filter_vjp(theta, y, eps, h, ga, gb):
+    """sum_t ga_t d eps_t/d theta + gb_t d h_t/d theta, i.e. ga @ deps + gb @ dh
+    of filter_series(theta, y) (eps, h its outputs), by one backward pass per
+    recursion instead of the n x m Jacobian. With the adjoints (zero past n)
+
+        lambda_t = gb_t + sum_j beta_j lambda_{t+j},
+        kappa_t  = ga_t + 2 eps_t sum_i alpha_i lambda_{t+i} - sum_j psi_j kappa_{t+j},
+
+    the entries are -sum kappa (mu), -sum kappa_t y_{t-i} (phi_i),
+    -sum kappa_t eps_{t-j} (psi_j), sum lambda + P/(1 - sum beta) (alpha0),
+    sum lambda_t eps_{t-i}^2 (alpha_i) and sum lambda_t h_{t-j}
+    + P alpha0/(1 - sum beta)^2 (beta_j), where h_t = alpha0/(1 - sum beta)
+    for t <= 0 and P = sum_j beta_j sum_{t<=j} lambda_t.
+    """
+    o = theta.orders
+    alpha, beta = theta.alpha, theta.beta
+    one_minus_bsum = 1.0 - beta.sum()
+    h0 = theta.alpha0 / one_minus_bsum
+
+    lam = _reversed_iir(gb, beta)
+    forcing = ga
+    if o.r > 0:
+        ahead = np.zeros(y.size)
+        for i, a in enumerate(alpha, 1):
+            ahead[:-i] += a * lam[i:]
+        forcing = ga + 2.0 * eps * ahead
+    kappa = _reversed_iir(forcing, -theta.psi)
+
+    head = [lam[:j].sum() for j in range(1, o.s + 1)]
+    pre = float(beta @ head) if o.s > 0 else 0.0
+    e2 = eps * eps
+    grad = [-kappa.sum()]
+    grad += [-(kappa[i:] @ y[:-i]) for i in range(1, o.p + 1)]
+    grad += [-(kappa[j:] @ eps[:-j]) for j in range(1, o.q + 1)]
+    grad += [lam.sum() + pre / one_minus_bsum]
+    grad += [lam[i:] @ e2[:-i] for i in range(1, o.r + 1)]
+    grad += [
+        lam[j:] @ h[:-j] + h0 * head[j - 1] + pre * theta.alpha0 / one_minus_bsum**2
+        for j in range(1, o.s + 1)
+    ]
+    return np.array(grad)
+
+
 def _check_finite(v, name, limit=None):
     if np.isfinite(v).all() and (limit is None or np.abs(v).max() <= limit):
         return
@@ -439,36 +498,44 @@ def simulate_with_innovations(theta, dist, n, burn_in=500, seed=0):
     total = burn_in + n
     eta = dist.sample(rng, total)
 
+    # Python floats: the same IEEE arithmetic in the same order as numpy
+    # scalars (x ** 2 is libm pow for both), without their per-operation
+    # overhead; e2 holds the squared residuals
     lag = o.max_lag
-    y = np.zeros(total + lag)
-    e = np.zeros(total + lag)
-    h = np.empty(total + lag)
-    h[:lag] = theta.h_presample
+    y = [0.0] * lag
+    e = [0.0] * lag
+    e2 = [0.0] * lag
+    h = [float(theta.h_presample)] * lag
 
     mu = theta.mu
-    phi, psi = theta.phi, theta.psi
-    a0, alpha, beta = theta.alpha0, theta.alpha, theta.beta
-    for t in range(lag, total + lag):
+    phi, psi = theta.phi.tolist(), theta.psi.tolist()
+    a0, alpha, beta = theta.alpha0, theta.alpha.tolist(), theta.beta.tolist()
+    sqrt, isfinite = math.sqrt, math.isfinite
+    for t, eta_t in enumerate(eta.tolist(), lag):
         ht = a0
         for i in range(1, o.r + 1):
-            ht += alpha[i - 1] * e[t - i] ** 2
+            ht += alpha[i - 1] * e2[t - i]
         for j in range(1, o.s + 1):
             ht += beta[j - 1] * h[t - j]
-        if not np.isfinite(ht) or ht > H_OVERFLOW_LIMIT:
+        if not isfinite(ht) or ht > H_OVERFLOW_LIMIT:
             raise NumericOverflowError(
                 f"simulated volatility overflowed at t={t - lag + 1}", t=t - lag + 1
             )
-        h[t] = ht
-        et = eta[t - lag] * np.sqrt(ht)
+        h.append(ht)
+        et = eta_t * sqrt(ht)
         yt = mu + et
         for i in range(1, o.p + 1):
             yt += phi[i - 1] * y[t - i]
         for j in range(1, o.q + 1):
             yt += psi[j - 1] * e[t - j]
-        e[t] = et
-        y[t] = yt
+        e.append(et)
+        y.append(yt)
+        try:
+            e2.append(et**2)
+        except OverflowError:  # numpy scalars overflow to inf, Python floats raise
+            e2.append(math.inf)
 
-    return y[lag + burn_in :].copy(), eta[burn_in:].copy()
+    return np.array(y[lag + burn_in :]), eta[burn_in:].copy()
 
 
 def simulate(theta, dist, n, burn_in=500, seed=0):

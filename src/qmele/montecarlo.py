@@ -95,9 +95,6 @@ def run_replication(config, index):
     nan_vec = np.full(m, np.nan)
 
     wanted = set(config.estimators)
-    need_sw_qmele = bool({SW_QMELE, LOCAL_QMELE} & wanted)
-    need_sw_qmle = bool({SW_QMLE, LOCAL_QMLE} & wanted)
-
     estimates, std_errors, converged = {}, {}, {}
 
     def record(kind, fit):
@@ -121,22 +118,17 @@ def run_replication(config, index):
         except (DomainError, ArithmeticError):
             return None
 
-    if need_sw_qmele:
+    pairs = (("qmele", SW_QMELE, LOCAL_QMELE), ("qmle", SW_QMLE, LOCAL_QMLE))
+    for criterion, sw_kind, local_kind in pairs:
+        if not {sw_kind, local_kind} & wanted:
+            continue
         try:
-            sw = fit_self_weighted(data, config.orders, fit_cfg, criterion="qmele")
+            sw = fit_self_weighted(data, config.orders, fit_cfg, criterion=criterion)
         except (DomainError, ArithmeticError):
             sw = None
-        record(SW_QMELE, sw)
-        if LOCAL_QMELE in wanted:
-            record(LOCAL_QMELE, one_step(sw))
-    if need_sw_qmle:
-        try:
-            swg = fit_self_weighted(data, config.orders, fit_cfg, criterion="qmle")
-        except (DomainError, ArithmeticError):
-            swg = None
-        record(SW_QMLE, swg)
-        if LOCAL_QMLE in wanted:
-            record(LOCAL_QMLE, one_step(swg))
+        record(sw_kind, sw)
+        if local_kind in wanted:
+            record(local_kind, one_step(sw))
 
     return ReplicationRecord(index, estimates, std_errors, converged)
 
@@ -252,12 +244,7 @@ def parse_scenario(text, name="scenario"):
         return cp.get(section, key)
 
     try:
-        orders = ModelOrders(
-            int(need("model", "p")),
-            int(need("model", "q")),
-            int(need("model", "r")),
-            int(need("model", "s")),
-        )
+        orders = ModelOrders(*(int(need("model", key)) for key in "pqrs"))
         theta0 = ParamVector.from_parts(
             orders,
             mu=float(need("truth", "mu")),

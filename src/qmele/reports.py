@@ -11,13 +11,8 @@ import numpy as np
 
 
 def fmt(x):
-    """Format one number at 6 significant digits ('nan' for missing)."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.6g}"
+    """Format one number at 6 significant digits ('nan', 'inf', '-inf' as is)."""
+    return f"{float(x):.6g}"
 
 
 def round6(x):
@@ -92,18 +87,8 @@ def mc_table_csv_rows(table):
     rows = []
     for kind in table.scenario.estimators:
         for j, nm in enumerate(table.param_names):
-            rows.append(
-                [
-                    kind,
-                    nm,
-                    fmt(theta0[j]),
-                    fmt(table.bias[kind][j]),
-                    fmt(table.sd[kind][j]),
-                    fmt(table.ad[kind][j]),
-                    str(table.successes[kind]),
-                    str(table.failures[kind]),
-                ]
-            )
+            numbers = [fmt(v) for v in (theta0[j], table.bias[kind][j], table.sd[kind][j], table.ad[kind][j])]
+            rows.append([kind, nm, *numbers, str(table.successes[kind]), str(table.failures[kind])])
     return header, rows
 
 

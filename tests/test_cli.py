@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qmele import InnovationDist, simulate
+from qmele import InnovationDist, reports, simulate
 from qmele.cli import main, read_series_csv
 
 from conftest import THETA_FINITE, THETA_IGARCH, make_theta
@@ -97,6 +97,27 @@ def test_read_series_csv_errors(tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_text("1.5\n2.5\n")
     np.testing.assert_array_equal(read_series_csv(str(raw), no_header=True), [1.5, 2.5])
+
+
+def test_read_series_csv_skips_blank_rows(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("a,b\n\n 1.5 , 10\n , \n\t\n-2e-3,20\n   \n,\n7,30\n")
+    np.testing.assert_array_equal(read_series_csv(str(path)), [1.5, -2e-3, 7.0])
+    np.testing.assert_array_equal(read_series_csv(str(path), column="b"), [10.0, 20.0, 30.0])
+    path.write_text("y\n1\n \n2\nx\n")
+    with pytest.raises(Exception) as err:
+        read_series_csv(str(path))
+    assert "row 4: non-numeric cell 'x'" in str(err.value)
+
+
+def test_fmt_edge_values():
+    cases = [
+        (float("nan"), "nan"), (-float("nan"), "nan"), (np.float64("nan"), "nan"),
+        (float("inf"), "inf"), (-float("inf"), "-inf"), (np.float32("-inf"), "-inf"),
+        (-0.0, "-0"), (0.0, "0"), (1234567.0, "1.23457e+06"), (5e-324, "4.94066e-324"),
+    ]
+    for value, text in cases:
+        assert reports.fmt(value) == text
 
 
 def test_cli_exit_codes(tmp_path):

@@ -21,6 +21,7 @@ from qmele import (
     covariance_self_weighted,
     estimate_eta2,
     estimate_g0,
+    filter_series,
     fit_self_weighted,
     local_qmele_step,
     qmele_objective,
@@ -502,3 +503,22 @@ def test_exponential_fit_is_a_local_minimum(orders, truth, dist, seed):
             options=dict(xatol=1e-9, fatol=1e-13, maxfev=4000),
         )
         assert polish.fun >= fit.objective_value - 1e-9
+
+
+@pytest.mark.parametrize("criterion", ["qmele", "qmle"])
+def test_fit_forms_the_derivative_matrices_at_most_twice(monkeypatch, criterion):
+    # the optimizer's gradients come from the adjoint pass, so the n x m
+    # Jacobian is built only for the covariance, however many evaluations run
+    import qmele.estimation
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return filter_series(*args, **kwargs)
+
+    monkeypatch.setattr(qmele.estimation, "filter_series", counted)
+    data = simulate(make_theta(THETA_FINITE), LAPLACE, 1000, burn_in=500, seed=50000)
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5)), criterion=criterion)
+    assert fit.converged and fit.nfev > 20
+    assert len(calls) <= 2

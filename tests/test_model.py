@@ -10,6 +10,7 @@ from qmele import (
     ParamVector,
     SeriesData,
     filter_series,
+    filter_vjp,
     log_return_transform,
     simulate,
     simulate_with_innovations,
@@ -230,3 +231,66 @@ def test_param_vector_accessors():
     rebuilt = ParamVector.from_theta(theta.orders, theta.theta)
     np.testing.assert_array_equal(rebuilt.gamma, theta.gamma)
     np.testing.assert_array_equal(rebuilt.delta, theta.delta)
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2), (1, 0, 1, 1), (1, 1, 1, 1), (2, 0, 0, 1), (1, 2, 3, 0), (0, 3, 1, 3), (2, 2, 2, 2)],
+)
+def test_filter_vjp_matches_jacobian_product(orders):
+    o = ModelOrders(*orders)
+    rng = np.random.default_rng(sum(orders) + 10 * orders[0])
+    y = simulate(make_theta([0.0, 0.3, 0.2, 0.2, 0.5]), InnovationDist("student_t3"), 300, seed=4).values
+    for _ in range(5):
+        beta = rng.dirichlet(np.ones(o.s + 1))[: o.s] * 0.95
+        theta = ParamVector.from_parts(
+            o, rng.normal(0.0, 0.1), rng.uniform(-0.4, 0.4, o.p), rng.uniform(-0.4, 0.4, o.q),
+            rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.3, o.r), beta,
+        )
+        out = filter_series(theta, y)
+        ga, gb = rng.standard_normal(y.size), rng.standard_normal(y.size)
+        expected = ga @ out.deps + gb @ out.dh
+        got = filter_vjp(theta, y, out.eps, out.h, ga, gb)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _simulate_numpy_scalars(theta, dist, n, burn_in, seed):
+    """The simulation loop on numpy scalars and arrays, as an oracle."""
+    o = theta.orders
+    eta = dist.sample(np.random.default_rng(seed), burn_in + n)
+    lag = o.max_lag
+    y, e, h = np.zeros(eta.size + lag), np.zeros(eta.size + lag), np.empty(eta.size + lag)
+    h[:lag] = theta.h_presample
+    for t in range(lag, eta.size + lag):
+        ht = theta.alpha0
+        for i in range(1, o.r + 1):
+            ht += theta.alpha[i - 1] * e[t - i] ** 2
+        for j in range(1, o.s + 1):
+            ht += theta.beta[j - 1] * h[t - j]
+        h[t] = ht
+        e[t] = eta[t - lag] * np.sqrt(ht)
+        yt = theta.mu + e[t]
+        for i in range(1, o.p + 1):
+            yt += theta.phi[i - 1] * y[t - i]
+        for j in range(1, o.q + 1):
+            yt += theta.psi[j - 1] * e[t - j]
+        y[t] = yt
+    return y[lag + burn_in :], eta[burn_in:]
+
+
+@pytest.mark.parametrize(
+    "orders, values",
+    [
+        ((1, 1, 1, 1), [0.1, 0.5, 0.3, 0.1, 0.18, 0.4]),
+        ((2, 2, 2, 2), [0.01, 0.3, -0.1, 0.2, 0.1, 0.1, 0.1, 0.05, 0.3, 0.2]),
+    ],
+)
+@pytest.mark.parametrize("dist", [InnovationDist("laplace"), InnovationDist("student_t3")])
+def test_simulate_equals_numpy_scalar_loop(orders, values, dist):
+    theta = make_theta(values, ModelOrders(*orders))
+    # long paths: a 1-ulp change in one step (say x * x for x ** 2, which
+    # differ in ~1e-3 of squares) often rounds away within a few steps
+    for seed in range(8):
+        y, eta = simulate_with_innovations(theta, dist, 2000, burn_in=100, seed=seed)
+        y_ref, eta_ref = _simulate_numpy_scalars(theta, dist, 2000, 100, seed)
+        assert np.array_equal(y, y_ref) and np.array_equal(eta, eta_ref)
