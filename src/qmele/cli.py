@@ -10,7 +10,6 @@ files; repeated runs are byte-identical.
 """
 
 import argparse
-import configparser
 import csv
 import os
 import sys
@@ -28,7 +27,7 @@ from .model import (
     log_return_transform,
     simulate,
 )
-from .montecarlo import _ALLOWED_KEYS, _fit_settings, load_scenario, run_scenario
+from .montecarlo import _fit_settings, _read_config, _read_text, load_scenario, run_scenario
 from .weights import hill_sweep, moment_condition_check
 
 
@@ -109,26 +108,6 @@ def _ensure_out_dir(path):
     return path
 
 
-def _read_fit_config_file(path):
-    """Optional [weights]/[g0]/[optimizer] sections shared with scenario files."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh)
-    except OSError as exc:
-        raise DataIngestError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise DataIngestError(f"config {path} is not valid key=value text: {exc}") from exc
-    allowed = {k: _ALLOWED_KEYS[k] for k in ("weights", "g0", "optimizer")}
-    for section in cp.sections():
-        if section not in allowed:
-            raise DataIngestError(f"{path}: section [{section}] is not valid for fit")
-        for key in cp[section]:
-            if key not in allowed[section]:
-                raise DataIngestError(f"{path}: unknown key {key!r} in section [{section}]")
-    return cp
-
-
 def cmd_fit(args):
     values = read_series_csv(args.input, column=args.column, no_header=args.no_header)
     if args.log_returns_x100:
@@ -137,7 +116,9 @@ def cmd_fit(args):
         data = values
     orders = _parse_orders(args.orders)
 
-    cp = _read_fit_config_file(args.config) if args.config else configparser.ConfigParser()
+    # the optional config file holds the fit settings shared with scenario files
+    text = _read_text(args.config, "config") if args.config else ""
+    cp = _read_config(text, ("weights", "g0", "optimizer"), f"config {args.config}")
     # explicit flags win over the config file
     flags = {
         "weights": {
@@ -161,7 +142,7 @@ def cmd_fit(args):
         # a failed one-step update leaves the converged self-weighted fit
         # to report, as in a replication study
         try:
-            fits.append(("local", local_qmele_step(sw, data, g0=g0_mode.value, config=config)))
+            fits.append(("local", local_qmele_step(sw, data, config=config)))
         except (DomainError, ArithmeticError) as exc:
             print(f"local step failed, reporting the self-weighted fit: {exc}", file=sys.stderr)
     final = fits[-1][1]

@@ -1,12 +1,17 @@
 """Self-weighted estimation and one-step efficient updates.
 
-Two per-observation criteria are supported:
+Two per-observation criteria are supported, each a frozen Criterion record
+in CRITERIA, chosen once by name:
 
-* exponential ("qmele"): l_t = log sqrt(h_t) + |eps_t| / sqrt(h_t), the
-  likelihood under double-exponential innovations with E|eta| = 1, robust
-  to heavy tails;
-* gaussian ("qmle"): l_t = log h_t + eps_t^2 / h_t, the classical
+* exponential (QMELE, "qmele"): l_t = log sqrt(h_t) + |eps_t| / sqrt(h_t),
+  the likelihood under double-exponential innovations with E|eta| = 1,
+  robust to heavy tails;
+* gaussian (QMLE, "qmle"): l_t = log h_t + eps_t^2 / h_t, the classical
   quasi-likelihood with E eta^2 = 1.
+
+A record holds all that differs between them: the loss, the score factors
+(a_t, b_t) with score_t = a_t deps_t + b_t dh_t, the Sigma and Omega scales,
+the estimator kinds and the mu ladder; every code path below is shared.
 
 The self-weighted estimator minimizes (1/n) sum_t w_t l_t(theta) by
 L-BFGS-B on the exact weighted score, in transformed coordinates that keep
@@ -23,10 +28,12 @@ estimator takes a single Newton-type step from the self-weighted fit,
     theta_1 = theta_0 - [2 Sigma*(theta_0)]^{-1} T*(theta_0),
 
 with the score T* and information-type matrix Sigma* evaluated without
-weights, and reports sandwich standard errors (1/4) Sigma^-1 Omega Sigma^-1 / n.
+weights. Both estimators report sandwich standard errors
+(1/4) Sigma^-1 Omega Sigma^-1 / n, built by one _sandwich from one
+filter_series pass at the reported estimate.
 """
-
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,91 +165,124 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
+# criteria
+
+
+def _exponential_loss(eps, h, mu):
+    if mu:
+        return 0.5 * np.log(h) + np.sqrt(eps * eps / h + mu * mu)
+    return 0.5 * np.log(h) + np.abs(eps) / np.sqrt(h)
+
+
+def _exponential_score(eps, h, mu):
+    """a = sign(eta)/sqrt(h), b = (1 - |eta|)/(2h); smoothed with
+    r = sqrt(eta^2 + mu^2): a = eta/(sqrt(h) r), b = (1 - eta^2/r)/(2h)."""
+    eta = eps / np.sqrt(h)
+    if mu:
+        r = np.sqrt(eta * eta + mu * mu)
+        return eta / (np.sqrt(h) * r), (1.0 - eta * eta / r) / (2.0 * h)
+    return np.sign(eta) / np.sqrt(h), (1.0 - np.abs(eta)) / (2.0 * h)
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """Everything that differs between the exponential and gaussian criteria.
+
+    loss(eps, h, mu) is the per-observation criterion l_t, with |eta|
+    smoothed to sqrt(eta^2 + mu^2) when mu > 0 (the gaussian loss ignores
+    mu); score(eps, h, mu) gives (a_t, b_t) with
+    score_t = a_t deps_t + b_t dh_t. sigma(w, h, g0) and
+    omega(w, h, eta2, eta_sq_dev) give the per-observation scales of the
+    deps and dh cross products in Sigma and Omega, where eta_sq_dev is the
+    plug-in for E(1 - eta^2)^2. ladder lists the fit's (mu, L-BFGS-B
+    tolerances) stages and face_stages the ones descended again from a zero
+    alpha_i or beta_j (none for a smooth criterion).
+    """
+
+    sw_kind: str
+    local_kind: str
+    ladder: tuple
+    face_stages: tuple
+    loss: Callable
+    score: Callable
+    sigma: Callable
+    omega: Callable
+
+
+QMELE = Criterion(
+    sw_kind=SW_QMELE,
+    local_kind=LOCAL_QMELE,
+    ladder=_MU_LADDER,
+    face_stages=_MU_LADDER[-2:],
+    loss=_exponential_loss,
+    score=_exponential_score,
+    sigma=lambda w, h, g0: (g0 * w / h, w / (8.0 * h**2)),
+    omega=lambda w, h, eta2, eta_sq_dev: (w * w / h, 0.25 * (eta2 - 1.0) * w * w / h**2),
+)
+QMLE = Criterion(
+    sw_kind=SW_QMLE,
+    local_kind=LOCAL_QMLE,
+    ladder=((0.0, {}),),
+    face_stages=(),
+    loss=lambda eps, h, mu: np.log(h) + eps * eps / h,
+    score=lambda eps, h, mu: (2.0 * eps / h, (1.0 - eps**2 / h) / h),
+    sigma=lambda w, h, g0: (w / h, w / (2.0 * h**2)),
+    omega=lambda w, h, eta2, eta_sq_dev: (4.0 * eta2 * w * w / h, eta_sq_dev * w * w / h**2),
+)
+CRITERIA = {"qmele": QMELE, "qmle": QMLE}
+
+
+# ---------------------------------------------------------------------------
 # objectives
 
 
-def _objective_values(eps, h, criterion, mu=0.0):
-    """Per-observation criterion; mu > 0 smooths |eta| to sqrt(eta^2 + mu^2)."""
-    if criterion == "qmele":
-        if mu:
-            return 0.5 * np.log(h) + np.sqrt(eps * eps / h + mu * mu)
-        return 0.5 * np.log(h) + np.abs(eps) / np.sqrt(h)
-    if criterion == "qmle":
-        return np.log(h) + eps * eps / h
-    raise DomainError(f"unknown criterion {criterion!r}")
+def _criterion_mean(eps, h, w, crit, mu=0.0):
+    """Weighted criterion mean (1/n) sum_t w_t l_t, by np.mean's arithmetic
+    without its call overhead."""
+    terms = w * crit.loss(eps, h, mu)
+    return float(terms.sum() / terms.size)
 
 
-def _criterion_mean(eps, h, w, criterion):
-    """Weighted criterion mean (1/n) sum_t w_t l_t; +inf if not finite.
-
-    Callers silence floating-point warnings around it. The sum over n is
-    np.mean's arithmetic, without its call overhead.
-    """
-    terms = w * _objective_values(eps, h, criterion)
-    val = float(terms.sum() / terms.size)
+def _objective(theta, y, w, crit):
+    """Weighted criterion mean; +inf if the filter leaves the finite range."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        val = _criterion_mean(*_eps_h(theta, y), w, crit)
     return val if math.isfinite(val) else math.inf
 
 
-def _objective(theta, y, w, criterion):
-    """Weighted criterion mean; +inf if the filter leaves the finite range."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _criterion_mean(*_eps_h(theta, y), w, criterion)
-
-
-def _checked_objective(theta, data, weights, criterion):
+def _checked_objective(theta, data, weights, crit):
     data = as_series(data)
     w = np.asarray(weights, dtype=float)
     if w.shape != data.values.shape:
         raise DomainError("weights must match the series length")
     # filter overflow propagates, as from filter_series
     _, eps, h = checked_eps_h(theta, data)
-    return float(np.mean(w * _objective_values(eps, h, criterion)))
+    return _criterion_mean(eps, h, w, crit)
 
 
 def qmele_objective(theta, data, weights):
     """Self-weighted exponential criterion (1/n) sum w_t [log sqrt(h_t) + |eps_t|/sqrt(h_t)]."""
-    return _checked_objective(theta, data, weights, "qmele")
+    return _checked_objective(theta, data, weights, QMELE)
 
 
 def qmle_objective(theta, data, weights):
     """Self-weighted gaussian criterion (1/n) sum w_t [log h_t + eps_t^2/h_t]."""
-    return _checked_objective(theta, data, weights, "qmle")
+    return _checked_objective(theta, data, weights, QMLE)
 
 
 # ---------------------------------------------------------------------------
 # scores and information-type matrices
 
 
-def _score_coefficients(eps, h, criterion, mu=0.0):
-    """Per-observation factors (a_t, b_t) with score_t = a_t deps_t + b_t dh_t.
-
-    exponential: a = sign(eps)/sqrt(h), b = (1 - |eta|)/(2h);
-    smoothed:    a = eta/(sqrt(h) r),   b = (1 - eta^2/r)/(2h), r = sqrt(eta^2 + mu^2);
-    gaussian:    a = 2 eps/h,           b = (1 - eta^2)/h.
-    """
-    if criterion == "qmele":
-        eta = eps / np.sqrt(h)
-        if mu:
-            r = np.sqrt(eta * eta + mu * mu)
-            return eta / (np.sqrt(h) * r), (1.0 - eta * eta / r) / (2.0 * h)
-        return np.sign(eta) / np.sqrt(h), (1.0 - np.abs(eta)) / (2.0 * h)
-    eta2 = eps**2 / h
-    return 2.0 * eps / h, (1.0 - eta2) / h
-
-
-def _score(out, criterion):
-    a, b = _score_coefficients(out.eps, out.h, criterion)
+def _score(out, crit):
+    a, b = crit.score(out.eps, out.h, 0.0)
     return a @ out.deps + b @ out.dh
 
 
-def _information(out, criterion, g0):
-    """Unweighted information-type sum (Sigma* for the exponential criterion,
-    the half-Hessian for the gaussian one) from one filter pass."""
-    if criterion == "qmele":
-        e_scale = g0 / out.h
-        h_scale = 1.0 / (8.0 * out.h**2)
-        return _weighted_cross(out.deps, e_scale) + _weighted_cross(out.dh, h_scale)
-    return _weighted_cross(out.deps, 1.0 / out.h) + _weighted_cross(out.dh, 1.0 / (2.0 * out.h**2))
+def _cross(out, scales):
+    """sum_t s_t deps_t deps_t' + u_t dh_t dh_t' for per-observation scales (s, u)."""
+    s, u = scales
+    return (out.deps * s[:, None]).T @ out.deps + (out.dh * u[:, None]).T @ out.dh
 
 
 def t_star(theta, data):
@@ -254,7 +294,7 @@ def t_star(theta, data):
     with sign(0) = 0. Equals n times the gradient of the unweighted
     exponential objective wherever no eta_t sits on the kink.
     """
-    return _score(filter_series(theta, data), "qmele")
+    return _score(filter_series(theta, data), QMELE)
 
 
 def sigma_star(theta, data, g0):
@@ -265,11 +305,8 @@ def sigma_star(theta, data, g0):
     """
     if g0 <= 0.0:
         raise DomainError("g0 must be > 0")
-    return _information(filter_series(theta, data), "qmele", g0)
-
-
-def _weighted_cross(mat, scale):
-    return (mat * scale[:, None]).T @ mat
+    out = filter_series(theta, data)
+    return _cross(out, QMELE.sigma(1.0, out.h, g0))
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +359,29 @@ def _sym_inv(mat):
     return (vecs / vals) @ vecs.T
 
 
-def _sandwich(out, sig_deps, sig_dh, omg_deps, omg_dh):
-    """(1/4) Sigma^-1 Omega Sigma^-1 / n from per-observation scales of the
-    deps and dh cross products in Sigma and Omega."""
+def _sandwich(out, crit, w, g0, eta2, eta_sq_dev):
+    """(1/4) Sigma^-1 Omega Sigma^-1 / n with Sigma = (1/n) sum crit.sigma
+    and Omega = (1/n) sum crit.omega cross products of deps and dh."""
     n = out.eps.size
-    sig = (_weighted_cross(out.deps, sig_deps) + _weighted_cross(out.dh, sig_dh)) / n
-    omg = (_weighted_cross(out.deps, omg_deps) + _weighted_cross(out.dh, omg_dh)) / n
+    sig = _cross(out, crit.sigma(w, out.h, g0)) / n
+    omg = _cross(out, crit.omega(w, out.h, eta2, eta_sq_dev)) / n
     sig_inv = _sym_inv(sig)
     cov = 0.25 * sig_inv @ omg @ sig_inv / n
     return 0.5 * (cov + cov.T)
+
+
+def _filter_moments(theta, data, g0_mode, g0=None):
+    """One filter_series pass at theta and the sandwich's nuisance estimates:
+    (out, g0, eta2, eta_sq_dev). g0 defaults to g0_mode on the standardized
+    residuals; eta2 is floored at ETA2_FLOOR."""
+    out = filter_series(theta, data)
+    eta = out.eps / np.sqrt(out.h)
+    if g0 is None:
+        g0 = estimate_g0(eta, g0_mode)
+    if g0 <= 0.0:
+        raise DomainError("g0 must be > 0")
+    eta2 = max(estimate_eta2(eta), ETA2_FLOOR)
+    return out, g0, eta2, float(np.mean((1.0 - eta * eta) ** 2))
 
 
 def covariance_self_weighted(theta, data, weights, g0, eta2):
@@ -352,37 +403,14 @@ def covariance_self_weighted(theta, data, weights, g0, eta2):
     w = np.asarray(weights, dtype=float)
     if w.shape != data.values.shape:
         raise DomainError("weights must match the series length")
-    out = filter_series(theta, data)
-    return _sandwich(
-        out,
-        g0 * w / out.h,
-        w / (8.0 * out.h**2),
-        w * w / out.h,
-        0.25 * (eta2 - 1.0) * w * w / out.h**2,
-    )
+    # the exponential Omega does not use E(1 - eta^2)^2
+    return _sandwich(filter_series(theta, data), QMELE, w, g0, eta2, np.nan)
 
 
 def covariance_local(theta, data, g0, eta2):
     """Sampling covariance of the one-step estimator (unit weights)."""
     data = as_series(data)
     return covariance_self_weighted(theta, data, np.ones(data.n), g0, eta2)
-
-
-def _covariance_gauss(theta, data, weights, eta2, eta_sq_dev):
-    """Gaussian-criterion sandwich with estimated residual moments.
-
-    eta_sq_dev is the plug-in for E(1 - eta^2)^2; the score outer product is
-        Omega = (1/n) sum w^2 [ 4 eta2 / h deps deps' + eta_sq_dev / h^2 dh dh' ].
-    """
-    w = np.asarray(weights, dtype=float)
-    out = filter_series(theta, as_series(data))
-    return _sandwich(
-        out,
-        w / out.h,
-        w / (2.0 * out.h**2),
-        4.0 * eta2 * w * w / out.h,
-        eta_sq_dev * w * w / out.h**2,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +447,7 @@ def _from_unconstrained(x, orders):
     return ParamVector(orders, x[:k], delta)
 
 
-def _value_and_gradient(x, orders, data, w, criterion, mu=0.0):
+def _value_and_gradient(x, orders, data, w, crit, mu=0.0):
     """Weighted criterion mean (mu-smoothed) and its exact gradient in transformed
     coordinates, from one filter pass and one adjoint pass (filter_vjp);
     (nan, 0) where the filter overflows.
@@ -434,8 +462,8 @@ def _value_and_gradient(x, orders, data, w, criterion, mu=0.0):
     except (DomainError, NumericOverflowError):
         # DomainError: softmax rounding can reach sum(beta) = 1 at the bound
         return np.nan, np.zeros(x.size)
-    value = float(np.mean(w * _objective_values(eps, h, criterion, mu)))
-    a, b = _score_coefficients(eps, h, criterion, mu)
+    value = _criterion_mean(eps, h, w, crit, mu)
+    a, b = crit.score(eps, h, mu)
     grad = filter_vjp(theta, y, eps, h, w * a, w * b) / w.size
     # chain rule: d alpha/dx = alpha; d beta_j/dz_k = beta_j (delta_jk - beta_k)
     k = orders.p + orders.q + 1
@@ -521,8 +549,9 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     produced theta_hat did not meet its termination tolerances (the point
     is still reported, with NaN covariance).
     """
-    if criterion not in ("qmele", "qmle"):
+    if criterion not in CRITERIA:
         raise DomainError(f"unknown criterion {criterion!r}")
+    crit = CRITERIA[criterion]
     data = as_series(data)
     y = data.values
     if not isinstance(orders, ModelOrders):
@@ -537,16 +566,15 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     x0 = _to_unconstrained(_initial_params(y, orders))
     n_gamma = orders.p + orders.q + 1
     bounds = [(None, None)] * n_gamma + [(-_XBOUND, _XBOUND)] * (orders.m - n_gamma)
-    ladder = _MU_LADDER if criterion == "qmele" else ((0.0, {}),)
     runs = []
 
-    def descend(start, stages=ladder):
+    def descend(start, stages=crit.ladder):
         for mu, tolerances in stages:
             runs.append(
                 minimize(
                     _value_and_gradient,
                     start,
-                    args=(orders, data, w, criterion, mu),
+                    args=(orders, data, w, crit, mu),
                     jac=True,
                     method="L-BFGS-B",
                     bounds=bounds,
@@ -563,11 +591,11 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
         for _ in range(opt.restarts):
             ends.append(descend(x0 + rng.normal(0.0, 1.0, orders.m) * jitter_scale))
     best = min(ends, key=lambda r: np.nan_to_num(r.fun, nan=np.inf))
-    if criterion == "qmele" and best.success:
+    if crit.face_stages and best.success:
         # alpha_i = 0 and beta_j = 0 lie at the lower bound of coordinates
         # whose gradient vanishes there, so the ladder stops short of them
         def exact(x):
-            return _objective(_from_unconstrained(x, orders), y, w, criterion)
+            return _objective(_from_unconstrained(x, orders), y, w, crit)
 
         snapped = best.x
         for j in range(n_gamma + 1, orders.m):
@@ -575,60 +603,33 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
             if exact(trial) < exact(snapped):
                 snapped = trial
         if snapped is not best.x:
-            end = descend(snapped, ladder[-2:])
+            end = descend(snapped, crit.face_stages)
             if end.success and end.fun <= best.fun:
                 best = end
     theta_hat = _from_unconstrained(best.x, orders)
 
-    return _finalize_fit(
-        theta_hat,
-        data,
-        w,
-        config,
-        criterion,
-        objective_value=_objective(theta_hat, y, w, criterion),
-        converged=bool(best.success and np.isfinite(best.fun)),
-        iterations=sum(r.nit for r in runs),
-        nfev=sum(r.nfev for r in runs),
-        starts=len(ends),
-    )
-
-
-def _residual_moments(eps, h, config):
-    eta = eps / np.sqrt(h)
-    eta2 = max(estimate_eta2(eta), ETA2_FLOOR)
-    g0 = estimate_g0(eta, config.g0_mode)
-    eta_sq_dev = float(np.mean((1.0 - eta * eta) ** 2))
-    return eta, g0, eta2, eta_sq_dev
-
-
-def _finalize_fit(theta_hat, data, w, config, criterion, objective_value, converged, **counts):
-    kind = SW_QMELE if criterion == "qmele" else SW_QMLE
-    m = theta_hat.m
-    cov = np.full((m, m), np.nan)
-    se = np.full(m, np.nan)
+    converged = bool(best.success and np.isfinite(best.fun))
+    cov = np.full((orders.m, orders.m), np.nan)
     g0 = eta2 = np.nan
     if converged:
         try:
-            _, g0, eta2, eta_sq_dev = _residual_moments(*_eps_h(theta_hat, data.values), config)
-            if criterion == "qmele":
-                cov = covariance_self_weighted(theta_hat, data, w, g0, eta2)
-            else:
-                cov = _covariance_gauss(theta_hat, data, w, eta2, eta_sq_dev)
-            se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+            out, g0, eta2, eta_sq_dev = _filter_moments(theta_hat, data, config.g0_mode)
+            cov = _sandwich(out, crit, w, g0, eta2, eta_sq_dev)
         except (SingularInformationError, DomainError, ArithmeticError):
-            pass  # cov and se stay NaN
+            pass  # cov and the standard errors stay NaN
     return FitResult(
         theta_hat=theta_hat,
-        objective_value=objective_value,
+        objective_value=_objective(theta_hat, y, w, crit),
         covariance=cov,
-        std_errors=se,
+        std_errors=np.sqrt(np.maximum(np.diag(cov), 0.0)),
         converged=converged,
-        estimator_kind=kind,
+        iterations=sum(r.nit for r in runs),
+        estimator_kind=crit.sw_kind,
         g0=float(g0),
         eta2=float(eta2),
         weights=w,
-        **counts,
+        nfev=sum(r.nfev for r in runs),
+        starts=len(ends),
     )
 
 
@@ -647,19 +648,12 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
         raise DomainError("theta_init must be a FitResult from fit_self_weighted")
     if not theta_init.converged:
         raise DomainError("one-step update requires a converged initializer")
+    crit = QMLE if theta_init.estimator_kind in (SW_QMLE, LOCAL_QMLE) else QMELE
     data = as_series(data)
     theta0 = theta_init.theta_hat
-    gaussian = theta_init.estimator_kind in (SW_QMLE, LOCAL_QMLE)
 
-    criterion = "qmle" if gaussian else "qmele"
-
-    out = filter_series(theta0, data)
-    _, g0_est, _, _ = _residual_moments(out.eps, out.h, config)
-    if g0 is None:
-        g0 = g0_est
-    if not gaussian and g0 <= 0.0:
-        raise DomainError("g0 must be > 0")
-    step = -_sym_inv(2.0 * _information(out, criterion, g0)) @ _score(out, criterion)
+    out, g0, _, _ = _filter_moments(theta0, data, config.g0_mode, g0)
+    step = -_sym_inv(2.0 * _cross(out, crit.sigma(1.0, out.h, g0))) @ _score(out, crit)
 
     shrink = 0
     theta1 = ParamVector.from_theta(theta0.orders, theta0.theta + step)
@@ -670,28 +664,18 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
         step = 0.5 * step
         theta1 = ParamVector.from_theta(theta0.orders, theta0.theta + step)
 
-    eps1, h1 = _eps_h(theta1, data.values)
-    eta1 = eps1 / np.sqrt(h1)
-    eta2 = max(estimate_eta2(eta1), ETA2_FLOOR)
-    if gaussian:
-        eta_sq_dev = float(np.mean((1.0 - eta1 * eta1) ** 2))
-        cov = _covariance_gauss(theta1, data, np.ones(data.n), eta2, eta_sq_dev)
-    else:
-        cov = covariance_local(theta1, data, g0, eta2)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    w = theta_init.weights
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        objective = _criterion_mean(eps1, h1, np.ones(data.n), criterion)
+    out, _, eta2, eta_sq_dev = _filter_moments(theta1, data, config.g0_mode, g0)
+    cov = _sandwich(out, crit, 1.0, g0, eta2, eta_sq_dev)
     return FitResult(
         theta_hat=theta1,
-        objective_value=objective,
+        objective_value=_criterion_mean(out.eps, out.h, 1.0, crit),
         covariance=cov,
-        std_errors=se,
+        std_errors=np.sqrt(np.maximum(np.diag(cov), 0.0)),
         converged=True,
         iterations=1,
-        estimator_kind=LOCAL_QMLE if gaussian else LOCAL_QMELE,
+        estimator_kind=crit.local_kind,
         g0=float(g0),
         eta2=float(eta2),
-        weights=w,
+        weights=theta_init.weights,
         shrink_count=shrink,
     )

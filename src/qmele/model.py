@@ -12,7 +12,7 @@ fixed point alpha0 / (1 - sum beta_j).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -242,7 +242,6 @@ class SeriesData:
     """Observed series y_1..y_n with the zero pre-sample convention."""
 
     values: np.ndarray
-    presample: str = field(default="zeros")
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -251,8 +250,6 @@ class SeriesData:
             raise DomainError("series must be a nonempty 1-d vector")
         if not np.isfinite(v).all():
             raise DomainError("series values must be finite")
-        if self.presample != "zeros":
-            raise DomainError("only the zero pre-sample policy is supported")
 
     @property
     def n(self):

@@ -13,11 +13,10 @@ from multiprocessing import Pool
 import numpy as np
 
 from .estimation import (
+    CRITERIA,
     ESTIMATOR_KINDS,
     LOCAL_QMELE,
-    LOCAL_QMLE,
     SW_QMELE,
-    SW_QMLE,
     FitConfig,
     G0Mode,
     OptimizerConfig,
@@ -112,23 +111,21 @@ def run_replication(config, index):
     def one_step(sw_fit):
         if sw_fit is None or not sw_fit.converged:
             return None
-        g0 = fit_cfg.g0_mode.value if fit_cfg.g0_mode.kind == "known" else None
         try:
-            return local_qmele_step(sw_fit, data, g0=g0, config=fit_cfg)
+            return local_qmele_step(sw_fit, data, config=fit_cfg)
         except (DomainError, ArithmeticError):
             return None
 
-    pairs = (("qmele", SW_QMELE, LOCAL_QMELE), ("qmle", SW_QMLE, LOCAL_QMLE))
-    for criterion, sw_kind, local_kind in pairs:
-        if not {sw_kind, local_kind} & wanted:
+    for criterion, crit in CRITERIA.items():
+        if not {crit.sw_kind, crit.local_kind} & wanted:
             continue
         try:
             sw = fit_self_weighted(data, config.orders, fit_cfg, criterion=criterion)
         except (DomainError, ArithmeticError):
             sw = None
-        record(sw_kind, sw)
-        if local_kind in wanted:
-            record(local_kind, one_step(sw))
+        record(crit.sw_kind, sw)
+        if crit.local_kind in wanted:
+            record(crit.local_kind, one_step(sw))
 
     return ReplicationRecord(index, estimates, std_errors, converged)
 
@@ -212,10 +209,10 @@ def _fit_settings(cp):
         c_quantile=cp.getfloat("weights", "c_quantile", fallback=0.90),
         threshold=cp.get("weights", "threshold", fallback="signed"),
     )
-    if cp.get("g0", "mode", fallback="kernel") == "known":
-        g0_mode = G0Mode.known(cp.getfloat("g0", "value", fallback=0.0))
-    else:
-        g0_mode = G0Mode.kernel()
+    g0_mode = G0Mode(
+        cp.get("g0", "mode", fallback="kernel"),
+        cp.getfloat("g0", "value") if cp.has_option("g0", "value") else None,
+    )
     optimizer = OptimizerConfig(
         max_iter=cp.getint("optimizer", "max_iter", fallback=3000),
         restarts=cp.getint("optimizer", "restarts", fallback=5),
@@ -223,20 +220,26 @@ def _fit_settings(cp):
     return weight_spec, g0_mode, optimizer
 
 
-def parse_scenario(text, name="scenario"):
-    """Parse a flat key = value scenario description (INI sections)."""
+def _read_config(text, sections, source):
+    """Parse key = value text, rejecting any section outside `sections` and
+    any key outside _ALLOWED_KEYS; `source` names the text in messages."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise DataIngestError(f"scenario config is not valid key=value text: {exc}") from exc
-
+        raise DataIngestError(f"{source} is not valid key=value text: {exc}") from exc
     for section in cp.sections():
-        if section not in _ALLOWED_KEYS:
-            raise DataIngestError(f"unknown config section [{section}]")
+        if section not in sections:
+            raise DataIngestError(f"unknown config section [{section}] in {source}")
         for key in cp[section]:
             if key not in _ALLOWED_KEYS[section]:
-                raise DataIngestError(f"unknown key {key!r} in section [{section}]")
+                raise DataIngestError(f"unknown key {key!r} in section [{section}] of {source}")
+    return cp
+
+
+def parse_scenario(text, name="scenario"):
+    """Parse a flat key = value scenario description (INI sections)."""
+    cp = _read_config(text, _ALLOWED_KEYS, "scenario config")
 
     def need(section, key):
         if not cp.has_option(section, key):
@@ -285,10 +288,13 @@ def parse_scenario(text, name="scenario"):
         raise DataIngestError(f"invalid scenario config: {exc}") from exc
 
 
-def load_scenario(path):
+def _read_text(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise DataIngestError(f"cannot read scenario config {path}: {exc}") from exc
-    return parse_scenario(text, name=str(path))
+        raise DataIngestError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_scenario(path):
+    return parse_scenario(_read_text(path, "scenario config"), name=str(path))

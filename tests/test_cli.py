@@ -268,6 +268,8 @@ def test_cli_fit_accepts_config_file(tmp_path):
     assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", bad, "--out-dir", out) == 3
     bad.write_text("[g0]\nmode = known\n")  # no value
     assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", bad, "--out-dir", out) == 3
+    bad.write_text("[g0]\nmode = knwon\nvalue = 0.5\n")  # misspelled mode
+    assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", bad, "--out-dir", out) == 3
 
 
 def test_cli_fit_config_rejects_simplex_tolerance(tmp_path, capsys):

@@ -30,7 +30,15 @@ from qmele import (
     simulate,
     t_star,
 )
-from qmele.estimation import _from_unconstrained, _to_unconstrained, _value_and_gradient
+from qmele.estimation import (
+    CRITERIA,
+    QMELE,
+    QMLE,
+    _from_unconstrained,
+    _sandwich,
+    _to_unconstrained,
+    _value_and_gradient,
+)
 from qmele.model import _eps_h
 
 from conftest import AR1_GARCH11, LAPLACE, THETA_FINITE, THETA_IGARCH, estimates_matrix, make_theta
@@ -152,9 +160,10 @@ def test_sigma_star_symmetric_psd_and_linear_in_g0():
         sigma_star(theta, y, g0=0.0)
 
 
-def brute_force_sw_covariance(theta, y, w, g0, eta2):
+def brute_force_sw_covariance(theta, y, w, g0, eta2, eta_sq_dev=None):
     """Literal per-term evaluation of the sandwich, kept independent of the
-    production implementation."""
+    production implementation: the exponential criterion's, or the gaussian
+    one's when the plug-in eta_sq_dev for E(1 - eta^2)^2 is given."""
     from qmele import filter_series
 
     out = filter_series(theta, y)
@@ -166,8 +175,12 @@ def brute_force_sw_covariance(theta, y, w, g0, eta2):
         de = out.deps[t][:, None]
         dh = out.dh[t][:, None]
         ht = out.h[t]
-        sig += w[t] * (g0 / ht * de @ de.T + 1.0 / (8.0 * ht * ht) * dh @ dh.T)
-        omg += w[t] ** 2 * (1.0 / ht * de @ de.T + (eta2 - 1.0) / 4.0 / ht**2 * dh @ dh.T)
+        if eta_sq_dev is None:
+            sig += w[t] * (g0 / ht * de @ de.T + 1.0 / (8.0 * ht * ht) * dh @ dh.T)
+            omg += w[t] ** 2 * (1.0 / ht * de @ de.T + (eta2 - 1.0) / 4.0 / ht**2 * dh @ dh.T)
+        else:
+            sig += w[t] * (1.0 / ht * de @ de.T + 1.0 / (2.0 * ht * ht) * dh @ dh.T)
+            omg += w[t] ** 2 * (4.0 * eta2 / ht * de @ de.T + eta_sq_dev / ht**2 * dh @ dh.T)
     sig /= n
     omg /= n
     si = np.linalg.inv(sig)
@@ -183,19 +196,26 @@ def test_covariance_matches_brute_force_oracle():
     np.testing.assert_allclose(cov, ref, rtol=1e-8)
 
 
+def test_gaussian_covariance_matches_brute_force_oracle():
+    theta = make_theta([0.0, 0.5, 0.12, 0.2, 0.35])
+    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 250, seed=9).values
+    w = compute_weights(y)
+    cov = _sandwich(filter_series(theta, y), QMLE, w, 0.5, 1.9, 2.7)
+    ref = brute_force_sw_covariance(theta, y, w, g0=0.5, eta2=1.9, eta_sq_dev=2.7)
+    np.testing.assert_allclose(cov, ref, rtol=1e-8)
+
+
 def test_covariance_eta2_one_drops_volatility_score_term():
     theta = make_theta([0.0, 0.5, 0.12, 0.2, 0.35])
     y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 250, seed=10).values
     w = compute_weights(y)
     from qmele import filter_series
-    from qmele.estimation import _sym_inv, _weighted_cross
+    from qmele.estimation import _cross, _sym_inv
 
     out = filter_series(theta, y)
     n = y.size
-    sig = (
-        _weighted_cross(out.deps, 0.5 * w / out.h) + _weighted_cross(out.dh, w / (8 * out.h**2))
-    ) / n
-    omega_eps_only = _weighted_cross(out.deps, w * w / out.h) / n
+    sig = _cross(out, (0.5 * w / out.h, w / (8 * out.h**2))) / n
+    omega_eps_only = _cross(out, (w * w / out.h, np.zeros(n))) / n
     si = _sym_inv(sig)
     expected = 0.25 * si @ omega_eps_only @ si / n
     got = covariance_self_weighted(theta, y, w, g0=0.5, eta2=1.0)
@@ -254,6 +274,8 @@ def test_estimate_g0():
 def test_fit_insufficient_data_guard():
     with pytest.raises(InsufficientDataError):
         fit_self_weighted(np.ones(5) + np.arange(5) * 0.1, AR1_GARCH11)
+    with pytest.raises(DomainError, match="unknown criterion"):
+        fit_self_weighted(np.arange(100.0), AR1_GARCH11, criterion="bogus")
 
 
 def test_fit_recovers_truth_single_path():
@@ -365,6 +387,10 @@ def test_fit_under_t3_innovations():
     fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(seed=4))
     assert fit.converged
     assert np.all(np.abs(fit.theta_hat.theta - theta0.theta) <= 5.0 * fit.std_errors)
+    # the fit reports the public exponential sandwich at its own nuisance estimates
+    np.testing.assert_array_equal(
+        fit.covariance, covariance_self_weighted(fit.theta_hat, data, fit.weights, fit.g0, fit.eta2)
+    )
     stepped = local_qmele_step(fit, data, config=FitConfig(seed=4))
     assert stepped.converged
     assert np.all(np.isfinite(stepped.std_errors))
@@ -409,7 +435,7 @@ def test_fit_gradient_matches_finite_differences(orders, truth, point, criterion
     assert np.min(np.abs(eps / np.sqrt(h))) > 1e-4  # kink-free for this seed
     w = np.random.default_rng(17).uniform(0.5, 2.0, data.n)
     x = _to_unconstrained(theta)
-    value, grad = _value_and_gradient(x, orders, data, w, criterion)
+    value, grad = _value_and_gradient(x, orders, data, w, CRITERIA[criterion])
     assert value == pytest.approx(objective(theta, data, w), rel=1e-12)
     fd = np.zeros(x.size)
     for j in range(x.size):
@@ -432,9 +458,9 @@ def test_smoothed_gradient_matches_finite_differences(mu):
     w = np.random.default_rng(17).uniform(0.5, 2.0, data.n)
 
     def value(z):
-        return _value_and_gradient(z, orders, data, w, "qmele", mu)[0]
+        return _value_and_gradient(z, orders, data, w, QMELE, mu)[0]
 
-    grad = _value_and_gradient(x, orders, data, w, "qmele", mu)[1]
+    grad = _value_and_gradient(x, orders, data, w, QMELE, mu)[1]
     fd = np.zeros(x.size)
     for j in range(x.size):
         step = 1e-6 * max(1.0, abs(x[j]))
@@ -451,7 +477,7 @@ def test_fit_value_is_nan_where_the_filter_overflows():
     # NaN ends an L-BFGS-B descent as a failure; inf could end it as a success
     orders = ModelOrders(0, 1, 0, 0)
     theta = ParamVector.from_parts(orders, mu=0.0, psi=[3.0], alpha0=1.0)
-    value, grad = _value_and_gradient(_to_unconstrained(theta), orders, np.ones(1000), np.ones(1000), "qmele")
+    value, grad = _value_and_gradient(_to_unconstrained(theta), orders, np.ones(1000), np.ones(1000), QMELE)
     assert np.isnan(value)
     np.testing.assert_array_equal(grad, 0.0)
 

@@ -85,6 +85,8 @@ def test_parse_scenario_named_errors():
         parse_scenario(TINY_INI.replace("alpha0 = 0.1", ""))
     with pytest.raises(DataIngestError, match="estimator"):
         parse_scenario(TINY_INI.replace("sw_qmele, local_qmele", "nonsense"))
+    with pytest.raises(DataIngestError, match="unknown g0 mode 'knwon'"):
+        parse_scenario(TINY_INI.replace("mode = known", "mode = knwon"))
 
 
 def test_replication_determinism():
