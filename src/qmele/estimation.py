@@ -14,12 +14,13 @@ A record holds all that differs between them: the loss, the score factors
 the estimator kinds and the mu ladder; every code path below is shared.
 
 The self-weighted estimator minimizes (1/n) sum_t w_t l_t(theta) by
-L-BFGS-B on the exact weighted score, in transformed coordinates that keep
-the variance constraints. The score sum_t w_t (a_t deps_t + b_t dh_t) comes
-from model.filter_vjp's backward passes, lambda_t = w_t b_t + sum_j beta_j
-lambda_{t+j} and kappa_t = w_t a_t + 2 eps_t sum_i alpha_i lambda_{t+i} -
-sum_j psi_j kappa_{t+j}, so no evaluation forms the n x m derivatives of
-filter_series (kept for the covariances and the one-step update). The
+L-BFGS-B on the exact weighted score, in theta under box bounds that hold
+the faces alpha_i = 0 and beta_j = 0. The score sum_t w_t (a_t deps_t +
+b_t dh_t) comes from model.filter_vjp's backward passes, lambda_t = w_t b_t
++ sum_j beta_j lambda_{t+j} and kappa_t = w_t a_t + 2 eps_t sum_i alpha_i
+lambda_{t+i} - sum_j psi_j kappa_{t+j}, so no evaluation forms the n x m
+derivatives of filter_series (kept for the covariances and the one-step
+update). The
 exponential criterion has kinks where eps_t = 0, so its fit descends a
 ladder of smoothed criteria, with |eta| replaced by sqrt(eta^2 + mu^2) and
 mu shrinking to 1e-7. The "local"
@@ -28,7 +29,8 @@ estimator takes a single Newton-type step from the self-weighted fit,
     theta_1 = theta_0 - [2 Sigma*(theta_0)]^{-1} T*(theta_0),
 
 with the score T* and information-type matrix Sigma* evaluated without
-weights. Both estimators report sandwich standard errors
+weights, and with alpha_i or beta_j on a face that the step would push
+negative held at 0. Both estimators report sandwich standard errors
 (1/4) Sigma^-1 Omega Sigma^-1 / n, built by one _sandwich from one
 filter_series pass at the reported estimate.
 """
@@ -65,14 +67,11 @@ ESTIMATOR_KINDS = (SW_QMELE, LOCAL_QMELE, SW_QMLE, LOCAL_QMLE)
 ETA2_FLOOR = 1.0 + 1e-6
 COND_LIMIT = 1e12
 MAX_STEP_HALVINGS = 30
-# bound on the log/softmax coordinates of the variance parameters: keeps
-# every exp finite, so the optimizers never leave the region where the
-# value and its gradient are exact
-_XBOUND = 60.0
 # (mu, L-BFGS-B tolerances) of the exponential fit's stages. The default
 # stop divides the reduction by max(|f|, 1), loose for a criterion below 1,
 # so three stages tighten it; the last repeats mu = 1e-7 at the defaults and
 # decides `converged`, as a tight stage can end in an abnormal line search.
+# The gaussian fit runs one tight and one default stage for the same reasons.
 _TIGHT = {"ftol": 1e-15, "gtol": 1e-12}
 _MU_LADDER = (
     (1e-2, {}), (1e-3, {}), (1e-4, {}), (1e-5, _TIGHT), (1e-6, _TIGHT), (1e-7, _TIGHT), (1e-7, {})
@@ -195,14 +194,12 @@ class Criterion:
     omega(w, h, eta2, eta_sq_dev) give the per-observation scales of the
     deps and dh cross products in Sigma and Omega, where eta_sq_dev is the
     plug-in for E(1 - eta^2)^2. ladder lists the fit's (mu, L-BFGS-B
-    tolerances) stages and face_stages the ones descended again from a zero
-    alpha_i or beta_j (none for a smooth criterion).
+    tolerances) stages.
     """
 
     sw_kind: str
     local_kind: str
     ladder: tuple
-    face_stages: tuple
     loss: Callable
     score: Callable
     sigma: Callable
@@ -213,7 +210,6 @@ QMELE = Criterion(
     sw_kind=SW_QMELE,
     local_kind=LOCAL_QMELE,
     ladder=_MU_LADDER,
-    face_stages=_MU_LADDER[-2:],
     loss=_exponential_loss,
     score=_exponential_score,
     sigma=lambda w, h, g0: (g0 * w / h, w / (8.0 * h**2)),
@@ -222,8 +218,7 @@ QMELE = Criterion(
 QMLE = Criterion(
     sw_kind=SW_QMLE,
     local_kind=LOCAL_QMLE,
-    ladder=((0.0, {}),),
-    face_stages=(),
+    ladder=((0.0, _TIGHT), (0.0, {})),
     loss=lambda eps, h, mu: np.log(h) + eps * eps / h,
     score=lambda eps, h, mu: (2.0 * eps / h, (1.0 - eps**2 / h) / h),
     sigma=lambda w, h, g0: (w / h, w / (2.0 * h**2)),
@@ -258,6 +253,25 @@ def _checked_objective(theta, data, weights, crit):
     # filter overflow propagates, as from filter_series
     _, eps, h = checked_eps_h(theta, data)
     return _criterion_mean(eps, h, w, crit)
+
+
+def _value_and_gradient(x, orders, data, w, crit, mu=0.0):
+    """Weighted criterion mean (mu-smoothed) at theta = x and its exact gradient,
+    from one filter pass and one adjoint pass (filter_vjp); (nan, 0) where the
+    filter overflows or sum(beta) >= 1, which the box bounds do not exclude.
+
+    NaN rather than inf: after an infinite trial value the L-BFGS-B line
+    search can accept a near-zero step and report convergence, while NaN
+    ends the descent as a failure, which the fit then handles.
+    """
+    theta = ParamVector.from_theta(orders, x)
+    try:
+        y, eps, h = checked_eps_h(theta, data)
+    except (DomainError, NumericOverflowError):
+        return np.nan, np.zeros(x.size)
+    value = _criterion_mean(eps, h, w, crit, mu)
+    a, b = crit.score(eps, h, mu)
+    return value, filter_vjp(theta, y, eps, h, w * a, w * b) / w.size
 
 
 def qmele_objective(theta, data, weights):
@@ -414,67 +428,6 @@ def covariance_local(theta, data, g0, eta2):
 
 
 # ---------------------------------------------------------------------------
-# transformed coordinates for the optimizers
-
-
-def _to_unconstrained(theta):
-    """Map a valid ParamVector to transformed coordinates.
-
-    gamma passes through; alpha coordinates map by log; beta maps by the
-    softmax-with-slack inverse z_j = log(beta_j / (1 - sum beta)).
-    """
-    o = theta.orders
-    x = [theta.gamma]
-    alpha_part = np.log(np.maximum(theta.delta[: 1 + o.r], 1e-300))
-    x.append(alpha_part)
-    if o.s > 0:
-        slack = max(1.0 - theta.beta.sum(), 1e-12)
-        x.append(np.log(np.maximum(theta.beta, 1e-12) / slack))
-    return np.concatenate(x)
-
-
-def _from_unconstrained(x, orders):
-    """Inverse of _to_unconstrained, for alpha/beta coordinates within +-_XBOUND."""
-    k = orders.p + orders.q + 1
-    j = k + 1 + orders.r
-    delta = np.empty(x.size - k)
-    np.exp(x[k:j], out=delta[: j - k])
-    if orders.s > 0:
-        z = x[j:]
-        zmax = max(0.0, float(z.max()))
-        expz = np.exp(z - zmax)
-        np.divide(expz, np.exp(-zmax) + expz.sum(), out=delta[j - k :])
-    return ParamVector(orders, x[:k], delta)
-
-
-def _value_and_gradient(x, orders, data, w, crit, mu=0.0):
-    """Weighted criterion mean (mu-smoothed) and its exact gradient in transformed
-    coordinates, from one filter pass and one adjoint pass (filter_vjp);
-    (nan, 0) where the filter overflows.
-
-    NaN rather than inf: after an infinite trial value the L-BFGS-B line
-    search can accept a near-zero step and report convergence, while NaN
-    ends the descent as a failure, which the fit then handles.
-    """
-    theta = _from_unconstrained(x, orders)
-    try:
-        y, eps, h = checked_eps_h(theta, data)
-    except (DomainError, NumericOverflowError):
-        # DomainError: softmax rounding can reach sum(beta) = 1 at the bound
-        return np.nan, np.zeros(x.size)
-    value = _criterion_mean(eps, h, w, crit, mu)
-    a, b = crit.score(eps, h, mu)
-    grad = filter_vjp(theta, y, eps, h, w * a, w * b) / w.size
-    # chain rule: d alpha/dx = alpha; d beta_j/dz_k = beta_j (delta_jk - beta_k)
-    k = orders.p + orders.q + 1
-    grad[k : k + 1 + orders.r] *= theta.delta[: 1 + orders.r]
-    if orders.s > 0:
-        beta, g_beta = theta.beta, grad[k + 1 + orders.r :]
-        grad[k + 1 + orders.r :] = beta * g_beta - beta * (beta @ g_beta)
-    return value, grad
-
-
-# ---------------------------------------------------------------------------
 # initializer
 
 
@@ -535,15 +488,15 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     """Minimize the self-weighted criterion over the constrained space.
 
     Descends by L-BFGS-B on the exact weighted score from a moment-based
-    initializer, in transformed coordinates that keep alpha > 0 and
-    sum beta < 1. The exponential criterion's minimizer sits on |eps| kinks,
+    initializer, in theta under the bounds alpha0 >= e^-60, alpha_i >= 0 and
+    0 <= beta_j <= 1 - 2^-40, which reach the faces alpha_i = 0 and
+    beta_j = 0. The exponential criterion's minimizer sits on |eps| kinks,
     so its descent is a ladder of stages on the smoothed criterion
     (|eta| -> sqrt(eta^2 + mu^2), mu = 1e-2 down to 1e-7), each started
-    where the previous one ended, and a last stage again from zero alpha_i
-    or beta_j (i, j >= 1) where that lowers the criterion. Only if the final
-    stage fails (no success or a non-finite value) are
-    `config.optimizer.restarts` seeded jittered starts descended too, and
-    the best end is kept. The objective reported is the exact criterion.
+    where the previous one ended. Only if the final stage fails (no success
+    or a non-finite value) are `config.optimizer.restarts` seeded jittered
+    starts descended too, and the best end is kept. The objective reported
+    is the exact criterion.
 
     Returns a FitResult; converged=False flags that the final stage which
     produced theta_hat did not meet its termination tolerances (the point
@@ -563,13 +516,15 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
 
     w = compute_weights(data, config.weight_spec, orders)
     opt = config.optimizer
-    x0 = _to_unconstrained(_initial_params(y, orders))
-    n_gamma = orders.p + orders.q + 1
-    bounds = [(None, None)] * n_gamma + [(-_XBOUND, _XBOUND)] * (orders.m - n_gamma)
+    x0 = _initial_params(y, orders).theta
+    k, j = orders.p + orders.q + 1, orders.p + orders.q + 2 + orders.r
+    # gamma is free; sum(beta) >= 1 inside the box evaluates to NaN
+    bounds = [(None, None)] * k + [(math.exp(-60.0), None)] + [(0.0, None)] * orders.r
+    bounds += [(0.0, 1.0 - 2.0**-40)] * orders.s
     runs = []
 
-    def descend(start, stages=crit.ladder):
-        for mu, tolerances in stages:
+    def descend(start):
+        for mu, tolerances in crit.ladder:
             runs.append(
                 minimize(
                     _value_and_gradient,
@@ -587,26 +542,16 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     ends = [descend(x0)]
     if not (ends[0].success and np.isfinite(ends[0].fun)):
         rng = np.random.default_rng(config.seed)
-        jitter_scale = np.concatenate([np.full(n_gamma, 0.3), np.full(orders.m - n_gamma, 0.7)])
         for _ in range(opt.restarts):
-            ends.append(descend(x0 + rng.normal(0.0, 1.0, orders.m) * jitter_scale))
+            # gamma + 0.3 z; alpha * e^(0.7 z); beta * e^(0.7 z) rescaled to keep sum(beta) < 1
+            z = rng.normal(0.0, 1.0, orders.m)
+            start = x0.copy()
+            start[:k] += 0.3 * z[:k]
+            start[k:] *= np.exp(0.7 * z[k:])
+            start[j:] /= 1.0 - x0[j:].sum() + start[j:].sum()
+            ends.append(descend(start))
     best = min(ends, key=lambda r: np.nan_to_num(r.fun, nan=np.inf))
-    if crit.face_stages and best.success:
-        # alpha_i = 0 and beta_j = 0 lie at the lower bound of coordinates
-        # whose gradient vanishes there, so the ladder stops short of them
-        def exact(x):
-            return _objective(_from_unconstrained(x, orders), y, w, crit)
-
-        snapped = best.x
-        for j in range(n_gamma + 1, orders.m):
-            trial = np.where(np.arange(orders.m) == j, -_XBOUND, snapped)
-            if exact(trial) < exact(snapped):
-                snapped = trial
-        if snapped is not best.x:
-            end = descend(snapped, crit.face_stages)
-            if end.success and end.fun <= best.fun:
-                best = end
-    theta_hat = _from_unconstrained(best.x, orders)
+    theta_hat = ParamVector.from_theta(orders, best.x)
 
     converged = bool(best.success and np.isfinite(best.fun))
     cov = np.full((orders.m, orders.m), np.nan)
@@ -638,8 +583,10 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
 
     The update direction is -[2 Sigma*]^{-1} T* for the exponential
     criterion (or its gaussian analogue when the initializer is a
-    self-weighted gaussian fit). Steps that leave the constraint region are
-    halved until feasible; the number of halvings is reported.
+    self-weighted gaussian fit). An alpha_i or beta_j that is 0 at the
+    initializer and that this step would push negative is held at 0, the
+    step solved over the other coordinates; a step still infeasible is
+    halved until feasible, and the number of halvings is reported.
 
     g0 defaults to the config's g0 mode evaluated on the initializer's
     standardized residuals.
@@ -653,7 +600,15 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
     theta0 = theta_init.theta_hat
 
     out, g0, _, _ = _filter_moments(theta0, data, config.g0_mode, g0)
-    step = -_sym_inv(2.0 * _cross(out, crit.sigma(1.0, out.h, g0))) @ _score(out, crit)
+    info = 2.0 * _cross(out, crit.sigma(1.0, out.h, g0))
+    score = _score(out, crit)
+    step = -_sym_inv(info) @ score
+    held = (theta0.theta == 0.0) & (step < 0.0)
+    held[: theta0.orders.p + theta0.orders.q + 2] = False  # gamma and alpha0 are never held
+    if held.any():
+        free = ~held
+        step = np.zeros(theta0.m)
+        step[free] = -_sym_inv(info[np.ix_(free, free)]) @ score[free]
 
     shrink = 0
     theta1 = ParamVector.from_theta(theta0.orders, theta0.theta + step)

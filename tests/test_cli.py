@@ -285,15 +285,33 @@ def test_cli_fit_config_rejects_simplex_tolerance(tmp_path, capsys):
     assert not (out / "fit_report.json").exists()
 
 
-def test_cli_fit_reports_sw_fit_when_local_step_fails(tmp_path, capsys):
-    # with beta1 = 0 the one-step update on this path cannot be halved into
-    # beta1 >= 0; the converged self-weighted fit is still written
+def simulate_beta_face_path(tmp_path):
+    # beta1 = 0: the self-weighted fit ends on the beta1 = 0 face
     assert run_cli(
         "simulate", "--orders", "1,0,1,1", "--theta", "0,0.5,0.1,0.3,0",
         "--dist", "laplace", "--n", "600", "--seed", "1", "--out-dir", tmp_path,
     ) == 0
+    return tmp_path / "simulated.csv"
+
+
+def test_cli_fit_holds_beta_face_in_local_step(tmp_path):
     out = tmp_path / "out"
-    assert run_cli("fit", tmp_path / "simulated.csv", "--orders", "1,0,1,1", "--out-dir", out) == 0
+    assert run_cli("fit", simulate_beta_face_path(tmp_path), "--orders", "1,0,1,1", "--out-dir", out) == 0
+    report = json.loads((out / "fit_report.json").read_text())
+    assert [r["estimator"] for r in report] == ["sw_qmele", "local_qmele"]
+    assert [r["estimates"]["beta1"] for r in report] == [0.0, 0.0]
+
+
+def test_cli_fit_reports_sw_fit_when_local_step_fails(tmp_path, capsys, monkeypatch):
+    import qmele.cli
+    from qmele import DomainError
+
+    def failing(*args, **kwargs):
+        raise DomainError("one-step update could not be shrunk into the feasible region")
+
+    monkeypatch.setattr(qmele.cli, "local_qmele_step", failing)
+    out = tmp_path / "out"
+    assert run_cli("fit", simulate_beta_face_path(tmp_path), "--orders", "1,0,1,1", "--out-dir", out) == 0
     assert "could not be shrunk into the feasible region" in capsys.readouterr().err
     report = json.loads((out / "fit_report.json").read_text())
     assert [r["estimator"] for r in report] == ["sw_qmele"]

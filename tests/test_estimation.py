@@ -34,9 +34,7 @@ from qmele.estimation import (
     CRITERIA,
     QMELE,
     QMLE,
-    _from_unconstrained,
     _sandwich,
-    _to_unconstrained,
     _value_and_gradient,
 )
 from qmele.model import _eps_h
@@ -44,6 +42,7 @@ from qmele.model import _eps_h
 from conftest import AR1_GARCH11, LAPLACE, THETA_FINITE, THETA_IGARCH, estimates_matrix, make_theta
 
 CONST = ModelOrders(0, 0, 0, 0)
+NORMAL = InnovationDist("normal", "var_one")
 
 
 def const_theta(alpha0):
@@ -434,7 +433,7 @@ def test_fit_gradient_matches_finite_differences(orders, truth, point, criterion
     eps, h = _eps_h(theta, data.values)
     assert np.min(np.abs(eps / np.sqrt(h))) > 1e-4  # kink-free for this seed
     w = np.random.default_rng(17).uniform(0.5, 2.0, data.n)
-    x = _to_unconstrained(theta)
+    x = theta.theta
     value, grad = _value_and_gradient(x, orders, data, w, CRITERIA[criterion])
     assert value == pytest.approx(objective(theta, data, w), rel=1e-12)
     fd = np.zeros(x.size)
@@ -444,8 +443,7 @@ def test_fit_gradient_matches_finite_differences(orders, truth, point, criterion
         xp[j] += step
         xm[j] -= step
         fd[j] = (
-            objective(_from_unconstrained(xp, orders), data, w)
-            - objective(_from_unconstrained(xm, orders), data, w)
+            objective(make_theta(xp, orders), data, w) - objective(make_theta(xm, orders), data, w)
         ) / (2 * step)
     assert np.max(np.abs(grad - fd)) / np.max(np.abs(grad)) <= 1e-6
 
@@ -454,7 +452,7 @@ def test_fit_gradient_matches_finite_differences(orders, truth, point, criterion
 def test_smoothed_gradient_matches_finite_differences(mu):
     orders = ModelOrders(1, 1, 1, 2)
     data = simulate(make_theta([0.0, 0.5, 0.3, 0.1, 0.18, 0.2, 0.2], orders), InnovationDist("laplace"), 400, seed=16)
-    x = _to_unconstrained(make_theta([0.03, 0.42, 0.25, 0.14, 0.12, 0.3, 0.15], orders))
+    x = make_theta([0.03, 0.42, 0.25, 0.14, 0.12, 0.3, 0.15], orders).theta
     w = np.random.default_rng(17).uniform(0.5, 2.0, data.n)
 
     def value(z):
@@ -469,17 +467,33 @@ def test_smoothed_gradient_matches_finite_differences(mu):
         fd[j] = (value(x + e) - value(x - e)) / (2 * step)
     assert np.max(np.abs(grad - fd)) / np.max(np.abs(grad)) <= 1e-6
     # smoothing only adds: sqrt(eta^2 + mu^2) - |eta| lies in (0, mu]
-    exact = qmele_objective(_from_unconstrained(x, orders), data, w)
+    exact = qmele_objective(make_theta(x, orders), data, w)
     assert exact < value(x) <= exact + mu * w.mean()
 
 
 def test_fit_value_is_nan_where_the_filter_overflows():
     # NaN ends an L-BFGS-B descent as a failure; inf could end it as a success
-    orders = ModelOrders(0, 1, 0, 0)
-    theta = ParamVector.from_parts(orders, mu=0.0, psi=[3.0], alpha0=1.0)
-    value, grad = _value_and_gradient(_to_unconstrained(theta), orders, np.ones(1000), np.ones(1000), QMELE)
-    assert np.isnan(value)
-    np.testing.assert_array_equal(grad, 0.0)
+    for orders, x in [
+        (ModelOrders(0, 1, 0, 0), [0.0, 3.0, 1.0]),  # the MA recursion overflows
+        (ModelOrders(1, 0, 1, 2), [0.0, 0.5, 0.1, 0.2, 0.6, 0.5]),  # inside the box, sum(beta) > 1
+    ]:
+        value, grad = _value_and_gradient(np.array(x), orders, np.ones(1000), np.ones(1000), QMELE)
+        assert np.isnan(value)
+        np.testing.assert_array_equal(grad, 0.0)
+
+
+@pytest.mark.parametrize(
+    "orders, truth",
+    [(AR1_GARCH11, THETA_FINITE), (ModelOrders(1, 0, 1, 2), [0.0, 0.5, 0.1, 0.18, 0.2, 0.2])],
+)
+def test_restarts_run_after_a_failed_descent(orders, truth):
+    data = simulate(make_theta(truth, orders), LAPLACE, 500, seed=604)
+    capped = FitConfig(optimizer=OptimizerConfig(max_iter=1, restarts=3), seed=7)
+    fit = fit_self_weighted(data, orders, capped)
+    assert fit.converged is False
+    assert fit.starts == 4
+    assert fit.theta_hat.is_valid()
+    assert np.isfinite(fit.objective_value)
 
 
 def test_garch12_fit_not_above_criterion_at_truth():
@@ -508,6 +522,8 @@ def test_igarch_fit_needs_one_ladder():
         (AR1_GARCH11, THETA_IGARCH, LAPLACE, 20260602),
         (ModelOrders(1, 1, 1, 1), [0.0, 0.5, 0.3, 0.1, 0.18, 0.4], InnovationDist("normal", "var_one"), 20260603),
         (ModelOrders(1, 0, 1, 2), [0.0, 0.5, 0.1, 0.18, 0.2, 0.2], LAPLACE, 50000),
+        # path 20260607 has an interior basin at beta1 ~ 3e-3, 3.7e-8 above the face's
+        (AR1_GARCH11, THETA_FINITE, NORMAL, 20260607),
     ],
 )
 def test_exponential_fit_is_a_local_minimum(orders, truth, dist, seed):
@@ -529,6 +545,35 @@ def test_exponential_fit_is_a_local_minimum(orders, truth, dist, seed):
             options=dict(xatol=1e-9, fatol=1e-13, maxfev=4000),
         )
         assert polish.fun >= fit.objective_value - 1e-9
+
+
+def test_exponential_fit_reaches_the_beta_face():
+    data = simulate(make_theta(THETA_FINITE), NORMAL, 1000, burn_in=500, seed=20260607)
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(seed=20260603))
+    assert fit.converged
+    assert fit.theta_hat.beta[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "orders, truth, dist, seed",
+    [
+        (ModelOrders(1, 1, 1, 1), [0.0, 0.5, 0.3, 0.1, 0.18, 0.4], NORMAL, 3272157583),
+        (ModelOrders(1, 1, 1, 1), [0.0, 0.5, 0.3, 0.1, 0.18, 0.4], NORMAL, 3272157593),
+        (ModelOrders(1, 0, 1, 2), [0.0, 0.5, 0.1, 0.3, 0.2, 0.2], LAPLACE, 50012),
+        (ModelOrders(1, 0, 1, 2), [0.0, 0.5, 0.1, 0.3, 0.2, 0.2], LAPLACE, 50034),
+        (ModelOrders(1, 0, 1, 2), [0.0, 0.5, 0.1, 0.3, 0.2, 0.2], LAPLACE, 50039),
+    ],
+)
+def test_local_step_holds_face_coordinates(orders, truth, dist, seed):
+    # the full step pushes the last beta below 0, where halving cannot help
+    data = simulate(make_theta(truth, orders), dist, 1000, burn_in=500, seed=seed)
+    fit = fit_self_weighted(data, orders, FitConfig(seed=seed))
+    assert fit.converged
+    assert fit.theta_hat.beta[-1] == 0.0
+    stepped = local_qmele_step(fit, data, config=FitConfig(seed=seed))
+    assert stepped.shrink_count == 0
+    assert stepped.theta_hat.beta[-1] == 0.0
+    assert stepped.theta_hat.is_valid()
 
 
 @pytest.mark.parametrize("criterion", ["qmele", "qmle"])
