@@ -20,17 +20,26 @@ b_t dh_t) comes from model.filter_vjp's backward passes, lambda_t = w_t b_t
 + sum_j beta_j lambda_{t+j} and kappa_t = w_t a_t + 2 eps_t sum_i alpha_i
 lambda_{t+i} - sum_j psi_j kappa_{t+j}, so no evaluation forms the n x m
 derivatives of filter_series (kept for the covariances and the one-step
-update). The
-exponential criterion has kinks where eps_t = 0, so its fit descends a
-ladder of smoothed criteria, with |eta| replaced by sqrt(eta^2 + mu^2) and
-mu shrinking to 1e-7. The "local"
+update).
+
+The exponential criterion has kinks where eps_t = 0, and its minimizer is
+a vertex where p+q+1 residuals vanish, or an edge between two with p+q.
+Its fit descends three smoothed criteria, |eta| replaced by
+sqrt(eta^2 + mu^2) with mu = 1e-2, 1e-3, 1e-4, then finishes on the kink
+manifold: gamma solves eps_t = 0 on the p+q+1 smallest |eta_t|, delta is
+fitted alone, and a Certificate checks that the kink multipliers s_A
+satisfy max|s_t| <= 1 and that no smooth gradient is left, with a few
+Barrodale-Roberts swaps of the active set and a fit along an edge where the
+swaps cycle. An end that does not certify falls back to smoothed stages
+with mu down to 1e-7. The "local"
 estimator takes a single Newton-type step from the self-weighted fit,
 
     theta_1 = theta_0 - [2 Sigma*(theta_0)]^{-1} T*(theta_0),
 
 with the score T* and information-type matrix Sigma* evaluated without
-weights, and with alpha_i or beta_j on a face that the step would push
-negative held at 0. Both estimators report sandwich standard errors
+weights, sign(eta_t) = 0 on a certified fit's active set, and with alpha_i
+or beta_j on a face that the step would push negative held at 0. Both
+estimators report sandwich standard errors
 (1/4) Sigma^-1 Omega Sigma^-1 / n, built by one _sandwich from one
 filter_series pass at the reported estimate.
 """
@@ -51,8 +60,10 @@ from .model import (
     ModelOrders,
     ParamVector,
     _eps_h,
+    _residuals,
     as_series,
     checked_eps_h,
+    eps_gamma_derivs,
     filter_series,
     filter_vjp,
 )
@@ -67,15 +78,23 @@ ESTIMATOR_KINDS = (SW_QMELE, LOCAL_QMELE, SW_QMLE, LOCAL_QMLE)
 ETA2_FLOOR = 1.0 + 1e-6
 COND_LIMIT = 1e12
 MAX_STEP_HALVINGS = 30
-# (mu, L-BFGS-B tolerances) of the exponential fit's stages. The default
-# stop divides the reduction by max(|f|, 1), loose for a criterion below 1,
-# so three stages tighten it; the last repeats mu = 1e-7 at the defaults and
-# decides `converged`, as a tight stage can end in an abnormal line search.
+# (mu, L-BFGS-B tolerances) of the exponential fit's stages. Three stages at
+# the default tolerances bring the fit near its kinks, where the kink finish
+# takes over. The default stop divides the reduction by max(|f|, 1),
+# loose for a criterion below 1, so if the finish does not certify its end,
+# the fallback stages tighten it; their last repeats mu = 1e-7 at the defaults
+# and decides `converged`, as a tight stage can end in an abnormal line search.
 # The gaussian fit runs one tight and one default stage for the same reasons.
 _TIGHT = {"ftol": 1e-15, "gtol": 1e-12}
-_MU_LADDER = (
-    (1e-2, {}), (1e-3, {}), (1e-4, {}), (1e-5, _TIGHT), (1e-6, _TIGHT), (1e-7, _TIGHT), (1e-7, {})
-)
+_MU_LADDER = ((1e-2, {}), (1e-3, {}), (1e-4, {}))
+_MU_FALLBACK = ((1e-5, _TIGHT), (1e-6, _TIGHT), (1e-7, _TIGHT), (1e-7, {}))
+# the kink finish: active-set changes before the fallback, Newton steps on
+# eps_A(gamma) = target with an MA part, and the largest smooth gradient that
+# still counts as a KKT point (a gradient g left costs at most g^2 / 2c in
+# the criterion, c its curvature, far below the 1e-9 the fit is held to)
+MAX_PIVOTS = 3
+NEWTON_STEPS = 8
+KKT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -133,15 +152,41 @@ class FitConfig:
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """Optimality certificate of an exponential fit's kink finish.
+
+    active lists the observations (0-based t) held at eps_t = 0: p+q+1 at a
+    vertex, p+q on an edge. Their kink multipliers s solve
+    J_A' (w_A s_A / sqrt(h_A)) = -n g_gamma, by least squares on an edge,
+    with J_A the rows d eps_t/d gamma on A and g_gamma the criterion's
+    gamma-gradient with sign(eta_t) = 0 on A. kkt is the largest smooth
+    gradient left: the delta block's projected gradient and that least
+    squares residual / n. pivots counts the active-set changes taken.
+    certified iff max|s| <= 1 and kkt <= KKT_TOL: then theta_hat is
+    Clarke-stationary.
+    """
+
+    active: tuple
+    max_s: float
+    kkt: float
+    pivots: int
+    certified: bool
+
+
+@dataclass(frozen=True)
 class FitResult:
     """A fitted model with its estimated sampling covariance.
 
     covariance already carries the (1/4) Sigma^-1 Omega Sigma^-1 / n scaling,
     i.e. it estimates Var(theta_hat); std_errors are the square roots of its
     diagonal. g0 and eta2 record the nuisance quantities used to build it.
-    converged says whether the optimizer run that produced theta_hat met its
-    termination tolerances; iterations and nfev count the iterations and
-    criterion evaluations over all optimizer runs, starts the descents run.
+    converged says whether theta_hat is certified or the optimizer run that
+    produced it met its termination tolerances; iterations and nfev count
+    the iterations and criterion evaluations over all optimizer runs, starts
+    the descents run. status says why the covariance is NaN: "ok",
+    "not_converged", "singular_information", "domain" or "overflow".
+    certificate is the exponential fit's last kink-finish certificate
+    (None for the gaussian criterion, or if no finish got as far).
     """
 
     theta_hat: ParamVector
@@ -157,6 +202,8 @@ class FitResult:
     shrink_count: int = 0
     nfev: int = 0
     starts: int = 0
+    status: str = "ok"
+    certificate: Certificate | None = None
 
     @property
     def orders(self):
@@ -194,12 +241,15 @@ class Criterion:
     omega(w, h, eta2, eta_sq_dev) give the per-observation scales of the
     deps and dh cross products in Sigma and Omega, where eta_sq_dev is the
     plug-in for E(1 - eta^2)^2. ladder lists the fit's (mu, L-BFGS-B
-    tolerances) stages.
+    tolerances) stages; a criterion with kinks then tries the kink finish
+    and runs the fallback stages only if that does not certify its end.
     """
 
     sw_kind: str
     local_kind: str
     ladder: tuple
+    kinks: bool
+    fallback: tuple
     loss: Callable
     score: Callable
     sigma: Callable
@@ -210,6 +260,8 @@ QMELE = Criterion(
     sw_kind=SW_QMELE,
     local_kind=LOCAL_QMELE,
     ladder=_MU_LADDER,
+    kinks=True,
+    fallback=_MU_FALLBACK,
     loss=_exponential_loss,
     score=_exponential_score,
     sigma=lambda w, h, g0: (g0 * w / h, w / (8.0 * h**2)),
@@ -219,6 +271,8 @@ QMLE = Criterion(
     sw_kind=SW_QMLE,
     local_kind=LOCAL_QMLE,
     ladder=((0.0, _TIGHT), (0.0, {})),
+    kinks=False,
+    fallback=(),
     loss=lambda eps, h, mu: np.log(h) + eps * eps / h,
     score=lambda eps, h, mu: (2.0 * eps / h, (1.0 - eps**2 / h) / h),
     sigma=lambda w, h, g0: (w / h, w / (2.0 * h**2)),
@@ -288,8 +342,10 @@ def qmle_objective(theta, data, weights):
 # scores and information-type matrices
 
 
-def _score(out, crit):
+def _score(out, crit, active=()):
+    """sum_t a_t deps_t + b_t dh_t, with a_t = 0 (sign(eta_t) = 0) for t in active."""
     a, b = crit.score(out.eps, out.h, 0.0)
+    a[list(active)] = 0.0
     return a @ out.deps + b @ out.dh
 
 
@@ -484,6 +540,200 @@ def _initial_params(y, orders):
 # fitting
 
 
+def _delta_value_and_gradient(xd, gamma, orders, data, w, crit):
+    """_value_and_gradient over delta = xd with gamma held fixed."""
+    value, grad = _value_and_gradient(np.concatenate([gamma, xd]), orders, data, w, crit)
+    return value, grad[gamma.size :]
+
+
+def _kink_gamma(theta, y, active, target):
+    """(gamma, J_A) with eps_t(gamma) = target_t for t in active, by Newton
+    steps from theta's gamma, and J_A the rows d eps_t/d gamma of the last
+    step: one linear solve for a pure AR mean, where eps is linear in gamma.
+    None where J_A is singular, the steps leave the finite range or they do
+    not settle within NEWTON_STEPS."""
+    gamma = theta.gamma
+    for _ in range(NEWTON_STEPS):
+        at = ParamVector(theta.orders, gamma, theta.delta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps = _residuals(at, y)
+            jac = eps_gamma_derivs(at, y, eps)[active]
+        try:
+            step = np.linalg.solve(jac, eps[active] - target)
+        except np.linalg.LinAlgError:
+            return None
+        gamma = gamma - step
+        if not np.isfinite(gamma).all():
+            return None
+        if theta.orders.q == 0 or np.abs(step).max() <= 1e-13 * (1.0 + np.abs(gamma).max()):
+            return gamma, jac
+    return None
+
+
+def _certify(theta, y, w, active, bounds, pivots):
+    """Certificate of theta on the kinks {eps_t = 0, t in active}, from one
+    filter and one adjoint pass and the gamma-derivative recursion, and, at
+    a vertex whose largest |s_t| exceeds 1, the swap
+    (position l in active, entering t, reach, sign(s_l)), else None.
+
+    s solves J_A' (w_A s_A / sqrt(h_A)) = -n g_gamma by least squares, which
+    is exact at a vertex; on an edge (p+q kinks) the residual is the
+    gamma-gradient along the edge and counts in kkt with the delta block's
+    projected gradient.
+
+    The swap is a Barrodale-Roberts step. Along the edge that keeps the
+    other kinks at 0 and moves eps_l by sign(s_l) tau, the criterion falls
+    at rate (1 - |s_l|) w_l / sqrt(h_l), and each residual that crosses 0
+    raises that rate by 2 w_t |d eps_t/d tau| / sqrt(h_t); the entering kink
+    is the crossing where the rate turns nonnegative, at tau = reach.
+    """
+    k = theta.gamma.size
+    eps, h = _eps_h(theta, y)
+    a, b = QMELE.score(eps, h, 0.0)
+    a[active] = 0.0
+    grad = filter_vjp(theta, y, eps, h, w * a, w * b) / w.size
+    jac = eps_gamma_derivs(theta, y, eps)
+    c = w / np.sqrt(h)
+    lhs = (jac[active] * c[active, None]).T
+    s = np.linalg.lstsq(lhs, -w.size * grad[:k], rcond=None)[0]
+    delta = theta.delta
+    lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds[k:]])
+    upper = np.array([np.inf if hi is None else hi for _, hi in bounds[k:]])
+    projected = np.clip(delta - grad[k:], lower, upper)
+    left = np.abs(lhs @ s / w.size + grad[:k]).max()
+    kkt = float(max(left, np.abs(projected - delta).max()))
+    max_s = float(np.abs(s).max(initial=0.0))
+    cert = Certificate(
+        active=tuple(int(t) for t in active),
+        max_s=max_s,
+        kkt=kkt,
+        pivots=pivots,
+        certified=bool(max_s <= 1.0 and kkt <= KKT_TOL),
+    )
+    if len(active) < k or max_s <= 1.0:
+        return cert, None
+    leave = int(np.argmax(np.abs(s)))
+    sign = float(np.sign(s[leave]))
+    rate = jac @ np.linalg.solve(jac[active], sign * np.eye(k)[leave])
+    rate[active] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = -eps / rate
+    crossing = np.flatnonzero(np.isfinite(tau) & (tau > 0.0))
+    if crossing.size == 0:
+        return cert, None
+    crossing = crossing[np.argsort(tau[crossing], kind="stable")]
+    slope = c[active[leave]] * (1.0 - max_s) + np.cumsum(2.0 * c[crossing] * np.abs(rate[crossing]))
+    enter = crossing[min(int(np.searchsorted(slope, 0.0)), crossing.size - 1)]
+    return cert, (leave, int(enter), float(tau[enter]), sign)
+
+
+def _kink_finish(x, orders, data, w, bounds, opt, runs):
+    """Jump from a ladder end x to the kink vertex it approaches and certify it.
+
+    A starts as the p+q+1 observations with the smallest |eta_t| at x; gamma
+    solves eps_t = 0 on A, one tight L-BFGS-B run fits delta alone, where the
+    criterion is smooth, and _certify checks the end. While max|s_t| > 1,
+    _certify's swap replaces the kink with the largest |s_t|; where no gamma
+    solves eps_t = 0 on A, the kink with the largest |eta_t| at x gives way
+    to the next-smallest. At most MAX_PIVOTS swaps are taken. A swap back to
+    an active set already tried means the minimizer lies on the edge between
+    two vertices, which _edge_finish fits. Returns (theta, fun, certificate);
+    theta is None unless certified, and certificate is the last one made
+    (None if none).
+    """
+    y = data.values
+    k = orders.p + orders.q + 1
+    theta = ParamVector.from_theta(orders, x)
+    eps, h = _eps_h(theta, y)
+    abs_eta = np.abs(eps / np.sqrt(h))
+    order = np.argsort(abs_eta, kind="stable")
+    active, entering = order[:k].copy(), iter(order[k:])
+    visited = set()
+    cert = None
+    for pivots in range(MAX_PIVOTS + 1):
+        visited.add(frozenset(active.tolist()))
+        solved = _kink_gamma(theta, y, active, 0.0)
+        if solved is None:
+            swap = int(np.argmax(abs_eta[active])), next(int(t) for t in entering if t not in active)
+        else:
+            run = minimize(
+                _delta_value_and_gradient,
+                theta.delta,
+                args=(solved[0], orders, data, w, QMELE),
+                jac=True,
+                method="L-BFGS-B",
+                bounds=bounds[k:],
+                options=dict(maxiter=opt.max_iter, maxfun=10 * opt.max_iter, **_TIGHT),
+            )
+            runs.append(run)
+            if not np.isfinite(run.fun):
+                break
+            theta = ParamVector(orders, solved[0], run.x)
+            cert, swap = _certify(theta, y, w, active, bounds, pivots)
+            if cert.certified:
+                return theta, float(run.fun), cert
+            if swap is None:
+                break  # delta is not at a KKT point, or no kink to swap in
+        swapped = active.copy()
+        swapped[swap[0]] = swap[1]
+        if frozenset(swapped.tolist()) in visited:
+            if solved is None:
+                break
+            return _edge_finish(theta, data, w, bounds, opt, runs, active, swap, pivots + 1)
+        active = swapped
+    return None, np.nan, cert
+
+
+def _edge_finish(theta, data, w, bounds, opt, runs, active, swap, pivots):
+    """Fit on the edge {eps_t = 0 for t in active but the swap's leaving
+    kink l} from the vertex theta towards the swap's crossing.
+
+    With eps_l = sign * tau, gamma(tau) solves the kink equations, and one
+    tight L-BFGS-B run over (tau, delta), 0 <= tau <= reach, started
+    halfway, minimizes the criterion, smooth there; the tau-derivative is
+    g_gamma . d gamma/d tau with J_A d gamma/d tau = sign e_l. Returns
+    _kink_finish's (theta, fun, certificate) for the edge's p+q kinks.
+    """
+    y = data.values
+    orders = theta.orders
+    k = orders.p + orders.q + 1
+    leave, _, reach, sign = swap
+    unit = sign * np.eye(k)[leave]
+    last = theta  # the Newton steps start where the last evaluation ended
+
+    def on_edge(tau):
+        nonlocal last
+        solved = _kink_gamma(last, y, active, tau * unit)
+        if solved is not None:
+            last = ParamVector(orders, solved[0], theta.delta)
+        return solved
+
+    def value_and_gradient(z):
+        solved = on_edge(z[0])
+        if solved is None:
+            return np.nan, np.zeros(z.size)
+        value, grad = _value_and_gradient(np.concatenate([solved[0], z[1:]]), orders, data, w, QMELE)
+        return value, np.concatenate([[grad[:k] @ np.linalg.solve(solved[1], unit)], grad[k:]])
+
+    run = minimize(
+        value_and_gradient,
+        np.concatenate([[0.5 * reach], theta.delta]),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(0.0, reach)] + bounds[k:],
+        options=dict(maxiter=opt.max_iter, maxfun=10 * opt.max_iter, **_TIGHT),
+    )
+    runs.append(run)
+    solved = on_edge(run.x[0]) if np.isfinite(run.fun) else None
+    if solved is None:
+        return None, np.nan, None
+    edge = ParamVector(orders, solved[0], run.x[1:])
+    cert, _ = _certify(edge, y, w, np.delete(active, leave), bounds, pivots)
+    if cert.certified:
+        return edge, _objective(edge, y, w, QMELE), cert
+    return None, np.nan, cert
+
+
 def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     """Minimize the self-weighted criterion over the constrained space.
 
@@ -491,16 +741,23 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     initializer, in theta under the bounds alpha0 >= e^-60, alpha_i >= 0 and
     0 <= beta_j <= 1 - 2^-40, which reach the faces alpha_i = 0 and
     beta_j = 0. The exponential criterion's minimizer sits on |eps| kinks,
-    so its descent is a ladder of stages on the smoothed criterion
-    (|eta| -> sqrt(eta^2 + mu^2), mu = 1e-2 down to 1e-7), each started
-    where the previous one ended. Only if the final stage fails (no success
-    or a non-finite value) are `config.optimizer.restarts` seeded jittered
-    starts descended too, and the best end is kept. The objective reported
-    is the exact criterion.
+    at a vertex where p+q+1 residuals are zero or on an edge with p+q, so
+    its descent runs three stages on the smoothed criterion
+    (|eta| -> sqrt(eta^2 + mu^2), mu = 1e-2, 1e-3, 1e-4), each started where
+    the previous one ended, and then the kink finish (_kink_finish): gamma
+    solves eps_t = 0 on the p+q+1 smallest |eta_t|, delta is fitted alone,
+    and a certificate checks that the end is Clarke-stationary, with a few
+    active-set swaps and an edge fit where they cycle. If it does not
+    certify, the fallback stages (mu = 1e-5 down to 1e-7) continue
+    from the third stage's end. Only if the descent neither certifies nor
+    ends its final stage successfully with a finite value are
+    `config.optimizer.restarts` seeded jittered starts descended too, and
+    the best end is kept. The objective reported is the exact criterion.
 
-    Returns a FitResult; converged=False flags that the final stage which
-    produced theta_hat did not meet its termination tolerances (the point
-    is still reported, with NaN covariance).
+    Returns a FitResult; converged=False flags that the descent which
+    produced theta_hat was neither certified nor met its final stage's
+    termination tolerances (the point is still reported, with NaN
+    covariance). status records why the covariance is NaN.
     """
     if criterion not in CRITERIA:
         raise DomainError(f"unknown criterion {criterion!r}")
@@ -523,8 +780,8 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     bounds += [(0.0, 1.0 - 2.0**-40)] * orders.s
     runs = []
 
-    def descend(start):
-        for mu, tolerances in crit.ladder:
+    def stages(start, ladder):
+        for mu, tolerances in ladder:
             runs.append(
                 minimize(
                     _value_and_gradient,
@@ -539,8 +796,19 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
             start = runs[-1].x
         return runs[-1]
 
+    def descend(start):
+        """(x, fun, converged, certificate) of one descent."""
+        end = stages(start, crit.ladder)
+        cert = None
+        if crit.kinks and np.isfinite(end.fun):
+            theta, fun, cert = _kink_finish(end.x, orders, data, w, bounds, opt, runs)
+            if theta is not None:
+                return theta.theta, fun, True, cert
+            end = stages(end.x, crit.fallback)
+        return end.x, end.fun, bool(end.success and np.isfinite(end.fun)), cert
+
     ends = [descend(x0)]
-    if not (ends[0].success and np.isfinite(ends[0].fun)):
+    if not ends[0][2]:
         rng = np.random.default_rng(config.seed)
         for _ in range(opt.restarts):
             # gamma + 0.3 z; alpha * e^(0.7 z); beta * e^(0.7 z) rescaled to keep sum(beta) < 1
@@ -550,18 +818,22 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
             start[k:] *= np.exp(0.7 * z[k:])
             start[j:] /= 1.0 - x0[j:].sum() + start[j:].sum()
             ends.append(descend(start))
-    best = min(ends, key=lambda r: np.nan_to_num(r.fun, nan=np.inf))
-    theta_hat = ParamVector.from_theta(orders, best.x)
+    x_hat, _, converged, cert = min(ends, key=lambda end: np.nan_to_num(end[1], nan=np.inf))
+    theta_hat = ParamVector.from_theta(orders, x_hat)
 
-    converged = bool(best.success and np.isfinite(best.fun))
     cov = np.full((orders.m, orders.m), np.nan)
     g0 = eta2 = np.nan
+    status = "ok" if converged else "not_converged"
     if converged:
         try:
             out, g0, eta2, eta_sq_dev = _filter_moments(theta_hat, data, config.g0_mode)
             cov = _sandwich(out, crit, w, g0, eta2, eta_sq_dev)
-        except (SingularInformationError, DomainError, ArithmeticError):
-            pass  # cov and the standard errors stay NaN
+        except SingularInformationError:
+            status = "singular_information"
+        except DomainError:
+            status = "domain"
+        except ArithmeticError:
+            status = "overflow"
     return FitResult(
         theta_hat=theta_hat,
         objective_value=_objective(theta_hat, y, w, crit),
@@ -575,6 +847,8 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
         weights=w,
         nfev=sum(r.nfev for r in runs),
         starts=len(ends),
+        status=status,
+        certificate=cert,
     )
 
 
@@ -583,7 +857,9 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
 
     The update direction is -[2 Sigma*]^{-1} T* for the exponential
     criterion (or its gaussian analogue when the initializer is a
-    self-weighted gaussian fit). An alpha_i or beta_j that is 0 at the
+    self-weighted gaussian fit). T* takes sign(eta_t) = 0 on the kinks of a
+    certified initializer's active set, where eps_t = 0 up to rounding, as
+    t_star defines sign(0) = 0. An alpha_i or beta_j that is 0 at the
     initializer and that this step would push negative is held at 0, the
     step solved over the other coordinates; a step still infeasible is
     halved until feasible, and the number of halvings is reported.
@@ -601,7 +877,8 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
 
     out, g0, _, _ = _filter_moments(theta0, data, config.g0_mode, g0)
     info = 2.0 * _cross(out, crit.sigma(1.0, out.h, g0))
-    score = _score(out, crit)
+    cert = theta_init.certificate
+    score = _score(out, crit, cert.active if cert is not None and cert.certified else ())
     step = -_sym_inv(info) @ score
     held = (theta0.theta == 0.0) & (step < 0.0)
     held[: theta0.orders.p + theta0.orders.q + 2] = False  # gamma and alpha0 are never held

@@ -316,15 +316,20 @@ def _iir(forcing, lag_coeffs, presample_value):
     return lfilter(_ONE, a, forcing, zi=zi)[0]
 
 
+def _residuals(theta, y):
+    """The residual recursion eps_t, which depends on gamma only."""
+    u = y - theta.mu
+    for i, phi in enumerate(theta.phi, 1):
+        u -= phi * _shift(y, i)
+    return _iir(u, -theta.psi, 0.0)
+
+
 def _eps_h(theta, y):
     """Residual and volatility recursions only (no derivatives).
 
     Does not raise on overflow; callers check finiteness.
     """
-    u = y - theta.mu
-    for i, phi in enumerate(theta.phi, 1):
-        u -= phi * _shift(y, i)
-    eps = _iir(u, -theta.psi, 0.0)
+    eps = _residuals(theta, y)
     e2 = eps * eps
     forcing = np.full(y.size, theta.alpha0)
     for i, alpha in enumerate(theta.alpha, 1):
@@ -368,23 +373,13 @@ def filter_series(theta, data):
     one_minus_bsum = 1.0 - beta.sum()
     h0 = theta.alpha0 / one_minus_bsum
 
+    n_gamma = o.p + o.q + 1
     deps = np.zeros((n, m))
     dh = np.zeros((n, m))
-    neg_psi = -theta.psi
-
-    # mean-equation derivatives share the MA recursion with eps itself
-    col = 0
-    deps[:, col] = _iir(np.full(n, -1.0), neg_psi, 0.0)
-    for i in range(1, o.p + 1):
-        col += 1
-        deps[:, col] = _iir(-_shift(y, i), neg_psi, 0.0)
-    for k in range(1, o.q + 1):
-        col += 1
-        deps[:, col] = _iir(-_shift(eps, k), neg_psi, 0.0)
+    deps[:, :n_gamma] = eps_gamma_derivs(theta, y, eps)
 
     # volatility derivatives: gamma block feeds through the ARCH terms,
     # f_t = sum_i 2 alpha_i eps_{t-i} deps_{t-i}
-    n_gamma = o.p + o.q + 1
     if o.r > 0:
         two_alpha = 2.0 * alpha
         for j in range(n_gamma):
@@ -405,6 +400,19 @@ def filter_series(theta, data):
         dh[:, col] = _iir(_shift(h, k, fill=h0), beta, db0)
 
     return FilterOutput(eps=eps, h=h, deps=deps, dh=dh)
+
+
+def eps_gamma_derivs(theta, y, eps):
+    """d eps_t / d gamma, the n x (p+q+1) gamma block of filter_series' deps,
+    for eps the residuals at theta. Each column runs the MA recursion that
+    eps itself runs, forced by -1 (mu), -y_{t-i} (phi_i) or -eps_{t-j} (psi_j).
+    """
+    o = theta.orders
+    neg_psi = -theta.psi
+    forcings = [np.full(y.size, -1.0)]
+    forcings += [-_shift(y, i) for i in range(1, o.p + 1)]
+    forcings += [-_shift(eps, k) for k in range(1, o.q + 1)]
+    return np.column_stack([_iir(f, neg_psi, 0.0) for f in forcings])
 
 
 def checked_eps_h(theta, data):

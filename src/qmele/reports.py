@@ -60,9 +60,22 @@ def fit_report_text(fit, n_obs):
     lines.append(f"g0         {fmt(fit.g0)}")
     lines.append(f"eta2       {fmt(fit.eta2)}")
     lines.append(f"converged  {str(fit.converged).lower()}")
+    lines.append(f"status     {fit.status}")
     lines.append(f"iterations {fit.iterations}")
     lines.append(f"n          {n_obs}")
     return "\n".join(lines) + "\n"
+
+
+def _certificate_json(cert):
+    if cert is None:
+        return None
+    return {
+        "active": list(cert.active),
+        "max_s": round6(cert.max_s),
+        "kkt": round6(cert.kkt),
+        "pivots": int(cert.pivots),
+        "certified": bool(cert.certified),
+    }
 
 
 def fit_report_json(fit, n_obs):
@@ -71,6 +84,8 @@ def fit_report_json(fit, n_obs):
         "estimator": fit.estimator_kind,
         "n": int(n_obs),
         "converged": bool(fit.converged),
+        "status": fit.status,
+        "certificate": _certificate_json(fit.certificate),
         "iterations": int(fit.iterations),
         "objective": round6(fit.objective_value),
         "g0": round6(fit.g0),

@@ -300,6 +300,10 @@ def test_cli_fit_holds_beta_face_in_local_step(tmp_path):
     report = json.loads((out / "fit_report.json").read_text())
     assert [r["estimator"] for r in report] == ["sw_qmele", "local_qmele"]
     assert [r["estimates"]["beta1"] for r in report] == [0.0, 0.0]
+    assert [r["status"] for r in report] == ["ok", "ok"]
+    cert = report[0]["certificate"]
+    assert cert["certified"] is True and cert["max_s"] <= 1.0 and len(cert["active"]) == 2
+    assert report[1]["certificate"] is None
 
 
 def test_cli_fit_reports_sw_fit_when_local_step_fails(tmp_path, capsys, monkeypatch):

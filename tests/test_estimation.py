@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from qmele import (
@@ -32,6 +36,7 @@ from qmele import (
 )
 from qmele.estimation import (
     CRITERIA,
+    KKT_TOL,
     QMELE,
     QMLE,
     _sandwich,
@@ -408,6 +413,7 @@ def test_converged_describes_the_returned_point():
     capped = FitConfig(optimizer=OptimizerConfig(max_iter=1, restarts=0), g0_mode=G0Mode.known(0.5))
     fit = fit_self_weighted(data, AR1_GARCH11, capped)
     assert fit.converged is False
+    assert fit.status == "not_converged"
     assert fit.nfev > 0
     assert np.all(np.isnan(fit.std_errors))
     full = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5)))
@@ -515,6 +521,41 @@ def test_igarch_fit_needs_one_ladder():
     assert fit.starts == 1
 
 
+def nelder_mead_polish(fit, data, orders):
+    """The exact criterion at fit.theta_hat and a Nelder-Mead run from there."""
+
+    def objective(theta):
+        try:
+            return qmele_objective(ParamVector.from_theta(orders, theta), data, fit.weights)
+        except DomainError:
+            return np.inf
+
+    polish = minimize(
+        objective, fit.theta_hat.theta, method="Nelder-Mead",
+        options=dict(xatol=1e-9, fatol=1e-13, maxfev=4000),
+    )
+    return objective(fit.theta_hat.theta), polish.fun
+
+
+def recomputed_certificate(fit, data):
+    """(max|s|, kkt, max|eta| on A) of a fit's certificate,
+    rebuilt from filter_series' derivative matrices at theta_hat."""
+    theta, cert = fit.theta_hat, fit.certificate
+    active = list(cert.active)
+    k, n = theta.gamma.size, data.n
+    out = filter_series(theta, data)
+    a, b = QMELE.score(out.eps, out.h, 0.0)
+    a[active] = 0.0
+    grad = (fit.weights * a) @ out.deps + (fit.weights * b) @ out.dh
+    # p+q+1 kinks (a vertex) give a square system, p+q (an edge) one with a residual
+    kinks = out.deps[active, :k].T * (fit.weights[active] / np.sqrt(out.h[active]))
+    s = np.linalg.lstsq(kinks, -grad[:k], rcond=None)[0]
+    delta, g_delta = theta.delta, grad[k:] / n
+    upper = np.where(np.arange(delta.size) > theta.orders.r, 1.0 - 2.0**-40, np.inf)
+    kkt = max(np.abs(kinks @ s + grad[:k]).max() / n, np.abs(np.clip(delta - g_delta, 0.0, upper) - delta).max())
+    return np.abs(s).max(), kkt, np.abs(out.eps[active] / np.sqrt(out.h[active])).max()
+
+
 @pytest.mark.parametrize(
     "orders, truth, dist, seed",
     [
@@ -545,6 +586,97 @@ def test_exponential_fit_is_a_local_minimum(orders, truth, dist, seed):
             options=dict(xatol=1e-9, fatol=1e-13, maxfev=4000),
         )
         assert polish.fun >= fit.objective_value - 1e-9
+        if fit.certificate.certified:
+            max_s, kkt, eta_active = recomputed_certificate(fit, data)
+            assert max_s <= 1.0 and kkt <= KKT_TOL
+            assert max_s == pytest.approx(fit.certificate.max_s, rel=1e-6)
+            assert eta_active <= 1e-12
+
+
+def test_fit_falls_back_to_the_ladder_when_the_certificate_fails(monkeypatch):
+    import qmele.estimation
+
+    real_certify, real_minimize = qmele.estimation._certify, qmele.estimation.minimize
+    starts = []
+
+    def failing(*args):
+        cert, _ = real_certify(*args)
+        return dataclasses.replace(cert, certified=False), None
+
+    def counted(fun, x0, *args, **kwargs):
+        starts.append(np.size(x0))
+        return real_minimize(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(qmele.estimation, "_certify", failing)
+    monkeypatch.setattr(qmele.estimation, "minimize", counted)
+    data = simulate(make_theta(THETA_FINITE), LAPLACE, 1000, burn_in=500, seed=50000)
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(seed=50000))
+    assert fit.certificate.certified is False
+    assert fit.converged is True
+    assert fit.starts == 1
+    # three smoothed stages, the delta-only finish, the four fallback stages
+    assert starts == [5, 5, 5, 3, 5, 5, 5, 5]
+    value, polished = nelder_mead_polish(fit, data, AR1_GARCH11)
+    assert fit.objective_value == value
+    assert polished >= fit.objective_value - 1e-9
+
+
+def test_exponential_fit_certifies_an_edge_minimizer():
+    # the minimizer has a single zero residual (p+q = 1), between two vertices
+    # whose certificates each point to the other
+    data = simulate(make_theta(THETA_FINITE), LAPLACE, 1000, burn_in=500, seed=50010)
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(seed=50010))
+    assert fit.converged
+    assert fit.certificate.certified and len(fit.certificate.active) == 1
+    assert fit.certificate.pivots == 2
+    value, polished = nelder_mead_polish(fit, data, AR1_GARCH11)
+    assert fit.objective_value == value
+    assert polished >= fit.objective_value - 1e-9
+
+
+# orders up to (1,1,1,2), largest first so that examples shrink towards it
+ORDERS_UP_TO_1112 = sorted(
+    [(p, q, r, s) for p in (0, 1) for q in (0, 1) for r in (0, 1) for s in range(3) if r or not s],
+    key=lambda o: (-sum(o), o),
+)
+
+
+@st.composite
+def arma_garch_designs(draw):
+    """Orders up to (1,1,1,2) and a valid theta with alpha1 + sum(beta) < 0.9."""
+    p, q, r, s = draw(st.sampled_from(ORDERS_UP_TO_1112))
+    gamma = [draw(st.floats(-0.5, 0.5))] + [draw(st.floats(-0.7, 0.7)) for _ in range(p + q)]
+    persistence = 0.9 * draw(st.floats(0.0, 1.0))
+    share = [draw(st.floats(0.1, 1.0)) for _ in range(r + s)]
+    delta = [draw(st.floats(0.05, 1.0))] + [persistence * c / sum(share) for c in share]
+    orders = ModelOrders(p, q, r, s)
+    return orders, make_theta(gamma + delta, orders), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(arma_garch_designs())
+def test_certified_fit_is_not_improved_by_nelder_mead(design):
+    orders, theta, seed = design
+    data = simulate(theta, LAPLACE, 600, seed=seed)
+    fit = fit_self_weighted(data, orders, FitConfig(g0_mode=G0Mode.known(0.5), seed=seed))
+    if fit.certificate is not None and fit.certificate.certified:
+        value, polished = nelder_mead_polish(fit, data, orders)
+        assert fit.objective_value == value
+        assert polished >= fit.objective_value - 1e-9
+
+
+def test_fit_status_names_a_singular_information_matrix():
+    # the optimum has alpha1 = 0, where beta1 is not identified
+    orders = ModelOrders(1, 1, 1, 1)
+    theta = make_theta([0.0, 0.5, 0.3, 0.1, 0.18, 0.4], orders)
+    data = simulate(theta, NORMAL, 1000, burn_in=500, seed=3966384047)
+    config = FitConfig(optimizer=OptimizerConfig(restarts=1), seed=3966384047)
+    for criterion in ("qmele", "qmle"):
+        fit = fit_self_weighted(data, orders, config, criterion=criterion)
+        assert fit.converged
+        assert fit.theta_hat.alpha[0] == 0.0
+        assert np.all(np.isnan(fit.std_errors))
+        assert fit.status == "singular_information"
 
 
 def test_exponential_fit_reaches_the_beta_face():

@@ -16,7 +16,7 @@ from qmele import (
     simulate_with_innovations,
 )
 
-from qmele.model import _iir
+from qmele.model import _iir, eps_gamma_derivs
 
 from conftest import AR1_GARCH11, make_theta
 
@@ -294,3 +294,15 @@ def test_simulate_equals_numpy_scalar_loop(orders, values, dist):
         y, eta = simulate_with_innovations(theta, dist, 2000, burn_in=100, seed=seed)
         y_ref, eta_ref = _simulate_numpy_scalars(theta, dist, 2000, 100, seed)
         assert np.array_equal(y, y_ref) and np.array_equal(eta, eta_ref)
+
+
+@pytest.mark.parametrize("order_tuple", [(0, 0, 1, 1), (1, 0, 1, 1), (1, 1, 1, 2), (2, 2, 1, 1)])
+def test_gamma_derivatives_are_the_mean_block_of_filter_series(order_tuple):
+    orders = ModelOrders(*order_tuple)
+    gamma = [0.1] + [0.3 / (i + 1) for i in range(orders.p)] + [0.2 / (j + 1) for j in range(orders.q)]
+    delta = [0.2] + [0.1] * orders.r + [0.4 / orders.s] * orders.s
+    theta = ParamVector.from_theta(orders, np.array(gamma + delta))
+    y = simulate(theta, InnovationDist("laplace"), 300, seed=21).values
+    out = filter_series(theta, y)
+    k = orders.p + orders.q + 1
+    assert np.array_equal(eps_gamma_derivs(theta, y, out.eps), out.deps[:, :k])
