@@ -1,47 +1,31 @@
 """Self-weighted estimation and one-step efficient updates.
 
-Two per-observation criteria are supported, each a frozen Criterion record
-in CRITERIA, chosen once by name:
-
-* exponential (QMELE, "qmele"): l_t = log sqrt(h_t) + |eps_t| / sqrt(h_t),
-  the likelihood under double-exponential innovations with E|eta| = 1,
-  robust to heavy tails;
-* gaussian (QMLE, "qmle"): l_t = log h_t + eps_t^2 / h_t, the classical
-  quasi-likelihood with E eta^2 = 1.
-
-A record holds all that differs between them: the loss, the score factors
-(a_t, b_t) with score_t = a_t deps_t + b_t dh_t, the Sigma and Omega scales,
-the estimator kinds and the mu ladder; every code path below is shared.
+Two per-observation criteria, each a frozen Criterion record in CRITERIA
+chosen once by name: the exponential (QMELE, "qmele")
+l_t = log sqrt(h_t) + |eps_t| / sqrt(h_t), the likelihood under
+double-exponential innovations with E|eta| = 1, robust to heavy tails, and
+the gaussian (QMLE, "qmle") l_t = log h_t + eps_t^2 / h_t with E eta^2 = 1.
+A record holds all that differs between them; every code path is shared.
 
 The self-weighted estimator minimizes (1/n) sum_t w_t l_t(theta) by
 L-BFGS-B on the exact weighted score, in theta under box bounds that hold
-the faces alpha_i = 0 and beta_j = 0. The score sum_t w_t (a_t deps_t +
-b_t dh_t) comes from model.filter_vjp's backward passes, lambda_t = w_t b_t
-+ sum_j beta_j lambda_{t+j} and kappa_t = w_t a_t + 2 eps_t sum_i alpha_i
-lambda_{t+i} - sum_j psi_j kappa_{t+j}, so no evaluation forms the n x m
-derivatives of filter_series (kept for the covariances and the one-step
-update).
-
-The exponential criterion has kinks where eps_t = 0, and its minimizer is
-a vertex where p+q+1 residuals vanish, or an edge between two with p+q.
-Its fit descends three smoothed criteria, |eta| replaced by
-sqrt(eta^2 + mu^2) with mu = 1e-2, 1e-3, 1e-4, then finishes on the kink
-manifold: gamma solves eps_t = 0 on the p+q+1 smallest |eta_t|, delta is
-fitted alone, and a Certificate checks that the kink multipliers s_A
-satisfy max|s_t| <= 1 and that no smooth gradient is left, with a few
-Barrodale-Roberts swaps of the active set and a fit along an edge where the
-swaps cycle. An end that does not certify falls back to smoothed stages
-with mu down to 1e-7. The "local"
-estimator takes a single Newton-type step from the self-weighted fit,
+the faces alpha_i = 0 and beta_j = 0. Every evaluation goes through the
+fit's one Evaluator: a check of theta without a ParamVector, one residual
+and one volatility pass, the loss and score factors (a_t, b_t) from one
+eta, sqrt(h) and eps^2, and the score sum_t w_t (a_t deps_t + b_t dh_t)
+from the adjoint passes that model.filter_vjp runs, with no n x m
+derivatives. Its held-gamma mode, for the kink finish's fits over delta
+alone, keeps eps for the held gamma and runs only the volatility pass, the
+loss, b_t and the lambda pass. The exponential fit descends three smoothed
+criteria, then finishes on the kink manifold and certifies its end
+(fit_self_weighted). The "local" estimator takes a single Newton-type step
+from the self-weighted fit,
 
     theta_1 = theta_0 - [2 Sigma*(theta_0)]^{-1} T*(theta_0),
 
-with the score T* and information-type matrix Sigma* evaluated without
-weights, sign(eta_t) = 0 on a certified fit's active set, and with alpha_i
-or beta_j on a face that the step would push negative held at 0. Both
-estimators report sandwich standard errors
-(1/4) Sigma^-1 Omega Sigma^-1 / n, built by one _sandwich from one
-filter_series pass at the reported estimate.
+with T* and Sigma* evaluated without weights (local_qmele_step). Both
+report sandwich standard errors (1/4) Sigma^-1 Omega Sigma^-1 / n, built
+by one _sandwich from one filter_series pass at the reported estimate.
 """
 import math
 from collections.abc import Callable
@@ -53,19 +37,22 @@ from scipy.optimize import minimize
 from .exceptions import (
     DomainError,
     InsufficientDataError,
-    NumericOverflowError,
     SingularInformationError,
 )
 from .model import (
+    H_OVERFLOW_LIMIT,
+    LagTable,
     ModelOrders,
     ParamVector,
     _eps_h,
-    _residuals,
+    adjoint,
     as_series,
+    check_coefficients,
     checked_eps_h,
     eps_gamma_derivs,
     filter_series,
-    filter_vjp,
+    residuals,
+    volatility,
 )
 from .weights import WeightSpec, compute_weights
 
@@ -214,30 +201,37 @@ class FitResult:
 # criteria
 
 
-def _exponential_loss(eps, h, mu):
+def _exponential_terms(eps, e2, h, mu, with_a=True):
+    """l = log sqrt(h) + |eta|, a = sign(eta)/sqrt(h), b = (1 - |eta|)/(2h);
+    smoothed, l = log sqrt(h) + sqrt(e2/h + mu^2), a = eta/(sqrt(h) r) and
+    b = (1 - eta^2/r)/(2h) with r = sqrt(eta^2 + mu^2)."""
+    sqrt_h = np.sqrt(h)
+    eta = eps / sqrt_h
     if mu:
-        return 0.5 * np.log(h) + np.sqrt(eps * eps / h + mu * mu)
-    return 0.5 * np.log(h) + np.abs(eps) / np.sqrt(h)
+        eta2 = eta * eta
+        r = np.sqrt(eta2 + mu * mu)
+        a = eta / (sqrt_h * r) if with_a else None
+        return 0.5 * np.log(h) + np.sqrt(e2 / h + mu * mu), a, (1.0 - eta2 / r) / (2.0 * h)
+    abs_eta = np.abs(eta)
+    a = np.sign(eta) / sqrt_h if with_a else None
+    return 0.5 * np.log(h) + abs_eta, a, (1.0 - abs_eta) / (2.0 * h)
 
 
-def _exponential_score(eps, h, mu):
-    """a = sign(eta)/sqrt(h), b = (1 - |eta|)/(2h); smoothed with
-    r = sqrt(eta^2 + mu^2): a = eta/(sqrt(h) r), b = (1 - eta^2/r)/(2h)."""
-    eta = eps / np.sqrt(h)
-    if mu:
-        r = np.sqrt(eta * eta + mu * mu)
-        return eta / (np.sqrt(h) * r), (1.0 - eta * eta / r) / (2.0 * h)
-    return np.sign(eta) / np.sqrt(h), (1.0 - np.abs(eta)) / (2.0 * h)
+def _gaussian_terms(eps, e2, h, mu, with_a=True):
+    """l = log h + e2/h, a = 2 eps/h, b = (1 - e2/h)/h; mu is ignored."""
+    q = e2 / h
+    return np.log(h) + q, 2.0 * eps / h if with_a else None, (1.0 - q) / h
 
 
 @dataclass(frozen=True)
 class Criterion:
     """Everything that differs between the exponential and gaussian criteria.
 
-    loss(eps, h, mu) is the per-observation criterion l_t, with |eta|
-    smoothed to sqrt(eta^2 + mu^2) when mu > 0 (the gaussian loss ignores
-    mu); score(eps, h, mu) gives (a_t, b_t) with
-    score_t = a_t deps_t + b_t dh_t. sigma(w, h, g0) and
+    terms(eps, e2, h, mu, with_a=True) gives (l_t, a_t, b_t) from one eta,
+    sqrt(h) and e2 = eps^2: the per-observation criterion l_t, with |eta|
+    smoothed to sqrt(eta^2 + mu^2) when mu > 0 (the gaussian criterion
+    ignores mu), and the score factors with score_t = a_t deps_t + b_t dh_t
+    (a_t is None unless with_a). sigma(w, h, g0) and
     omega(w, h, eta2, eta_sq_dev) give the per-observation scales of the
     deps and dh cross products in Sigma and Omega, where eta_sq_dev is the
     plug-in for E(1 - eta^2)^2. ladder lists the fit's (mu, L-BFGS-B
@@ -250,8 +244,7 @@ class Criterion:
     ladder: tuple
     kinks: bool
     fallback: tuple
-    loss: Callable
-    score: Callable
+    terms: Callable
     sigma: Callable
     omega: Callable
 
@@ -262,8 +255,7 @@ QMELE = Criterion(
     ladder=_MU_LADDER,
     kinks=True,
     fallback=_MU_FALLBACK,
-    loss=_exponential_loss,
-    score=_exponential_score,
+    terms=_exponential_terms,
     sigma=lambda w, h, g0: (g0 * w / h, w / (8.0 * h**2)),
     omega=lambda w, h, eta2, eta_sq_dev: (w * w / h, 0.25 * (eta2 - 1.0) * w * w / h**2),
 )
@@ -273,8 +265,7 @@ QMLE = Criterion(
     ladder=((0.0, _TIGHT), (0.0, {})),
     kinks=False,
     fallback=(),
-    loss=lambda eps, h, mu: np.log(h) + eps * eps / h,
-    score=lambda eps, h, mu: (2.0 * eps / h, (1.0 - eps**2 / h) / h),
+    terms=_gaussian_terms,
     sigma=lambda w, h, g0: (w / h, w / (2.0 * h**2)),
     omega=lambda w, h, eta2, eta_sq_dev: (4.0 * eta2 * w * w / h, eta_sq_dev * w * w / h**2),
 )
@@ -285,11 +276,15 @@ CRITERIA = {"qmele": QMELE, "qmle": QMLE}
 # objectives
 
 
-def _criterion_mean(eps, h, w, crit, mu=0.0):
-    """Weighted criterion mean (1/n) sum_t w_t l_t, by np.mean's arithmetic
-    without its call overhead."""
-    terms = w * crit.loss(eps, h, mu)
+def _weighted_mean(w, loss):
+    """(1/n) sum_t w_t l_t, by np.mean's arithmetic without its call overhead."""
+    terms = w * loss
     return float(terms.sum() / terms.size)
+
+
+def _criterion_mean(eps, h, w, crit, mu=0.0):
+    """Weighted criterion mean (1/n) sum_t w_t l_t."""
+    return _weighted_mean(w, crit.terms(eps, eps * eps, h, mu, with_a=False)[0])
 
 
 def _objective(theta, y, w, crit):
@@ -309,23 +304,54 @@ def _checked_objective(theta, data, weights, crit):
     return _criterion_mean(eps, h, w, crit)
 
 
-def _value_and_gradient(x, orders, data, w, crit, mu=0.0):
-    """Weighted criterion mean (mu-smoothed) at theta = x and its exact gradient,
-    from one filter pass and one adjoint pass (filter_vjp); (nan, 0) where the
-    filter overflows or sum(beta) >= 1, which the box bounds do not exclude.
+class Evaluator:
+    """One fit's weighted criterion mean (mu-smoothed) as theta -> (value,
+    exact gradient), built once per series, weights and criterion; (nan, 0)
+    where theta breaks ParamVector.validate's constraints (sum(beta) >= 1 is
+    inside the fit's box) or checked_eps_h would report overflow. NaN, not
+    inf: after an infinite trial value the L-BFGS-B line search can accept a
+    near-zero step and report convergence, while NaN ends the descent as a
+    failure, which the fit then handles. held(gamma) is the same map over
+    delta alone, the residual pass, a_t and the gamma adjoint skipped."""
 
-    NaN rather than inf: after an infinite trial value the L-BFGS-B line
-    search can accept a near-zero step and report convergence, while NaN
-    ends the descent as a failure, which the fit then handles.
-    """
-    theta = ParamVector.from_theta(orders, x)
-    try:
-        y, eps, h = checked_eps_h(theta, data)
-    except (DomainError, NumericOverflowError):
-        return np.nan, np.zeros(x.size)
-    value = _criterion_mean(eps, h, w, crit, mu)
-    a, b = crit.score(eps, h, mu)
-    return value, filter_vjp(theta, y, eps, h, w * a, w * b) / w.size
+    def __init__(self, orders, data, w, crit):
+        self.lags = LagTable(orders, as_series(data).values)
+        self.w = w
+        self.crit = crit
+        self.k = orders.p + orders.q + 1
+
+    def __call__(self, x, mu=0.0, kinks=None):
+        """(value, gradient) at theta = x; a_t = 0 (sign(eta_t) = 0) on kinks."""
+        return self._evaluate(x[: self.k], x[self.k :], mu, None, kinks)
+
+    def held(self, gamma):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = self._mean_pass(gamma)
+        return lambda delta, mu=0.0: self._evaluate(gamma, delta, mu, mean)
+
+    def _mean_pass(self, gamma):
+        eps = residuals(self.lags, gamma)
+        return eps, eps * eps, bool(np.isfinite(eps).all())
+
+    def _evaluate(self, gamma, delta, mu, mean, kinks=None):
+        size = delta.size if mean else gamma.size + delta.size
+        lags = self.lags
+        try:
+            omb = check_coefficients(lags.orders, gamma, delta)
+        except DomainError:
+            return np.nan, np.zeros(size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps, e2, eps_finite = mean or self._mean_pass(gamma)
+            h = volatility(lags, e2, delta, omb)
+        # h >= alpha0 > 0, so its max is above the limit or NaN iff any entry is
+        if not (eps_finite and h.max() <= H_OVERFLOW_LIMIT):
+            return np.nan, np.zeros(size)
+        w = self.w
+        loss, a, b = self.crit.terms(eps, e2, h, mu, with_a=mean is None)
+        if kinks is not None:
+            a[kinks] = 0.0
+        grad = adjoint(lags, eps, e2, h, gamma, delta, omb, None if mean else w * a, w * b)
+        return _weighted_mean(w, loss), grad / w.size
 
 
 def qmele_objective(theta, data, weights):
@@ -344,7 +370,7 @@ def qmle_objective(theta, data, weights):
 
 def _score(out, crit, active=()):
     """sum_t a_t deps_t + b_t dh_t, with a_t = 0 (sign(eta_t) = 0) for t in active."""
-    a, b = crit.score(out.eps, out.h, 0.0)
+    _, a, b = crit.terms(out.eps, out.eps * out.eps, out.h, 0.0)
     a[list(active)] = 0.0
     return a @ out.deps + b @ out.dh
 
@@ -540,24 +566,16 @@ def _initial_params(y, orders):
 # fitting
 
 
-def _delta_value_and_gradient(xd, gamma, orders, data, w, crit):
-    """_value_and_gradient over delta = xd with gamma held fixed."""
-    value, grad = _value_and_gradient(np.concatenate([gamma, xd]), orders, data, w, crit)
-    return value, grad[gamma.size :]
-
-
-def _kink_gamma(theta, y, active, target):
+def _kink_gamma(lags, gamma, active, target):
     """(gamma, J_A) with eps_t(gamma) = target_t for t in active, by Newton
-    steps from theta's gamma, and J_A the rows d eps_t/d gamma of the last
-    step: one linear solve for a pure AR mean, where eps is linear in gamma.
-    None where J_A is singular, the steps leave the finite range or they do
-    not settle within NEWTON_STEPS."""
-    gamma = theta.gamma
+    steps from gamma, and J_A the rows d eps_t/d gamma of the last step: one
+    linear solve for a pure AR mean, where eps is linear in gamma. None
+    where J_A is singular, the steps leave the finite range or they do not
+    settle within NEWTON_STEPS."""
     for _ in range(NEWTON_STEPS):
-        at = ParamVector(theta.orders, gamma, theta.delta)
         with np.errstate(over="ignore", invalid="ignore"):
-            eps = _residuals(at, y)
-            jac = eps_gamma_derivs(at, y, eps)[active]
+            eps = residuals(lags, gamma)
+            jac = eps_gamma_derivs(lags, gamma, eps)[active]
         try:
             step = np.linalg.solve(jac, eps[active] - target)
         except np.linalg.LinAlgError:
@@ -565,15 +583,15 @@ def _kink_gamma(theta, y, active, target):
         gamma = gamma - step
         if not np.isfinite(gamma).all():
             return None
-        if theta.orders.q == 0 or np.abs(step).max() <= 1e-13 * (1.0 + np.abs(gamma).max()):
+        if lags.orders.q == 0 or np.abs(step).max() <= 1e-13 * (1.0 + np.abs(gamma).max()):
             return gamma, jac
     return None
 
 
-def _certify(theta, y, w, active, bounds, pivots):
-    """Certificate of theta on the kinks {eps_t = 0, t in active}, from one
-    filter and one adjoint pass and the gamma-derivative recursion, and, at
-    a vertex whose largest |s_t| exceeds 1, the swap
+def _certify(ev, theta, active, bounds, pivots):
+    """Certificate of theta on the kinks {eps_t = 0, t in active}, from the
+    fit's evaluator with sign(eta_t) = 0 on them and the gamma-derivative
+    recursion, and, at a vertex whose largest |s_t| exceeds 1, the swap
     (position l in active, entering t, reach, sign(s_l)), else None.
 
     s solves J_A' (w_A s_A / sqrt(h_A)) = -n g_gamma by least squares, which
@@ -587,18 +605,16 @@ def _certify(theta, y, w, active, bounds, pivots):
     raises that rate by 2 w_t |d eps_t/d tau| / sqrt(h_t); the entering kink
     is the crossing where the rate turns nonnegative, at tau = reach.
     """
-    k = theta.gamma.size
-    eps, h = _eps_h(theta, y)
-    a, b = QMELE.score(eps, h, 0.0)
-    a[active] = 0.0
-    grad = filter_vjp(theta, y, eps, h, w * a, w * b) / w.size
-    jac = eps_gamma_derivs(theta, y, eps)
+    k, w = theta.gamma.size, ev.w
+    eps, h = _eps_h(theta, ev.lags.y)
+    grad = ev(theta.theta, kinks=active)[1]
+    jac = eps_gamma_derivs(ev.lags, theta.gamma, eps)
     c = w / np.sqrt(h)
     lhs = (jac[active] * c[active, None]).T
     s = np.linalg.lstsq(lhs, -w.size * grad[:k], rcond=None)[0]
-    delta = theta.delta
     lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds[k:]])
     upper = np.array([np.inf if hi is None else hi for _, hi in bounds[k:]])
+    delta = theta.delta
     projected = np.clip(delta - grad[k:], lower, upper)
     left = np.abs(lhs @ s / w.size + grad[:k]).max()
     kkt = float(max(left, np.abs(projected - delta).max()))
@@ -627,7 +643,7 @@ def _certify(theta, y, w, active, bounds, pivots):
     return cert, (leave, int(enter), float(tau[enter]), sign)
 
 
-def _kink_finish(x, orders, data, w, bounds, opt, runs):
+def _kink_finish(ev, x, bounds, opt, runs):
     """Jump from a ladder end x to the kink vertex it approaches and certify it.
 
     A starts as the p+q+1 observations with the smallest |eta_t| at x; gamma
@@ -641,10 +657,9 @@ def _kink_finish(x, orders, data, w, bounds, opt, runs):
     theta is None unless certified, and certificate is the last one made
     (None if none).
     """
-    y = data.values
-    k = orders.p + orders.q + 1
+    orders, k = ev.lags.orders, ev.k
     theta = ParamVector.from_theta(orders, x)
-    eps, h = _eps_h(theta, y)
+    eps, h = _eps_h(theta, ev.lags.y)
     abs_eta = np.abs(eps / np.sqrt(h))
     order = np.argsort(abs_eta, kind="stable")
     active, entering = order[:k].copy(), iter(order[k:])
@@ -652,14 +667,13 @@ def _kink_finish(x, orders, data, w, bounds, opt, runs):
     cert = None
     for pivots in range(MAX_PIVOTS + 1):
         visited.add(frozenset(active.tolist()))
-        solved = _kink_gamma(theta, y, active, 0.0)
+        solved = _kink_gamma(ev.lags, theta.gamma, active, 0.0)
         if solved is None:
             swap = int(np.argmax(abs_eta[active])), next(int(t) for t in entering if t not in active)
         else:
             run = minimize(
-                _delta_value_and_gradient,
+                ev.held(solved[0]),
                 theta.delta,
-                args=(solved[0], orders, data, w, QMELE),
                 jac=True,
                 method="L-BFGS-B",
                 bounds=bounds[k:],
@@ -669,7 +683,7 @@ def _kink_finish(x, orders, data, w, bounds, opt, runs):
             if not np.isfinite(run.fun):
                 break
             theta = ParamVector(orders, solved[0], run.x)
-            cert, swap = _certify(theta, y, w, active, bounds, pivots)
+            cert, swap = _certify(ev, theta, active, bounds, pivots)
             if cert.certified:
                 return theta, float(run.fun), cert
             if swap is None:
@@ -679,12 +693,12 @@ def _kink_finish(x, orders, data, w, bounds, opt, runs):
         if frozenset(swapped.tolist()) in visited:
             if solved is None:
                 break
-            return _edge_finish(theta, data, w, bounds, opt, runs, active, swap, pivots + 1)
+            return _edge_finish(ev, theta, bounds, opt, runs, active, swap, pivots + 1)
         active = swapped
     return None, np.nan, cert
 
 
-def _edge_finish(theta, data, w, bounds, opt, runs, active, swap, pivots):
+def _edge_finish(ev, theta, bounds, opt, runs, active, swap, pivots):
     """Fit on the edge {eps_t = 0 for t in active but the swap's leaving
     kink l} from the vertex theta towards the swap's crossing.
 
@@ -694,25 +708,23 @@ def _edge_finish(theta, data, w, bounds, opt, runs, active, swap, pivots):
     g_gamma . d gamma/d tau with J_A d gamma/d tau = sign e_l. Returns
     _kink_finish's (theta, fun, certificate) for the edge's p+q kinks.
     """
-    y = data.values
-    orders = theta.orders
-    k = orders.p + orders.q + 1
+    orders, k = theta.orders, ev.k
     leave, _, reach, sign = swap
     unit = sign * np.eye(k)[leave]
-    last = theta  # the Newton steps start where the last evaluation ended
+    last = theta.gamma  # the Newton steps start where the last evaluation ended
 
     def on_edge(tau):
         nonlocal last
-        solved = _kink_gamma(last, y, active, tau * unit)
+        solved = _kink_gamma(ev.lags, last, active, tau * unit)
         if solved is not None:
-            last = ParamVector(orders, solved[0], theta.delta)
+            last = solved[0]
         return solved
 
     def value_and_gradient(z):
         solved = on_edge(z[0])
         if solved is None:
             return np.nan, np.zeros(z.size)
-        value, grad = _value_and_gradient(np.concatenate([solved[0], z[1:]]), orders, data, w, QMELE)
+        value, grad = ev(np.concatenate([solved[0], z[1:]]))
         return value, np.concatenate([[grad[:k] @ np.linalg.solve(solved[1], unit)], grad[k:]])
 
     run = minimize(
@@ -728,9 +740,9 @@ def _edge_finish(theta, data, w, bounds, opt, runs, active, swap, pivots):
     if solved is None:
         return None, np.nan, None
     edge = ParamVector(orders, solved[0], run.x[1:])
-    cert, _ = _certify(edge, y, w, np.delete(active, leave), bounds, pivots)
+    cert, _ = _certify(ev, edge, np.delete(active, leave), bounds, pivots)
     if cert.certified:
-        return edge, _objective(edge, y, w, QMELE), cert
+        return edge, _objective(edge, ev.lags.y, ev.w, QMELE), cert
     return None, np.nan, cert
 
 
@@ -779,14 +791,15 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     bounds = [(None, None)] * k + [(math.exp(-60.0), None)] + [(0.0, None)] * orders.r
     bounds += [(0.0, 1.0 - 2.0**-40)] * orders.s
     runs = []
+    ev = Evaluator(orders, data, w, crit)
 
     def stages(start, ladder):
         for mu, tolerances in ladder:
             runs.append(
                 minimize(
-                    _value_and_gradient,
+                    ev,
                     start,
-                    args=(orders, data, w, crit, mu),
+                    args=(mu,),
                     jac=True,
                     method="L-BFGS-B",
                     bounds=bounds,
@@ -801,7 +814,7 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
         end = stages(start, crit.ladder)
         cert = None
         if crit.kinks and np.isfinite(end.fun):
-            theta, fun, cert = _kink_finish(end.x, orders, data, w, bounds, opt, runs)
+            theta, fun, cert = _kink_finish(ev, end.x, bounds, opt, runs)
             if theta is not None:
                 return theta.theta, fun, True, cert
             end = stages(end.x, crit.fallback)

@@ -9,10 +9,17 @@ The observation model is
 with i.i.d. innovations eta_t. Filtering treats pre-sample observations and
 residuals as zeros and starts the volatility recursion at its zero-innovation
 fixed point alpha0 / (1 - sum beta_j).
+
+Every caller runs the same recursions, each written once over plain
+coefficient arrays gamma = (mu, phi.., psi..), delta = (alpha0, alpha..,
+beta..) and a LagTable: residuals, volatility and the backward passes of
+adjoint, which gives ga @ deps + gb @ dh without the n x m derivatives
+that filter_series alone forms.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -143,17 +150,7 @@ class ParamVector:
 
     def validate(self):
         """Raise DomainError if the variance constraints are violated."""
-        if not (np.isfinite(self.gamma).all() and np.isfinite(self.delta).all()):
-            raise DomainError("parameters must be finite")
-        if self.delta[0] <= 0.0:
-            raise DomainError(f"alpha0 must be > 0, got {self.alpha0}")
-        if (self.alpha < 0.0).any():
-            raise DomainError("alpha coefficients must be >= 0")
-        beta = self.beta
-        if (beta < 0.0).any():
-            raise DomainError("beta coefficients must be >= 0")
-        if beta.sum() >= 1.0:
-            raise DomainError(f"sum of beta coefficients must be < 1, got {beta.sum()}")
+        check_coefficients(self.orders, self.gamma, self.delta)
         return self
 
     def is_valid(self):
@@ -278,13 +275,37 @@ def as_series(data):
 
 
 def _shift(v, k, fill=0.0):
-    """Lag a vector by k places, padding the head with `fill`."""
-    if k == 0:
-        return v.copy()
+    """Lag a vector by k >= 1 places, padding the head with `fill`."""
     out = np.empty_like(v)
     out[:k] = fill
     out[k:] = v[:-k]
     return out
+
+
+class LagTable(NamedTuple):
+    """A series y and the orders of the model run over it, bundled once per
+    series for the recursions below."""
+
+    orders: ModelOrders
+    y: np.ndarray
+
+
+def check_coefficients(orders, gamma, delta):
+    """1 - sum(beta) if the constraints hold, else DomainError naming the first
+    one broken; Python floats keep the checks cheap, the sum is numpy's."""
+    d = delta.tolist()
+    if not (all(map(math.isfinite, gamma.tolist())) and all(map(math.isfinite, d))):
+        raise DomainError("parameters must be finite")
+    if d[0] <= 0.0:
+        raise DomainError(f"alpha0 must be > 0, got {d[0]}")
+    if min(d[1 : orders.r + 1], default=0.0) < 0.0:
+        raise DomainError("alpha coefficients must be >= 0")
+    if min(d[orders.r + 1 :], default=0.0) < 0.0:
+        raise DomainError("beta coefficients must be >= 0")
+    bsum = delta[orders.r + 1 :].sum()
+    if bsum >= 1.0:
+        raise DomainError(f"sum of beta coefficients must be < 1, got {bsum}")
+    return 1.0 - bsum
 
 
 _ONE = np.ones(1)
@@ -310,109 +331,93 @@ def _iir(forcing, lag_coeffs, presample_value):
     if presample_value == 0.0:
         return lfilter(_ONE, a, forcing)
     prods = a[1:] * presample_value
-    zi = np.empty(s)
-    for m in range(s):
+    zi = 0.0 - prods  # right for the last entry, a sum of one product
+    for m in range(s - 1):
         zi[m] = 0.0 - prods[m:].sum()
     return lfilter(_ONE, a, forcing, zi=zi)[0]
 
 
-def _residuals(theta, y):
-    """The residual recursion eps_t, which depends on gamma only."""
-    u = y - theta.mu
-    for i, phi in enumerate(theta.phi, 1):
-        u -= phi * _shift(y, i)
-    return _iir(u, -theta.psi, 0.0)
+def _reversed_iir(forcing, lag_coeffs):
+    """x_t = forcing_t + sum_j lag_coeffs[j] x_{t+j}, zero past the end; one
+    contiguous copy out keeps later dot products and sums on BLAS."""
+    if lag_coeffs.size == 0:
+        return forcing
+    return np.ascontiguousarray(_iir(forcing[::-1], lag_coeffs, 0.0)[::-1])
+
+
+def residuals(lags, gamma):
+    """eps_t = y_t - mu - sum_i phi_i y_{t-i} - sum_j psi_j eps_{t-j}."""
+    y, p = lags.y, lags.orders.p
+    u = y - gamma[0]
+    for i in range(1, p + 1):
+        u[i:] -= gamma[i] * y[:-i]
+    return _iir(u, -gamma[p + 1 :], 0.0) if lags.orders.q else u
+
+
+def volatility(lags, e2, delta, omb):
+    """h_t = alpha0 + sum_i alpha_i e2_{t-i} + sum_j beta_j h_{t-j}, with
+    h_t = alpha0 / omb for t <= 0 (omb = 1 - sum beta); unchecked."""
+    r = lags.orders.r
+    forcing = np.full(e2.size, delta[0])
+    for i in range(1, r + 1):
+        forcing[i:] += delta[i] * e2[:-i]
+    return _iir(forcing, delta[r + 1 :], delta[0] / omb)
+
+
+def adjoint(lags, eps, e2, h, gamma, delta, omb, ga, gb):
+    """ga @ deps + gb @ dh by the backward passes (zero past n)
+    lambda_t = gb_t + sum_j beta_j lambda_{t+j} and
+    kappa_t = ga_t + 2 eps_t sum_i alpha_i lambda_{t+i} - sum_j psi_j kappa_{t+j}:
+    -sum kappa (mu), -sum kappa_t y_{t-i} (phi_i), -sum kappa_t eps_{t-j}
+    (psi_j), sum lambda + P/omb (alpha0), sum lambda_t e2_{t-i} (alpha_i) and
+    sum lambda_t h_{t-j} + h_0 sum_{t<=j} lambda_t + P alpha0/omb^2 (beta_j),
+    with omb = 1 - sum beta, h_0 = alpha0/omb, P = sum_j beta_j sum_{t<=j}
+    lambda_t. With ga None only the delta block, and no kappa pass."""
+    o, y = lags.orders, lags.y
+    beta, h0 = delta[o.r + 1 :], delta[0] / omb
+    lam = _reversed_iir(gb, beta)
+    head = [lam[:j].sum() for j in range(1, o.s + 1)]
+    pre = float(beta @ head) if o.s > 0 else 0.0
+    delta_grad = np.empty(delta.size)
+    delta_grad[0] = lam.sum() + pre / omb
+    for i in range(1, o.r + 1):
+        delta_grad[i] = lam[i:] @ e2[:-i]
+    for j in range(1, o.s + 1):
+        delta_grad[o.r + j] = lam[j:] @ h[:-j] + h0 * head[j - 1] + pre * delta[0] / omb**2
+    if ga is None:
+        return delta_grad
+    if o.r > 0:
+        ahead = np.zeros(y.size)
+        for i in range(1, o.r + 1):
+            ahead[:-i] += delta[i] * lam[i:]
+        ga = ga + 2.0 * eps * ahead
+    kappa = _reversed_iir(ga, -gamma[o.p + 1 :])
+    gamma_grad = np.empty(gamma.size)
+    gamma_grad[0] = -kappa.sum()
+    for i in range(1, o.p + 1):
+        gamma_grad[i] = -(kappa[i:] @ y[:-i])
+    for j in range(1, o.q + 1):
+        gamma_grad[o.p + j] = -(kappa[j:] @ eps[:-j])
+    return np.concatenate((gamma_grad, delta_grad))
+
+
+def eps_gamma_derivs(lags, gamma, eps):
+    """d eps_t / d gamma, the n x (p+q+1) gamma block of filter_series' deps,
+    for eps the residuals at gamma. Each column runs the MA recursion that
+    eps itself runs, forced by -1 (mu), -y_{t-i} (phi_i) or -eps_{t-j} (psi_j).
+    """
+    o, y = lags.orders, lags.y
+    forcings = [np.full(y.size, -1.0)]
+    forcings += [-_shift(y, i) for i in range(1, o.p + 1)]
+    forcings += [-_shift(eps, j) for j in range(1, o.q + 1)]
+    return np.column_stack([_iir(f, -gamma[o.p + 1 :], 0.0) for f in forcings])
 
 
 def _eps_h(theta, y):
-    """Residual and volatility recursions only (no derivatives).
-
-    Does not raise on overflow; callers check finiteness.
-    """
-    eps = _residuals(theta, y)
-    e2 = eps * eps
-    forcing = np.full(y.size, theta.alpha0)
-    for i, alpha in enumerate(theta.alpha, 1):
-        forcing += alpha * _shift(e2, i)
-    h = _iir(forcing, theta.beta, theta.h_presample)
-    return eps, h
-
-
-def filter_series(theta, data):
-    """Filter a series through the model at parameters theta.
-
-    Parameters
-    ----------
-    theta : ParamVector
-    data : SeriesData or array_like
-
-    Returns
-    -------
-    FilterOutput
-        Residuals eps_t, volatilities h_t and the derivative recursions
-        d eps_t / d theta and d h_t / d theta. Pre-sample y and eps are
-        zeros; pre-sample h is the fixed point alpha0/(1 - sum beta), and
-        the derivative recursions start from the exact derivatives of that
-        fixed point so they agree with finite differences of this function
-        at every t.
-
-    Raises
-    ------
-    DomainError
-        If theta violates the parameter constraints.
-    NumericOverflowError
-        If a recursion leaves the finite range (message names the first
-        offending time index).
-    """
-    y, eps, h = checked_eps_h(theta, data)
-    o = theta.orders
-    n, m = y.size, o.m
-
-    e2 = eps * eps
-    alpha, beta = theta.alpha, theta.beta
-    one_minus_bsum = 1.0 - beta.sum()
-    h0 = theta.alpha0 / one_minus_bsum
-
-    n_gamma = o.p + o.q + 1
-    deps = np.zeros((n, m))
-    dh = np.zeros((n, m))
-    deps[:, :n_gamma] = eps_gamma_derivs(theta, y, eps)
-
-    # volatility derivatives: gamma block feeds through the ARCH terms,
-    # f_t = sum_i 2 alpha_i eps_{t-i} deps_{t-i}
-    if o.r > 0:
-        two_alpha = 2.0 * alpha
-        for j in range(n_gamma):
-            cross = eps * deps[:, j]
-            f = np.zeros(n)
-            for i in range(1, o.r + 1):
-                f[i:] += two_alpha[i - 1] * cross[:-i]
-            dh[:, j] = _iir(f, beta, 0.0)
-
-    col = n_gamma
-    dh[:, col] = _iir(np.ones(n), beta, 1.0 / one_minus_bsum)
-    for i in range(1, o.r + 1):
-        col += 1
-        dh[:, col] = _iir(_shift(e2, i), beta, 0.0)
-    db0 = theta.alpha0 / one_minus_bsum**2
-    for k in range(1, o.s + 1):
-        col += 1
-        dh[:, col] = _iir(_shift(h, k, fill=h0), beta, db0)
-
-    return FilterOutput(eps=eps, h=h, deps=deps, dh=dh)
-
-
-def eps_gamma_derivs(theta, y, eps):
-    """d eps_t / d gamma, the n x (p+q+1) gamma block of filter_series' deps,
-    for eps the residuals at theta. Each column runs the MA recursion that
-    eps itself runs, forced by -1 (mu), -y_{t-i} (phi_i) or -eps_{t-j} (psi_j).
-    """
-    o = theta.orders
-    neg_psi = -theta.psi
-    forcings = [np.full(y.size, -1.0)]
-    forcings += [-_shift(y, i) for i in range(1, o.p + 1)]
-    forcings += [-_shift(eps, k) for k in range(1, o.q + 1)]
-    return np.column_stack([_iir(f, neg_psi, 0.0) for f in forcings])
+    """Residual and volatility recursions at theta, unchecked."""
+    lags = LagTable(theta.orders, y)
+    eps = residuals(lags, theta.gamma)
+    return eps, volatility(lags, eps * eps, theta.delta, 1.0 - theta.beta.sum())
 
 
 def checked_eps_h(theta, data):
@@ -431,61 +436,46 @@ def checked_eps_h(theta, data):
     return y, eps, h
 
 
-def _reversed_iir(forcing, lag_coeffs):
-    """x_t = forcing_t + sum_j lag_coeffs[j] x_{t+j}, zero past the end; contiguous
-    copies in and out keep later dot products on BLAS."""
-    return np.ascontiguousarray(_iir(np.ascontiguousarray(forcing[::-1]), lag_coeffs, 0.0)[::-1])
+def filter_series(theta, data):
+    """Residuals eps_t, volatilities h_t and their derivatives d eps_t/d theta
+    and d h_t/d theta (FilterOutput) of the series data at the ParamVector
+    theta. Pre-sample y and eps are zeros; pre-sample h is the fixed point
+    alpha0/(1 - sum beta), and the derivative recursions start from the exact
+    derivatives of that fixed point, so they agree with finite differences of
+    this function at every t. Raises DomainError if theta violates the
+    constraints and NumericOverflowError, naming the first offending time
+    index, if a recursion leaves the finite range.
+    """
+    y, eps, h = checked_eps_h(theta, data)
+    o, n = theta.orders, y.size
+    k, beta = o.p + o.q + 1, theta.beta
+    omb = 1.0 - beta.sum()
+    deps, dh = np.zeros((n, o.m)), np.zeros((n, o.m))
+    deps[:, :k] = eps_gamma_derivs(LagTable(o, y), theta.gamma, eps)
+    # the gamma block feeds h through ARCH: f_t = sum_i 2 alpha_i eps_{t-i} deps_{t-i}
+    for j in range(k if o.r > 0 else 0):
+        cross, f = eps * deps[:, j], np.zeros(n)
+        for i in range(1, o.r + 1):
+            f[i:] += 2.0 * theta.alpha[i - 1] * cross[:-i]
+        dh[:, j] = _iir(f, beta, 0.0)
+    # the delta block is forced by 1 (alpha0), e2_{t-i} (alpha_i) and h_{t-j} (beta_j)
+    forcings = [np.ones(n)] + [_shift(eps * eps, i) for i in range(1, o.r + 1)]
+    forcings += [_shift(h, j, fill=theta.alpha0 / omb) for j in range(1, o.s + 1)]
+    presample = [1.0 / omb] + [0.0] * o.r + [theta.alpha0 / omb**2] * o.s
+    for col, (f, c) in enumerate(zip(forcings, presample), k):
+        dh[:, col] = _iir(f, beta, c)
+    return FilterOutput(eps=eps, h=h, deps=deps, dh=dh)
 
 
 def filter_vjp(theta, y, eps, h, ga, gb):
-    """sum_t ga_t d eps_t/d theta + gb_t d h_t/d theta, i.e. ga @ deps + gb @ dh
-    of filter_series(theta, y) (eps, h its outputs), by one backward pass per
-    recursion instead of the n x m Jacobian. With the adjoints (zero past n)
-
-        lambda_t = gb_t + sum_j beta_j lambda_{t+j},
-        kappa_t  = ga_t + 2 eps_t sum_i alpha_i lambda_{t+i} - sum_j psi_j kappa_{t+j},
-
-    the entries are -sum kappa (mu), -sum kappa_t y_{t-i} (phi_i),
-    -sum kappa_t eps_{t-j} (psi_j), sum lambda + P/(1 - sum beta) (alpha0),
-    sum lambda_t eps_{t-i}^2 (alpha_i) and sum lambda_t h_{t-j}
-    + P alpha0/(1 - sum beta)^2 (beta_j), where h_t = alpha0/(1 - sum beta)
-    for t <= 0 and P = sum_j beta_j sum_{t<=j} lambda_t.
-    """
-    o = theta.orders
-    alpha, beta = theta.alpha, theta.beta
-    one_minus_bsum = 1.0 - beta.sum()
-    h0 = theta.alpha0 / one_minus_bsum
-
-    lam = _reversed_iir(gb, beta)
-    forcing = ga
-    if o.r > 0:
-        ahead = np.zeros(y.size)
-        for i, a in enumerate(alpha, 1):
-            ahead[:-i] += a * lam[i:]
-        forcing = ga + 2.0 * eps * ahead
-    kappa = _reversed_iir(forcing, -theta.psi)
-
-    head = [lam[:j].sum() for j in range(1, o.s + 1)]
-    pre = float(beta @ head) if o.s > 0 else 0.0
-    e2 = eps * eps
-    grad = [-kappa.sum()]
-    grad += [-(kappa[i:] @ y[:-i]) for i in range(1, o.p + 1)]
-    grad += [-(kappa[j:] @ eps[:-j]) for j in range(1, o.q + 1)]
-    grad += [lam.sum() + pre / one_minus_bsum]
-    grad += [lam[i:] @ e2[:-i] for i in range(1, o.r + 1)]
-    grad += [
-        lam[j:] @ h[:-j] + h0 * head[j - 1] + pre * theta.alpha0 / one_minus_bsum**2
-        for j in range(1, o.s + 1)
-    ]
-    return np.array(grad)
+    """ga @ deps + gb @ dh of filter_series(theta, y) (eps, h its outputs),
+    by one backward pass per recursion instead of the n x m Jacobian."""
+    lags, omb = LagTable(theta.orders, y), 1.0 - theta.beta.sum()
+    return adjoint(lags, eps, eps * eps, h, theta.gamma, theta.delta, omb, ga, gb)
 
 
-def _check_finite(v, name, limit=None):
-    if np.isfinite(v).all() and (limit is None or np.abs(v).max() <= limit):
-        return
-    bad = ~np.isfinite(v)
-    if limit is not None:
-        bad |= np.abs(v) > limit
+def _check_finite(v, name, limit=np.finfo(float).max):
+    bad = ~(np.abs(v) <= limit)  # NaN fails the comparison
     if bad.any():
         t = int(np.argmax(bad)) + 1
         raise NumericOverflowError(f"{name} recursion overflowed at t={t}", t=t)
@@ -498,47 +488,44 @@ def simulate_with_innovations(theta, dist, n, burn_in=500, seed=0):
         raise DomainError("n must be >= 1")
     if burn_in < 0:
         raise DomainError("burn_in must be >= 0")
-    o = theta.orders
     rng = np.random.default_rng(seed)
-    total = burn_in + n
-    eta = dist.sample(rng, total)
+    eta = dist.sample(rng, burn_in + n)
 
     # Python floats: the same IEEE arithmetic in the same order as numpy
     # scalars (x ** 2 is libm pow for both), without their per-operation
-    # overhead; e2 holds the squared residuals
-    lag = o.max_lag
-    y = [0.0] * lag
-    e = [0.0] * lag
-    e2 = [0.0] * lag
-    h = [float(theta.h_presample)] * lag
-
-    mu = theta.mu
-    phi, psi = theta.phi.tolist(), theta.psi.tolist()
-    a0, alpha, beta = theta.alpha0, theta.alpha.tolist(), theta.beta.tolist()
-    sqrt, isfinite = math.sqrt, math.isfinite
-    for t, eta_t in enumerate(eta.tolist(), lag):
+    # overhead. The lists grow by one entry a step, so lag i is index -i;
+    # e2 holds the squared residuals
+    lag = theta.orders.max_lag
+    y, e, e2, h = [0.0] * lag, [0.0] * lag, [0.0] * lag, [float(theta.h_presample)] * lag
+    arch, garch, ar, ma = (
+        [(c, -i) for i, c in enumerate(v.tolist(), 1)]
+        for v in (theta.alpha, theta.beta, theta.phi, theta.psi)
+    )
+    mu, a0 = theta.mu, theta.alpha0
+    y_add, e_add, e2_add, h_add = y.append, e.append, e2.append, h.append
+    sqrt, isfinite, limit = math.sqrt, math.isfinite, H_OVERFLOW_LIMIT
+    for eta_t in eta.tolist():
         ht = a0
-        for i in range(1, o.r + 1):
-            ht += alpha[i - 1] * e2[t - i]
-        for j in range(1, o.s + 1):
-            ht += beta[j - 1] * h[t - j]
-        if not isfinite(ht) or ht > H_OVERFLOW_LIMIT:
-            raise NumericOverflowError(
-                f"simulated volatility overflowed at t={t - lag + 1}", t=t - lag + 1
-            )
-        h.append(ht)
+        for c, i in arch:
+            ht += c * e2[i]
+        for c, j in garch:
+            ht += c * h[j]
+        if not isfinite(ht) or ht > limit:
+            t = len(h) - lag + 1
+            raise NumericOverflowError(f"simulated volatility overflowed at t={t}", t=t)
+        h_add(ht)
         et = eta_t * sqrt(ht)
         yt = mu + et
-        for i in range(1, o.p + 1):
-            yt += phi[i - 1] * y[t - i]
-        for j in range(1, o.q + 1):
-            yt += psi[j - 1] * e[t - j]
-        e.append(et)
-        y.append(yt)
+        for c, i in ar:
+            yt += c * y[i]
+        for c, j in ma:
+            yt += c * e[j]
+        e_add(et)
+        y_add(yt)
         try:
-            e2.append(et**2)
+            e2_add(et**2)
         except OverflowError:  # numpy scalars overflow to inf, Python floats raise
-            e2.append(math.inf)
+            e2_add(math.inf)
 
     return np.array(y[lag + burn_in :]), eta[burn_in:].copy()
 

@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from qmele import (
+# one BLAS thread per process, set before numpy loads BLAS: the session
+# fixtures already run two worker processes on the replications, and more
+# threads on top of them only contend for the cores
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from qmele import (  # noqa: E402
     LOCAL_QMELE,
     LOCAL_QMLE,
     SW_QMELE,

@@ -39,10 +39,11 @@ from qmele.estimation import (
     KKT_TOL,
     QMELE,
     QMLE,
+    Evaluator,
+    _criterion_mean,
     _sandwich,
-    _value_and_gradient,
 )
-from qmele.model import _eps_h
+from qmele.model import _eps_h, checked_eps_h
 
 from conftest import AR1_GARCH11, LAPLACE, THETA_FINITE, THETA_IGARCH, estimates_matrix, make_theta
 
@@ -440,7 +441,7 @@ def test_fit_gradient_matches_finite_differences(orders, truth, point, criterion
     assert np.min(np.abs(eps / np.sqrt(h))) > 1e-4  # kink-free for this seed
     w = np.random.default_rng(17).uniform(0.5, 2.0, data.n)
     x = theta.theta
-    value, grad = _value_and_gradient(x, orders, data, w, CRITERIA[criterion])
+    value, grad = Evaluator(orders, data, w, CRITERIA[criterion])(x)
     assert value == pytest.approx(objective(theta, data, w), rel=1e-12)
     fd = np.zeros(x.size)
     for j in range(x.size):
@@ -461,10 +462,12 @@ def test_smoothed_gradient_matches_finite_differences(mu):
     x = make_theta([0.03, 0.42, 0.25, 0.14, 0.12, 0.3, 0.15], orders).theta
     w = np.random.default_rng(17).uniform(0.5, 2.0, data.n)
 
-    def value(z):
-        return _value_and_gradient(z, orders, data, w, QMELE, mu)[0]
+    evaluate = Evaluator(orders, data, w, QMELE)
 
-    grad = _value_and_gradient(x, orders, data, w, QMELE, mu)[1]
+    def value(z):
+        return evaluate(z, mu)[0]
+
+    grad = evaluate(x, mu)[1]
     fd = np.zeros(x.size)
     for j in range(x.size):
         step = 1e-6 * max(1.0, abs(x[j]))
@@ -478,14 +481,62 @@ def test_smoothed_gradient_matches_finite_differences(mu):
 
 
 def test_fit_value_is_nan_where_the_filter_overflows():
-    # NaN ends an L-BFGS-B descent as a failure; inf could end it as a success
-    for orders, x in [
-        (ModelOrders(0, 1, 0, 0), [0.0, 3.0, 1.0]),  # the MA recursion overflows
-        (ModelOrders(1, 0, 1, 2), [0.0, 0.5, 0.1, 0.2, 0.6, 0.5]),  # inside the box, sum(beta) > 1
+    # NaN ends an L-BFGS-B descent as a failure; inf could end it as a success.
+    # held: the map over delta alone, gamma held
+    for orders, x, held in [
+        (ModelOrders(0, 1, 0, 0), [0.0, 3.0, 1.0], False),  # the MA recursion overflows
+        (ModelOrders(0, 1, 0, 0), [0.0, 3.0, 1.0], True),
+        (ModelOrders(1, 0, 1, 2), [0.0, 0.5, 0.1, 0.2, 0.6, 0.5], False),  # inside the box, sum(beta) > 1
+        (ModelOrders(1, 0, 1, 2), [0.0, 0.5, 0.1, 0.2, 0.6, 0.5], True),
+        (ModelOrders(0, 0, 1, 1), [0.0, 1e300, 0.1, 0.4], False),  # h passes H_OVERFLOW_LIMIT
+        (ModelOrders(0, 0, 1, 1), [0.0, 1e300, 0.1, 0.4], True),
     ]:
-        value, grad = _value_and_gradient(np.array(x), orders, np.ones(1000), np.ones(1000), QMELE)
+        x = np.array(x)
+        k = orders.p + orders.q + 1
+        evaluate = Evaluator(orders, np.ones(1000), np.ones(1000), QMELE)
+        value, grad = evaluate.held(x[:k])(x[k:]) if held else evaluate(x)
         assert np.isnan(value)
+        assert grad.shape == (x.size - k if held else x.size,)
         np.testing.assert_array_equal(grad, 0.0)
+
+
+SERIES_T3 = simulate(make_theta([0.0, 0.3, 0.2, 0.2, 0.5]), InnovationDist("student_t3"), 300, seed=4).values
+
+
+@st.composite
+def evaluation_points(draw):
+    """Orders up to (2,2,2,2), a valid theta, a criterion, a smoothing mu and a seed."""
+    p, q, r, s = (draw(st.integers(0, 2)) for _ in range(4))
+    orders = ModelOrders(p, q, r, s)
+    gamma = [draw(st.floats(-0.5, 0.5))] + [draw(st.floats(-0.4, 0.4)) for _ in range(p + q)]
+    share = [draw(st.floats(0.1, 1.0)) for _ in range(s)]
+    beta_sum = draw(st.floats(0.0, 0.95))
+    delta = [draw(st.floats(0.05, 1.0))] + [draw(st.floats(0.0, 0.3)) for _ in range(r)]
+    delta += [beta_sum * c / sum(share) for c in share]
+    criterion = draw(st.sampled_from(sorted(CRITERIA)))
+    mu = draw(st.sampled_from([0.0, 1e-2, 1e-4]))
+    return orders, make_theta(gamma + delta, orders), criterion, mu, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(evaluation_points())
+def test_evaluator_is_the_filter_path(point):
+    orders, theta, criterion, mu, seed = point
+    crit, y = CRITERIA[criterion], SERIES_T3
+    w = np.random.default_rng(seed).uniform(0.5, 2.0, y.size)
+    evaluate = Evaluator(orders, y, w, crit)
+    value, grad = evaluate(theta.theta, mu)
+    # the value is the criterion mean over the checked filter, bit for bit
+    _, eps, h = checked_eps_h(theta, y)
+    assert value == _criterion_mean(eps, h, w, crit, mu)
+    # the gradient is filter_series' Jacobian product
+    out = filter_series(theta, y)
+    _, a, b = crit.terms(out.eps, out.eps * out.eps, out.h, mu)
+    np.testing.assert_allclose(grad, ((w * a) @ out.deps + (w * b) @ out.dh) / y.size, rtol=1e-9)
+    # holding gamma changes neither the value nor the delta block
+    held_value, held_grad = evaluate.held(theta.gamma)(theta.delta, mu)
+    assert held_value == value
+    assert np.array_equal(held_grad, grad[orders.p + orders.q + 1 :])
 
 
 @pytest.mark.parametrize(
@@ -544,7 +595,7 @@ def recomputed_certificate(fit, data):
     active = list(cert.active)
     k, n = theta.gamma.size, data.n
     out = filter_series(theta, data)
-    a, b = QMELE.score(out.eps, out.h, 0.0)
+    _, a, b = QMELE.terms(out.eps, out.eps * out.eps, out.h, 0.0)
     a[active] = 0.0
     grad = (fit.weights * a) @ out.deps + (fit.weights * b) @ out.dh
     # p+q+1 kinks (a vertex) give a square system, p+q (an edge) one with a residual

@@ -1,6 +1,7 @@
 """Print one sha256 over a fixed set of qmele outputs.
 
-Covers 32 self-weighted fits (4 designs x 4 seeded paths x both criteria),
+Covers 40 self-weighted fits (5 designs x 4 seeded paths x both criteria;
+the last design has two lags in the AR, ARCH and GARCH parts),
 two one-step updates per fit (kernel g0 from the config, and g0 = 0.5
 passed in), the public score, information, covariance and objective
 functions at the true parameters, and a 3-replication run_scenario with all
@@ -47,6 +48,8 @@ DESIGNS = (
     ("arma_normal", (1, 1, 1, 1), (0.0, 0.4, 0.3, 0.1, 0.15, 0.6),
      InnovationDist("normal", "var_one"), 3272157582, 600),
     ("garch12_laplace", (1, 0, 1, 2), (0.0, 0.5, 0.1, 0.3, 0.2, 0.2), LAPLACE, 50100, 600),
+    ("arma21_garch22_laplace", (2, 1, 2, 2), (0.0, 0.3, 0.2, 0.3, 0.1, 0.1, 0.08, 0.3, 0.2),
+     LAPLACE, 7000, 600),
 )
 PATHS = 4
 
