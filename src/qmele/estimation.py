@@ -8,15 +8,15 @@ the gaussian (QMLE, "qmle") l_t = log h_t + eps_t^2 / h_t with E eta^2 = 1.
 A record holds all that differs between them; every code path is shared.
 
 The self-weighted estimator minimizes (1/n) sum_t w_t l_t(theta) by
-L-BFGS-B on the exact weighted score, in theta under box bounds that hold
-the faces alpha_i = 0 and beta_j = 0. Every evaluation goes through the
-fit's one Evaluator: a check of theta without a ParamVector, one residual
-and one volatility pass, the loss and score factors (a_t, b_t) from one
-eta, sqrt(h) and eps^2, and the score sum_t w_t (a_t deps_t + b_t dh_t)
-from the adjoint passes that model.filter_vjp runs, with no n x m
-derivatives. Its held-gamma mode, for the kink finish's fits over delta
-alone, keeps eps for the held gamma and runs only the volatility pass, the
-loss, b_t and the lambda pass. The exponential fit descends three smoothed
+L-BFGS-B (_lbfgsb) on the exact weighted score, in theta under _box, which
+holds the faces alpha_i = 0 and beta_j = 0. Every evaluation, and the
+reported objective, goes through the fit's one Evaluator: a check of
+theta without a ParamVector, one residual and one volatility pass, the
+loss and score factors (a_t, b_t) from one eta, sqrt(h) and eps^2, and the
+score sum_t w_t (a_t deps_t + b_t dh_t) from the adjoint passes that
+model.filter_vjp runs, with no n x m derivatives. Its held-gamma mode,
+for the kink finish's fits over delta alone, keeps eps for the held gamma
+and runs only the volatility pass, the loss, b_t and the lambda pass. The exponential fit descends three smoothed
 criteria, then finishes on the kink manifold and certifies its end
 (fit_self_weighted). The "local" estimator takes a single Newton-type step
 from the self-weighted fit,
@@ -41,7 +41,6 @@ from .exceptions import (
 )
 from .model import (
     H_OVERFLOW_LIMIT,
-    LagTable,
     ModelOrders,
     ParamVector,
     _eps_h,
@@ -287,13 +286,6 @@ def _criterion_mean(eps, h, w, crit, mu=0.0):
     return _weighted_mean(w, crit.terms(eps, eps * eps, h, mu, with_a=False)[0])
 
 
-def _objective(theta, y, w, crit):
-    """Weighted criterion mean; +inf if the filter leaves the finite range."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        val = _criterion_mean(*_eps_h(theta, y), w, crit)
-    return val if math.isfinite(val) else math.inf
-
-
 def _checked_objective(theta, data, weights, crit):
     data = as_series(data)
     w = np.asarray(weights, dtype=float)
@@ -306,16 +298,16 @@ def _checked_objective(theta, data, weights, crit):
 
 class Evaluator:
     """One fit's weighted criterion mean (mu-smoothed) as theta -> (value,
-    exact gradient), built once per series, weights and criterion; (nan, 0)
-    where theta breaks ParamVector.validate's constraints (sum(beta) >= 1 is
-    inside the fit's box) or checked_eps_h would report overflow. NaN, not
+    exact gradient), built once per orders, series y, weights and criterion;
+    (nan, 0) where theta breaks ParamVector.validate's constraints (sum(beta)
+    >= 1 is inside _box) or checked_eps_h would report overflow. NaN, not
     inf: after an infinite trial value the L-BFGS-B line search can accept a
     near-zero step and report convergence, while NaN ends the descent as a
     failure, which the fit then handles. held(gamma) is the same map over
     delta alone, the residual pass, a_t and the gamma adjoint skipped."""
 
     def __init__(self, orders, data, w, crit):
-        self.lags = LagTable(orders, as_series(data).values)
+        self.orders, self.y = orders, as_series(data).values
         self.w = w
         self.crit = crit
         self.k = orders.p + orders.q + 1
@@ -330,19 +322,18 @@ class Evaluator:
         return lambda delta, mu=0.0: self._evaluate(gamma, delta, mu, mean)
 
     def _mean_pass(self, gamma):
-        eps = residuals(self.lags, gamma)
+        eps = residuals(self.orders, self.y, gamma)
         return eps, eps * eps, bool(np.isfinite(eps).all())
 
     def _evaluate(self, gamma, delta, mu, mean, kinks=None):
         size = delta.size if mean else gamma.size + delta.size
-        lags = self.lags
         try:
-            omb = check_coefficients(lags.orders, gamma, delta)
+            omb = check_coefficients(self.orders, gamma, delta)
         except DomainError:
             return np.nan, np.zeros(size)
         with np.errstate(over="ignore", invalid="ignore"):
             eps, e2, eps_finite = mean or self._mean_pass(gamma)
-            h = volatility(lags, e2, delta, omb)
+            h = volatility(self.orders, e2, delta, omb)
         # h >= alpha0 > 0, so its max is above the limit or NaN iff any entry is
         if not (eps_finite and h.max() <= H_OVERFLOW_LIMIT):
             return np.nan, np.zeros(size)
@@ -350,7 +341,7 @@ class Evaluator:
         loss, a, b = self.crit.terms(eps, e2, h, mu, with_a=mean is None)
         if kinks is not None:
             a[kinks] = 0.0
-        grad = adjoint(lags, eps, e2, h, gamma, delta, omb, None if mean else w * a, w * b)
+        grad = adjoint(self.orders, self.y, eps, e2, h, gamma, delta, omb, None if mean else w * a, w * b)
         return _weighted_mean(w, loss), grad / w.size
 
 
@@ -566,7 +557,28 @@ def _initial_params(y, orders):
 # fitting
 
 
-def _kink_gamma(lags, gamma, active, target):
+def _box(orders):
+    """The parameter box's (lower, upper) rows: gamma free, alpha0 >= e^-60,
+    alpha_i >= 0 and 0 <= beta_j <= 1 - 2^-40, which reach the faces
+    alpha_i = 0 and beta_j = 0. Every L-BFGS-B run, the certificate and the
+    one-step's held coordinates read it; sum(beta) >= 1 in it is NaN."""
+    k = orders.p + orders.q + 1
+    box = np.zeros((2, orders.m))
+    box[0, :k], box[0, k], box[1] = -np.inf, math.exp(-60.0), np.inf
+    box[1, k + 1 + orders.r :] = 1.0 - 2.0**-40
+    return box
+
+
+def _lbfgsb(fun, x0, box, opt, runs, tolerances, args=()):
+    """One L-BFGS-B run of fun -> (value, gradient) from x0 in the box's
+    (lower, upper) rows under opt's caps and the tolerances, appended to runs."""
+    options = dict(maxiter=opt.max_iter, maxfun=10 * opt.max_iter, **tolerances)
+    run = minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", bounds=box.T, options=options)
+    runs.append(run)
+    return run
+
+
+def _kink_gamma(ev, gamma, active, target):
     """(gamma, J_A) with eps_t(gamma) = target_t for t in active, by Newton
     steps from gamma, and J_A the rows d eps_t/d gamma of the last step: one
     linear solve for a pure AR mean, where eps is linear in gamma. None
@@ -574,8 +586,8 @@ def _kink_gamma(lags, gamma, active, target):
     settle within NEWTON_STEPS."""
     for _ in range(NEWTON_STEPS):
         with np.errstate(over="ignore", invalid="ignore"):
-            eps = residuals(lags, gamma)
-            jac = eps_gamma_derivs(lags, gamma, eps)[active]
+            eps = residuals(ev.orders, ev.y, gamma)
+            jac = eps_gamma_derivs(ev.orders, ev.y, gamma, eps)[active]
         try:
             step = np.linalg.solve(jac, eps[active] - target)
         except np.linalg.LinAlgError:
@@ -583,12 +595,12 @@ def _kink_gamma(lags, gamma, active, target):
         gamma = gamma - step
         if not np.isfinite(gamma).all():
             return None
-        if lags.orders.q == 0 or np.abs(step).max() <= 1e-13 * (1.0 + np.abs(gamma).max()):
+        if ev.orders.q == 0 or np.abs(step).max() <= 1e-13 * (1.0 + np.abs(gamma).max()):
             return gamma, jac
     return None
 
 
-def _certify(ev, theta, active, bounds, pivots):
+def _certify(ev, theta, active, box, pivots):
     """Certificate of theta on the kinks {eps_t = 0, t in active}, from the
     fit's evaluator with sign(eta_t) = 0 on them and the gamma-derivative
     recursion, and, at a vertex whose largest |s_t| exceeds 1, the swap
@@ -606,16 +618,14 @@ def _certify(ev, theta, active, bounds, pivots):
     is the crossing where the rate turns nonnegative, at tau = reach.
     """
     k, w = theta.gamma.size, ev.w
-    eps, h = _eps_h(theta, ev.lags.y)
+    eps, h = _eps_h(theta, ev.y)
     grad = ev(theta.theta, kinks=active)[1]
-    jac = eps_gamma_derivs(ev.lags, theta.gamma, eps)
+    jac = eps_gamma_derivs(ev.orders, ev.y, theta.gamma, eps)
     c = w / np.sqrt(h)
     lhs = (jac[active] * c[active, None]).T
     s = np.linalg.lstsq(lhs, -w.size * grad[:k], rcond=None)[0]
-    lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds[k:]])
-    upper = np.array([np.inf if hi is None else hi for _, hi in bounds[k:]])
     delta = theta.delta
-    projected = np.clip(delta - grad[k:], lower, upper)
+    projected = np.clip(delta - grad[k:], *box[:, k:])
     left = np.abs(lhs @ s / w.size + grad[:k]).max()
     kkt = float(max(left, np.abs(projected - delta).max()))
     max_s = float(np.abs(s).max(initial=0.0))
@@ -643,7 +653,7 @@ def _certify(ev, theta, active, bounds, pivots):
     return cert, (leave, int(enter), float(tau[enter]), sign)
 
 
-def _kink_finish(ev, x, bounds, opt, runs):
+def _kink_finish(ev, x, box, opt, runs):
     """Jump from a ladder end x to the kink vertex it approaches and certify it.
 
     A starts as the p+q+1 observations with the smallest |eta_t| at x; gamma
@@ -657,9 +667,9 @@ def _kink_finish(ev, x, bounds, opt, runs):
     theta is None unless certified, and certificate is the last one made
     (None if none).
     """
-    orders, k = ev.lags.orders, ev.k
+    orders, k = ev.orders, ev.k
     theta = ParamVector.from_theta(orders, x)
-    eps, h = _eps_h(theta, ev.lags.y)
+    eps, h = _eps_h(theta, ev.y)
     abs_eta = np.abs(eps / np.sqrt(h))
     order = np.argsort(abs_eta, kind="stable")
     active, entering = order[:k].copy(), iter(order[k:])
@@ -667,23 +677,15 @@ def _kink_finish(ev, x, bounds, opt, runs):
     cert = None
     for pivots in range(MAX_PIVOTS + 1):
         visited.add(frozenset(active.tolist()))
-        solved = _kink_gamma(ev.lags, theta.gamma, active, 0.0)
+        solved = _kink_gamma(ev, theta.gamma, active, 0.0)
         if solved is None:
             swap = int(np.argmax(abs_eta[active])), next(int(t) for t in entering if t not in active)
         else:
-            run = minimize(
-                ev.held(solved[0]),
-                theta.delta,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds[k:],
-                options=dict(maxiter=opt.max_iter, maxfun=10 * opt.max_iter, **_TIGHT),
-            )
-            runs.append(run)
+            run = _lbfgsb(ev.held(solved[0]), theta.delta, box[:, k:], opt, runs, _TIGHT)
             if not np.isfinite(run.fun):
                 break
             theta = ParamVector(orders, solved[0], run.x)
-            cert, swap = _certify(ev, theta, active, bounds, pivots)
+            cert, swap = _certify(ev, theta, active, box, pivots)
             if cert.certified:
                 return theta, float(run.fun), cert
             if swap is None:
@@ -693,12 +695,12 @@ def _kink_finish(ev, x, bounds, opt, runs):
         if frozenset(swapped.tolist()) in visited:
             if solved is None:
                 break
-            return _edge_finish(ev, theta, bounds, opt, runs, active, swap, pivots + 1)
+            return _edge_finish(ev, theta, box, opt, runs, active, swap, pivots + 1)
         active = swapped
     return None, np.nan, cert
 
 
-def _edge_finish(ev, theta, bounds, opt, runs, active, swap, pivots):
+def _edge_finish(ev, theta, box, opt, runs, active, swap, pivots):
     """Fit on the edge {eps_t = 0 for t in active but the swap's leaving
     kink l} from the vertex theta towards the swap's crossing.
 
@@ -715,7 +717,7 @@ def _edge_finish(ev, theta, bounds, opt, runs, active, swap, pivots):
 
     def on_edge(tau):
         nonlocal last
-        solved = _kink_gamma(ev.lags, last, active, tau * unit)
+        solved = _kink_gamma(ev, last, active, tau * unit)
         if solved is not None:
             last = solved[0]
         return solved
@@ -727,22 +729,15 @@ def _edge_finish(ev, theta, bounds, opt, runs, active, swap, pivots):
         value, grad = ev(np.concatenate([solved[0], z[1:]]))
         return value, np.concatenate([[grad[:k] @ np.linalg.solve(solved[1], unit)], grad[k:]])
 
-    run = minimize(
-        value_and_gradient,
-        np.concatenate([[0.5 * reach], theta.delta]),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(0.0, reach)] + bounds[k:],
-        options=dict(maxiter=opt.max_iter, maxfun=10 * opt.max_iter, **_TIGHT),
-    )
-    runs.append(run)
+    edge_box = np.c_[[0.0, reach], box[:, k:]]
+    run = _lbfgsb(value_and_gradient, np.r_[0.5 * reach, theta.delta], edge_box, opt, runs, _TIGHT)
     solved = on_edge(run.x[0]) if np.isfinite(run.fun) else None
     if solved is None:
         return None, np.nan, None
     edge = ParamVector(orders, solved[0], run.x[1:])
-    cert, _ = _certify(ev, edge, np.delete(active, leave), bounds, pivots)
+    cert, _ = _certify(ev, edge, np.delete(active, leave), box, pivots)
     if cert.certified:
-        return edge, _objective(edge, ev.lags.y, ev.w, QMELE), cert
+        return edge, ev(edge.theta)[0], cert
     return None, np.nan, cert
 
 
@@ -750,21 +745,21 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     """Minimize the self-weighted criterion over the constrained space.
 
     Descends by L-BFGS-B on the exact weighted score from a moment-based
-    initializer, in theta under the bounds alpha0 >= e^-60, alpha_i >= 0 and
-    0 <= beta_j <= 1 - 2^-40, which reach the faces alpha_i = 0 and
-    beta_j = 0. The exponential criterion's minimizer sits on |eps| kinks,
-    at a vertex where p+q+1 residuals are zero or on an edge with p+q, so
-    its descent runs three stages on the smoothed criterion
-    (|eta| -> sqrt(eta^2 + mu^2), mu = 1e-2, 1e-3, 1e-4), each started where
-    the previous one ended, and then the kink finish (_kink_finish): gamma
-    solves eps_t = 0 on the p+q+1 smallest |eta_t|, delta is fitted alone,
-    and a certificate checks that the end is Clarke-stationary, with a few
-    active-set swaps and an edge fit where they cycle. If it does not
-    certify, the fallback stages (mu = 1e-5 down to 1e-7) continue
-    from the third stage's end. Only if the descent neither certifies nor
+    initializer, in theta under the parameter box of _box, which reaches
+    the faces alpha_i = 0 and beta_j = 0. The exponential criterion's
+    minimizer sits on |eps| kinks, at a vertex where p+q+1 residuals are
+    zero or on an edge with p+q, so its descent runs three stages on the
+    smoothed criterion (|eta| -> sqrt(eta^2 + mu^2), mu = 1e-2, 1e-3,
+    1e-4), each started where the previous one ended, and then the kink
+    finish (_kink_finish): gamma solves eps_t = 0 on the p+q+1 smallest
+    |eta_t|, delta is fitted alone, and a certificate checks that the end
+    is Clarke-stationary, with a few active-set swaps and an edge fit where
+    they cycle. If it does not certify, the fallback stages (mu = 1e-5 down
+    to 1e-7) continue from the third stage's end. Only if the descent neither certifies nor
     ends its final stage successfully with a finite value are
     `config.optimizer.restarts` seeded jittered starts descended too, and
-    the best end is kept. The objective reported is the exact criterion.
+    the best end is kept. The objective reported is the exact criterion,
+    the fit's Evaluator at theta_hat (inf where that is not finite).
 
     Returns a FitResult; converged=False flags that the descent which
     produced theta_hat was neither certified nor met its final stage's
@@ -787,26 +782,13 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     opt = config.optimizer
     x0 = _initial_params(y, orders).theta
     k, j = orders.p + orders.q + 1, orders.p + orders.q + 2 + orders.r
-    # gamma is free; sum(beta) >= 1 inside the box evaluates to NaN
-    bounds = [(None, None)] * k + [(math.exp(-60.0), None)] + [(0.0, None)] * orders.r
-    bounds += [(0.0, 1.0 - 2.0**-40)] * orders.s
+    box = _box(orders)
     runs = []
     ev = Evaluator(orders, data, w, crit)
 
     def stages(start, ladder):
         for mu, tolerances in ladder:
-            runs.append(
-                minimize(
-                    ev,
-                    start,
-                    args=(mu,),
-                    jac=True,
-                    method="L-BFGS-B",
-                    bounds=bounds,
-                    options=dict(maxiter=opt.max_iter, maxfun=10 * opt.max_iter, **tolerances),
-                )
-            )
-            start = runs[-1].x
+            start = _lbfgsb(ev, start, box, opt, runs, tolerances, (mu,)).x
         return runs[-1]
 
     def descend(start):
@@ -814,7 +796,7 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
         end = stages(start, crit.ladder)
         cert = None
         if crit.kinks and np.isfinite(end.fun):
-            theta, fun, cert = _kink_finish(ev, end.x, bounds, opt, runs)
+            theta, fun, cert = _kink_finish(ev, end.x, box, opt, runs)
             if theta is not None:
                 return theta.theta, fun, True, cert
             end = stages(end.x, crit.fallback)
@@ -833,6 +815,7 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
             ends.append(descend(start))
     x_hat, _, converged, cert = min(ends, key=lambda end: np.nan_to_num(end[1], nan=np.inf))
     theta_hat = ParamVector.from_theta(orders, x_hat)
+    value = ev(x_hat)[0]
 
     cov = np.full((orders.m, orders.m), np.nan)
     g0 = eta2 = np.nan
@@ -849,7 +832,7 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
             status = "overflow"
     return FitResult(
         theta_hat=theta_hat,
-        objective_value=_objective(theta_hat, y, w, crit),
+        objective_value=value if math.isfinite(value) else math.inf,
         covariance=cov,
         std_errors=np.sqrt(np.maximum(np.diag(cov), 0.0)),
         converged=converged,
@@ -872,8 +855,8 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
     criterion (or its gaussian analogue when the initializer is a
     self-weighted gaussian fit). T* takes sign(eta_t) = 0 on the kinks of a
     certified initializer's active set, where eps_t = 0 up to rounding, as
-    t_star defines sign(0) = 0. An alpha_i or beta_j that is 0 at the
-    initializer and that this step would push negative is held at 0, the
+    t_star defines sign(0) = 0. A coordinate on its lower bound in _box at
+    the initializer that this step would push below it is held there, the
     step solved over the other coordinates; a step still infeasible is
     halved until feasible, and the number of halvings is reported.
 
@@ -893,8 +876,7 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
     cert = theta_init.certificate
     score = _score(out, crit, cert.active if cert is not None and cert.certified else ())
     step = -_sym_inv(info) @ score
-    held = (theta0.theta == 0.0) & (step < 0.0)
-    held[: theta0.orders.p + theta0.orders.q + 2] = False  # gamma and alpha0 are never held
+    held = (theta0.theta == _box(theta0.orders)[0]) & (step < 0.0)
     if held.any():
         free = ~held
         step = np.zeros(theta0.m)

@@ -10,16 +10,15 @@ with i.i.d. innovations eta_t. Filtering treats pre-sample observations and
 residuals as zeros and starts the volatility recursion at its zero-innovation
 fixed point alpha0 / (1 - sum beta_j).
 
-Every caller runs the same recursions, each written once over plain
-coefficient arrays gamma = (mu, phi.., psi..), delta = (alpha0, alpha..,
-beta..) and a LagTable: residuals, volatility and the backward passes of
-adjoint, which gives ga @ deps + gb @ dh without the n x m derivatives
-that filter_series alone forms.
+Every caller runs the same recursions, each written once over the orders,
+the series y and plain coefficient arrays gamma = (mu, phi.., psi..),
+delta = (alpha0, alpha.., beta..): residuals, volatility and the backward
+passes of adjoint, which gives ga @ deps + gb @ dh without the n x m
+derivatives that filter_series alone forms.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -282,14 +281,6 @@ def _shift(v, k, fill=0.0):
     return out
 
 
-class LagTable(NamedTuple):
-    """A series y and the orders of the model run over it, bundled once per
-    series for the recursions below."""
-
-    orders: ModelOrders
-    y: np.ndarray
-
-
 def check_coefficients(orders, gamma, delta):
     """1 - sum(beta) if the constraints hold, else DomainError naming the first
     one broken; Python floats keep the checks cheap, the sum is numpy's."""
@@ -345,26 +336,26 @@ def _reversed_iir(forcing, lag_coeffs):
     return np.ascontiguousarray(_iir(forcing[::-1], lag_coeffs, 0.0)[::-1])
 
 
-def residuals(lags, gamma):
+def residuals(orders, y, gamma):
     """eps_t = y_t - mu - sum_i phi_i y_{t-i} - sum_j psi_j eps_{t-j}."""
-    y, p = lags.y, lags.orders.p
+    p = orders.p
     u = y - gamma[0]
     for i in range(1, p + 1):
         u[i:] -= gamma[i] * y[:-i]
-    return _iir(u, -gamma[p + 1 :], 0.0) if lags.orders.q else u
+    return _iir(u, -gamma[p + 1 :], 0.0) if orders.q else u
 
 
-def volatility(lags, e2, delta, omb):
+def volatility(orders, e2, delta, omb):
     """h_t = alpha0 + sum_i alpha_i e2_{t-i} + sum_j beta_j h_{t-j}, with
     h_t = alpha0 / omb for t <= 0 (omb = 1 - sum beta); unchecked."""
-    r = lags.orders.r
+    r = orders.r
     forcing = np.full(e2.size, delta[0])
     for i in range(1, r + 1):
         forcing[i:] += delta[i] * e2[:-i]
     return _iir(forcing, delta[r + 1 :], delta[0] / omb)
 
 
-def adjoint(lags, eps, e2, h, gamma, delta, omb, ga, gb):
+def adjoint(orders, y, eps, e2, h, gamma, delta, omb, ga, gb):
     """ga @ deps + gb @ dh by the backward passes (zero past n)
     lambda_t = gb_t + sum_j beta_j lambda_{t+j} and
     kappa_t = ga_t + 2 eps_t sum_i alpha_i lambda_{t+i} - sum_j psi_j kappa_{t+j}:
@@ -373,51 +364,48 @@ def adjoint(lags, eps, e2, h, gamma, delta, omb, ga, gb):
     sum lambda_t h_{t-j} + h_0 sum_{t<=j} lambda_t + P alpha0/omb^2 (beta_j),
     with omb = 1 - sum beta, h_0 = alpha0/omb, P = sum_j beta_j sum_{t<=j}
     lambda_t. With ga None only the delta block, and no kappa pass."""
-    o, y = lags.orders, lags.y
-    beta, h0 = delta[o.r + 1 :], delta[0] / omb
+    beta, h0 = delta[orders.r + 1 :], delta[0] / omb
     lam = _reversed_iir(gb, beta)
-    head = [lam[:j].sum() for j in range(1, o.s + 1)]
-    pre = float(beta @ head) if o.s > 0 else 0.0
+    head = [lam[:j].sum() for j in range(1, orders.s + 1)]
+    pre = float(beta @ head) if orders.s > 0 else 0.0
     delta_grad = np.empty(delta.size)
     delta_grad[0] = lam.sum() + pre / omb
-    for i in range(1, o.r + 1):
+    for i in range(1, orders.r + 1):
         delta_grad[i] = lam[i:] @ e2[:-i]
-    for j in range(1, o.s + 1):
-        delta_grad[o.r + j] = lam[j:] @ h[:-j] + h0 * head[j - 1] + pre * delta[0] / omb**2
+    for j in range(1, orders.s + 1):
+        delta_grad[orders.r + j] = lam[j:] @ h[:-j] + h0 * head[j - 1] + pre * delta[0] / omb**2
     if ga is None:
         return delta_grad
-    if o.r > 0:
+    if orders.r > 0:
         ahead = np.zeros(y.size)
-        for i in range(1, o.r + 1):
+        for i in range(1, orders.r + 1):
             ahead[:-i] += delta[i] * lam[i:]
         ga = ga + 2.0 * eps * ahead
-    kappa = _reversed_iir(ga, -gamma[o.p + 1 :])
+    kappa = _reversed_iir(ga, -gamma[orders.p + 1 :])
     gamma_grad = np.empty(gamma.size)
     gamma_grad[0] = -kappa.sum()
-    for i in range(1, o.p + 1):
+    for i in range(1, orders.p + 1):
         gamma_grad[i] = -(kappa[i:] @ y[:-i])
-    for j in range(1, o.q + 1):
-        gamma_grad[o.p + j] = -(kappa[j:] @ eps[:-j])
+    for j in range(1, orders.q + 1):
+        gamma_grad[orders.p + j] = -(kappa[j:] @ eps[:-j])
     return np.concatenate((gamma_grad, delta_grad))
 
 
-def eps_gamma_derivs(lags, gamma, eps):
+def eps_gamma_derivs(orders, y, gamma, eps):
     """d eps_t / d gamma, the n x (p+q+1) gamma block of filter_series' deps,
     for eps the residuals at gamma. Each column runs the MA recursion that
     eps itself runs, forced by -1 (mu), -y_{t-i} (phi_i) or -eps_{t-j} (psi_j).
     """
-    o, y = lags.orders, lags.y
     forcings = [np.full(y.size, -1.0)]
-    forcings += [-_shift(y, i) for i in range(1, o.p + 1)]
-    forcings += [-_shift(eps, j) for j in range(1, o.q + 1)]
-    return np.column_stack([_iir(f, -gamma[o.p + 1 :], 0.0) for f in forcings])
+    forcings += [-_shift(y, i) for i in range(1, orders.p + 1)]
+    forcings += [-_shift(eps, j) for j in range(1, orders.q + 1)]
+    return np.column_stack([_iir(f, -gamma[orders.p + 1 :], 0.0) for f in forcings])
 
 
 def _eps_h(theta, y):
     """Residual and volatility recursions at theta, unchecked."""
-    lags = LagTable(theta.orders, y)
-    eps = residuals(lags, theta.gamma)
-    return eps, volatility(lags, eps * eps, theta.delta, 1.0 - theta.beta.sum())
+    eps = residuals(theta.orders, y, theta.gamma)
+    return eps, volatility(theta.orders, eps * eps, theta.delta, 1.0 - theta.beta.sum())
 
 
 def checked_eps_h(theta, data):
@@ -451,7 +439,7 @@ def filter_series(theta, data):
     k, beta = o.p + o.q + 1, theta.beta
     omb = 1.0 - beta.sum()
     deps, dh = np.zeros((n, o.m)), np.zeros((n, o.m))
-    deps[:, :k] = eps_gamma_derivs(LagTable(o, y), theta.gamma, eps)
+    deps[:, :k] = eps_gamma_derivs(o, y, theta.gamma, eps)
     # the gamma block feeds h through ARCH: f_t = sum_i 2 alpha_i eps_{t-i} deps_{t-i}
     for j in range(k if o.r > 0 else 0):
         cross, f = eps * deps[:, j], np.zeros(n)
@@ -470,8 +458,8 @@ def filter_series(theta, data):
 def filter_vjp(theta, y, eps, h, ga, gb):
     """ga @ deps + gb @ dh of filter_series(theta, y) (eps, h its outputs),
     by one backward pass per recursion instead of the n x m Jacobian."""
-    lags, omb = LagTable(theta.orders, y), 1.0 - theta.beta.sum()
-    return adjoint(lags, eps, eps * eps, h, theta.gamma, theta.delta, omb, ga, gb)
+    omb = 1.0 - theta.beta.sum()
+    return adjoint(theta.orders, y, eps, eps * eps, h, theta.gamma, theta.delta, omb, ga, gb)
 
 
 def _check_finite(v, name, limit=np.finfo(float).max):

@@ -16,7 +16,7 @@ from qmele import (
     simulate_with_innovations,
 )
 
-from qmele.model import LagTable, _iir, eps_gamma_derivs
+from qmele.model import _iir, eps_gamma_derivs
 
 from conftest import AR1_GARCH11, make_theta
 
@@ -305,4 +305,4 @@ def test_gamma_derivatives_are_the_mean_block_of_filter_series(order_tuple):
     y = simulate(theta, InnovationDist("laplace"), 300, seed=21).values
     out = filter_series(theta, y)
     k = orders.p + orders.q + 1
-    assert np.array_equal(eps_gamma_derivs(LagTable(orders, y), theta.gamma, out.eps), out.deps[:, :k])
+    assert np.array_equal(eps_gamma_derivs(orders, y, theta.gamma, out.eps), out.deps[:, :k])
