@@ -1,11 +1,11 @@
 """Print one sha256 over a fixed set of qmele outputs.
 
 Covers 40 self-weighted fits (5 designs x 4 seeded paths x both criteria;
-the last design has two lags in the AR, ARCH and GARCH parts),
-two one-step updates per fit (kernel g0 from the config, and g0 = 0.5
-passed in), the public score, information, covariance and objective
-functions at the true parameters, and a 3-replication run_scenario with all
-four estimators. Every float is hashed by its bytes, and every raised
+the last design has two lags in the AR, ARCH and GARCH parts) with their
+status and kink-finish certificate, two one-step updates per fit (kernel
+g0 from the config, and g0 = 0.5 passed in), the public score,
+information, covariance and objective functions at the true parameters,
+and a 3-replication run_scenario with all four estimators. Every float is hashed by its bytes, and every raised
 exception by its type and message, so two trees print the same digest only
 if they compute the same numbers bit for bit on the same machine.
 
@@ -76,7 +76,13 @@ class Digest:
         if isinstance(result, FitResult):
             self.add(result.estimator_kind, result.theta_hat.theta, result.objective_value,
                      result.covariance, result.std_errors, result.g0, result.eta2, result.converged,
-                     result.iterations, result.nfev, result.starts, result.shrink_count)
+                     result.iterations, result.nfev, result.starts, result.shrink_count,
+                     result.status)
+            cert = result.certificate
+            if cert is None:
+                self.add("no certificate")
+            else:
+                self.add(repr(cert.active), cert.max_s, cert.kkt, cert.pivots, cert.certified)
         else:
             self.add(result)
         return result
