@@ -78,7 +78,7 @@ _MU_FALLBACK = ((1e-5, _TIGHT), (1e-6, _TIGHT), (1e-7, _TIGHT), (1e-7, {}))
 # eps_A(gamma) = target with an MA part, and the largest smooth gradient that
 # still counts as a KKT point (a gradient g left costs at most g^2 / 2c in
 # the criterion, c its curvature, far below the 1e-9 the fit is held to)
-MAX_PIVOTS = 3
+MAX_PIVOTS = 10
 NEWTON_STEPS = 8
 KKT_TOL = 1e-6
 

@@ -685,6 +685,18 @@ def test_exponential_fit_certifies_an_edge_minimizer():
     assert polished >= fit.objective_value - 1e-9
 
 
+def test_exponential_fit_certifies_after_more_than_three_pivots():
+    # the first active set has max|s| ~ 1e3; three swaps do not reach a
+    # certified end, six do
+    data = simulate(make_theta(THETA_IGARCH), LAPLACE, 1000, burn_in=500, seed=20260614)
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5), seed=20260614))
+    assert fit.converged
+    assert fit.certificate.certified and fit.certificate.pivots > 3
+    value, polished = nelder_mead_polish(fit, data, AR1_GARCH11)
+    assert fit.objective_value == value
+    assert polished >= fit.objective_value - 1e-9
+
+
 # orders up to (1,1,1,2), largest first so that examples shrink towards it
 ORDERS_UP_TO_1112 = sorted(
     [(p, q, r, s) for p in (0, 1) for q in (0, 1) for r in (0, 1) for s in range(3) if r or not s],
