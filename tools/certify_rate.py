@@ -8,8 +8,8 @@ two perfbench workloads and fits each with the exponential criterion:
 - mc_arma_normal: 8 replications of ARMA(1,1)-GARCH(1,1) with normal
   innovations, n = 1000, restarts = 1, in two mc-table calls of 4.
 
-Per design it prints the fits, how many certified, how many ended on an
-edge (p+q kinks), how many took any active-set pivot, how many ran the
+Per design it prints the fits, how many certified, how many certified on
+an edge (p+q kinks), how many took any active-set pivot, how many ran the
 fallback stages (no certified first descent) and how many ran restarts,
 and each uncertified fit as benchmark seed:simulation seed. --records
 writes one JSON line per fit, to compare two trees fit by fit.
@@ -39,6 +39,8 @@ from qmele import (
 LAPLACE = InnovationDist("laplace", "abs_mean_one")
 NORMAL = InnovationDist("normal", "var_one")
 AR1_GARCH11, ARMA11_GARCH11 = ModelOrders(1, 0, 1, 1), ModelOrders(1, 1, 1, 1)
+THETA_FINITE, THETA_IGARCH = (0.0, 0.5, 0.1, 0.18, 0.4), (0.0, 0.5, 0.1, 0.3, 0.4)
+THETA_ARMA = (0.0, 0.5, 0.3, 0.1, 0.18, 0.4)
 N_OBS = 1000
 
 
@@ -52,8 +54,8 @@ def quota_fits(seed):
     """(design, orders, theta, innovations, simulation seed, FitConfig) of
     one benchmark seed's quota fits, as perfbench's workloads run them."""
     finite, igarch = derived_seeds(seed, "mc_laplace", 2)
-    for name, theta, base in (("laplace_finite", (0.0, 0.5, 0.1, 0.18, 0.4), finite),
-                              ("laplace_igarch", (0.0, 0.5, 0.1, 0.3, 0.4), igarch)):
+    for name, theta, base in (("laplace_finite", THETA_FINITE, finite),
+                              ("laplace_igarch", THETA_IGARCH, igarch)):
         for rep in range(8):
             config = FitConfig(g0_mode=G0Mode.known(0.5), seed=base + rep)
             yield name, AR1_GARCH11, theta, LAPLACE, base + rep, config
@@ -61,8 +63,7 @@ def quota_fits(seed):
     for call in range(2):
         config = FitConfig(optimizer=OptimizerConfig(restarts=1), seed=base + 4 * call)
         for rep in range(4):
-            theta = (0.0, 0.5, 0.3, 0.1, 0.18, 0.4)
-            yield "arma11_normal", ARMA11_GARCH11, theta, NORMAL, base + 4 * call + rep, config
+            yield "arma11_normal", ARMA11_GARCH11, THETA_ARMA, NORMAL, base + 4 * call + rep, config
 
 
 def main(argv=None):
@@ -71,8 +72,7 @@ def main(argv=None):
     parser.add_argument("stop", type=int, help="benchmark seed to stop before")
     parser.add_argument("--records", help="write one JSON line per fit to this file")
     args = parser.parse_args(argv)
-    counts, uncertified = {}, {}
-    sink = open(args.records, "w", encoding="utf-8") if args.records else None
+    counts, uncertified, records = {}, {}, []
     for seed in range(args.start, args.stop):
         for name, orders, theta, dist, sim_seed, config in quota_fits(seed):
             truth = ParamVector.from_theta(orders, np.asarray(theta))
@@ -91,15 +91,15 @@ def main(argv=None):
             ]
             if not certified:
                 uncertified.setdefault(name, []).append(f"{seed}:{sim_seed}")
-            if sink:
-                sink.write(json.dumps({
-                    "design": name, "seed": seed, "sim_seed": sim_seed,
-                    "objective": fit.objective_value, "nfev": fit.nfev, "starts": fit.starts,
-                    "certified": certified, "pivots": None if cert is None else cert.pivots,
-                    "max_s": None if cert is None else cert.max_s,
-                }) + "\n")
-    if sink:
-        sink.close()
+            records.append({
+                "design": name, "seed": seed, "sim_seed": sim_seed,
+                "objective": fit.objective_value, "nfev": fit.nfev, "starts": fit.starts,
+                "certified": certified, "pivots": None if cert is None else cert.pivots,
+                "max_s": None if cert is None else cert.max_s,
+            })
+    if args.records:
+        with open(args.records, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
     print(f"{'design':<16}{'fits':>6}{'certified':>11}{'edge':>6}{'pivoted':>9}"
           f"{'fallback':>10}{'restarts':>10}")
     for name, row in counts.items():
