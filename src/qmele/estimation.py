@@ -15,11 +15,12 @@ theta without a ParamVector, one residual and one volatility pass, the
 loss and score factors (a_t, b_t) from one eta, sqrt(h) and eps^2, and the
 score sum_t w_t (a_t deps_t + b_t dh_t) from the adjoint passes that
 model.filter_vjp runs, with no n x m derivatives. Its held-gamma mode,
-for the kink finish's fits over delta alone, keeps eps for the held gamma
-and runs only the volatility pass, the loss, b_t and the lambda pass. The exponential fit descends three smoothed
-criteria, then finishes on the kink manifold and certifies its end
-(fit_self_weighted). The "local" estimator takes a single Newton-type step
-from the self-weighted fit,
+for fits over delta alone at a vertex, keeps eps for the held gamma and
+runs only the volatility pass, the loss, b_t and the lambda pass. The
+exponential fit descends three smoothed criteria; then every fit finishes
+on a face {eps_t = 0, t in A} of its criterion, A empty for the gaussian
+one, and certifies its end (fit_self_weighted). The "local" estimator
+takes a single Newton-type step from the self-weighted fit,
 
     theta_1 = theta_0 - [2 Sigma*(theta_0)]^{-1} T*(theta_0),
 
@@ -27,6 +28,7 @@ with T* and Sigma* evaluated without weights (local_qmele_step). Both
 report sandwich standard errors (1/4) Sigma^-1 Omega Sigma^-1 / n, built
 by one _sandwich from one filter_series pass at the reported estimate.
 """
+import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -64,20 +66,16 @@ ESTIMATOR_KINDS = (SW_QMELE, LOCAL_QMELE, SW_QMLE, LOCAL_QMLE)
 ETA2_FLOOR = 1.0 + 1e-6
 COND_LIMIT = 1e12
 MAX_STEP_HALVINGS = 30
-# (mu, L-BFGS-B tolerances) of the exponential fit's stages. Three stages at
-# the default tolerances bring the fit near its kinks, where the kink finish
-# takes over. The default stop divides the reduction by max(|f|, 1),
-# loose for a criterion below 1, so if the finish does not certify its end,
-# the fallback stages tighten it; their last repeats mu = 1e-7 at the defaults
-# and decides `converged`, as a tight stage can end in an abnormal line search.
-# The gaussian fit runs one tight and one default stage for the same reasons.
+# (mu, L-BFGS-B tolerances) of the exponential fit's smoothed stages: three
+# at the default tolerances bring the fit near its kinks, where the face
+# finish takes over. Every face run is tight, since the default stop divides
+# the reduction by max(|f|, 1), loose for a criterion below 1.
 _TIGHT = {"ftol": 1e-15, "gtol": 1e-12}
 _MU_LADDER = ((1e-2, {}), (1e-3, {}), (1e-4, {}))
-_MU_FALLBACK = ((1e-5, _TIGHT), (1e-6, _TIGHT), (1e-7, _TIGHT), (1e-7, {}))
-# the kink finish: active-set changes before the fallback, Newton steps on
-# eps_A(gamma) = target with an MA part, and the largest smooth gradient that
-# still counts as a KKT point (a gradient g left costs at most g^2 / 2c in
-# the criterion, c its curvature, far below the 1e-9 the fit is held to)
+# the face finish: active-set moves, Newton steps onto eps_A(gamma) = 0
+# with an MA part, and the largest smooth gradient that still counts as a
+# KKT point (a gradient g left costs at most g^2 / 2c in the criterion, c
+# its curvature, far below the 1e-9 the fit is held to)
 MAX_PIVOTS = 10
 NEWTON_STEPS = 8
 KKT_TOL = 1e-6
@@ -139,17 +137,18 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Optimality certificate of an exponential fit's kink finish.
+    """Optimality certificate of a fit's face finish.
 
     active lists the observations (0-based t) held at eps_t = 0: p+q+1 at a
-    vertex, p+q on an edge. Their kink multipliers s solve
-    J_A' (w_A s_A / sqrt(h_A)) = -n g_gamma, by least squares on an edge,
-    with J_A the rows d eps_t/d gamma on A and g_gamma the criterion's
-    gamma-gradient with sign(eta_t) = 0 on A. kkt is the largest smooth
-    gradient left: the delta block's projected gradient and that least
-    squares residual / n. pivots counts the active-set changes taken.
-    certified iff max|s| <= 1 and kkt <= KKT_TOL: then theta_hat is
-    Clarke-stationary.
+    vertex, fewer on a larger face, none for the gaussian criterion. Their
+    kink multipliers s solve J_A' (w_A s_A / sqrt(h_A)) = -n g_gamma, by
+    least squares below a vertex, with J_A the rows d eps_t/d gamma on A
+    and g_gamma the criterion's gamma-gradient with sign(eta_t) = 0 on A.
+    kkt is the largest smooth gradient left: the delta block's projected
+    gradient and that least squares residual / n. pivots counts the
+    active-set moves taken. certified iff max|s| <= 1 and kkt <= KKT_TOL:
+    then theta_hat is Clarke-stationary (a KKT point in the box when A is
+    empty).
     """
 
     active: tuple
@@ -171,8 +170,8 @@ class FitResult:
     the iterations and criterion evaluations over all optimizer runs, starts
     the descents run. status says why the covariance is NaN: "ok",
     "not_converged", "singular_information", "domain" or "overflow".
-    certificate is the exponential fit's last kink-finish certificate
-    (None for the gaussian criterion, or if no finish got as far).
+    certificate is the self-weighted fit's last face-finish certificate
+    (None for a one-step update, or if no finish got as far).
     """
 
     theta_hat: ParamVector
@@ -233,16 +232,15 @@ class Criterion:
     (a_t is None unless with_a). sigma(w, h, g0) and
     omega(w, h, eta2, eta_sq_dev) give the per-observation scales of the
     deps and dh cross products in Sigma and Omega, where eta_sq_dev is the
-    plug-in for E(1 - eta^2)^2. ladder lists the fit's (mu, L-BFGS-B
-    tolerances) stages; a criterion with kinks then tries the kink finish
-    and runs the fallback stages only if that does not certify its end.
+    plug-in for E(1 - eta^2)^2. ladder lists the (mu, L-BFGS-B tolerances)
+    stages on the smoothed criterion before the face finish: none for a
+    smooth criterion, whose finish starts with no kinks rather than at a
+    vertex (p+q+1 kinks).
     """
 
     sw_kind: str
     local_kind: str
     ladder: tuple
-    kinks: bool
-    fallback: tuple
     terms: Callable
     sigma: Callable
     omega: Callable
@@ -252,8 +250,6 @@ QMELE = Criterion(
     sw_kind=SW_QMELE,
     local_kind=LOCAL_QMELE,
     ladder=_MU_LADDER,
-    kinks=True,
-    fallback=_MU_FALLBACK,
     terms=_exponential_terms,
     sigma=lambda w, h, g0: (g0 * w / h, w / (8.0 * h**2)),
     omega=lambda w, h, eta2, eta_sq_dev: (w * w / h, 0.25 * (eta2 - 1.0) * w * w / h**2),
@@ -261,9 +257,7 @@ QMELE = Criterion(
 QMLE = Criterion(
     sw_kind=SW_QMLE,
     local_kind=LOCAL_QMLE,
-    ladder=((0.0, _TIGHT), (0.0, {})),
-    kinks=False,
-    fallback=(),
+    ladder=(),
     terms=_gaussian_terms,
     sigma=lambda w, h, g0: (w / h, w / (2.0 * h**2)),
     omega=lambda w, h, eta2, eta_sq_dev: (4.0 * eta2 * w * w / h, eta_sq_dev * w * w / h**2),
@@ -578,18 +572,18 @@ def _lbfgsb(fun, x0, box, opt, runs, tolerances, args=()):
     return run
 
 
-def _kink_gamma(ev, gamma, active, target):
-    """(gamma, J_A) with eps_t(gamma) = target_t for t in active, by Newton
-    steps from gamma, and J_A the rows d eps_t/d gamma of the last step: one
-    linear solve for a pure AR mean, where eps is linear in gamma. None
-    where J_A is singular, the steps leave the finite range or they do not
-    settle within NEWTON_STEPS."""
+def _kink_gamma(ev, gamma, active, basis, z):
+    """(gamma, M) with eps_t(gamma) = 0 on A and basis' gamma = z by Newton
+    steps from gamma, and M = [J_A; basis'] at the last step, J_A the rows
+    d eps_t/d gamma on A: one linear solve for a pure AR mean, where eps is
+    linear in gamma. None where M is singular, the steps leave the finite
+    range or they do not settle within NEWTON_STEPS."""
     for _ in range(NEWTON_STEPS):
         with np.errstate(over="ignore", invalid="ignore"):
             eps = residuals(ev.orders, ev.y, gamma)
-            jac = eps_gamma_derivs(ev.orders, ev.y, gamma, eps)[active]
+            jac = np.vstack([eps_gamma_derivs(ev.orders, ev.y, gamma, eps)[active], basis.T])
         try:
-            step = np.linalg.solve(jac, eps[active] - target)
+            step = np.linalg.solve(jac, np.r_[eps[active], basis.T @ gamma - z])
         except np.linalg.LinAlgError:
             return None
         gamma = gamma - step
@@ -601,23 +595,26 @@ def _kink_gamma(ev, gamma, active, target):
 
 
 def _certify(ev, theta, active, box, pivots):
-    """Certificate of theta on the kinks {eps_t = 0, t in active}, from the
-    fit's evaluator with sign(eta_t) = 0 on them and the gamma-derivative
-    recursion, and, at a vertex whose largest |s_t| exceeds 1, the swap
-    (position l in active, entering t, reach, sign(s_l)), else None.
+    """Certificate of theta on the face {eps_t = 0, t in active}, from the
+    fit's evaluator with sign(eta_t) = 0 on A and the gamma-derivative
+    recursion, and, for a criterion with kinks, the move that an end which
+    does not certify calls for: (next active set, gamma to start from).
 
     s solves J_A' (w_A s_A / sqrt(h_A)) = -n g_gamma by least squares, which
-    is exact at a vertex; on an edge (p+q kinks) the residual is the
-    gamma-gradient along the edge and counts in kkt with the delta block's
-    projected gradient.
-
-    The swap is a Barrodale-Roberts step. Along the edge that keeps the
-    other kinks at 0 and moves eps_l by sign(s_l) tau, the criterion falls
-    at rate (1 - |s_l|) w_l / sqrt(h_l), and each residual that crosses 0
-    raises that rate by 2 w_t |d eps_t/d tau| / sqrt(h_t); the entering kink
-    is the crossing where the rate turns nonnegative, at tau = reach.
+    is exact at a vertex (p+q+1 kinks); below it the residual, the
+    gamma-gradient along the face, counts in kkt with the delta block's
+    projected gradient. An end below a vertex with max|s| <= 1 or that
+    residual above KKT_TOL stopped on a kink off A: the residual nearest 0
+    is added to A. Otherwise the kink l with the largest |s_l| > 1 is freed
+    along d (J_A d = sign(s_l) e_l, least norm), where the criterion falls
+    at rate (1 - |s_l|) w_l / sqrt(h_l) and each residual crossing 0 adds
+    2 w_t |d eps_t/d tau| / sqrt(h_t). Bisection finds the first crossing
+    with the exact rate (delta held) nonnegative just after it, at most the
+    Barrodale-Roberts one where the linear rate does. If the rate turns
+    positive before any crossing, l is dropped and the next face starts
+    halfway to it; otherwise that crossing is swapped in for l.
     """
-    k, w = theta.gamma.size, ev.w
+    k, w = ev.k, ev.w
     eps, h = _eps_h(theta, ev.y)
     grad = ev(theta.theta, kinks=active)[1]
     jac = eps_gamma_derivs(ev.orders, ev.y, theta.gamma, eps)
@@ -629,18 +626,18 @@ def _certify(ev, theta, active, box, pivots):
     left = np.abs(lhs @ s / w.size + grad[:k]).max()
     kkt = float(max(left, np.abs(projected - delta).max()))
     max_s = float(np.abs(s).max(initial=0.0))
-    cert = Certificate(
-        active=tuple(int(t) for t in active),
-        max_s=max_s,
-        kkt=kkt,
-        pivots=pivots,
-        certified=bool(max_s <= 1.0 and kkt <= KKT_TOL),
-    )
-    if len(active) < k or max_s <= 1.0:
+    certified = bool(max_s <= 1.0 and kkt <= KKT_TOL)
+    cert = Certificate(tuple(int(t) for t in active), max_s, kkt, pivots, certified)
+    if certified or not ev.crit.ladder or len(active) == k and max_s <= 1.0:
         return cert, None
+    if len(active) < k and (max_s <= 1.0 or left > KKT_TOL):
+        near = np.abs(eps / np.sqrt(h))
+        near[active] = np.inf
+        return cert, (np.r_[active, np.argmin(near)], theta.gamma)
     leave = int(np.argmax(np.abs(s)))
-    sign = float(np.sign(s[leave]))
-    rate = jac @ np.linalg.solve(jac[active], sign * np.eye(k)[leave])
+    unit = np.sign(s[leave]) * np.eye(len(active))[leave]
+    direction = np.linalg.lstsq(jac[active], unit, rcond=None)[0]
+    rate = jac @ direction
     rate[active] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = -eps / rate
@@ -648,97 +645,108 @@ def _certify(ev, theta, active, box, pivots):
     if crossing.size == 0:
         return cert, None
     crossing = crossing[np.argsort(tau[crossing], kind="stable")]
-    slope = c[active[leave]] * (1.0 - max_s) + np.cumsum(2.0 * c[crossing] * np.abs(rate[crossing]))
-    enter = crossing[min(int(np.searchsorted(slope, 0.0)), crossing.size - 1)]
-    return cert, (leave, int(enter), float(tau[enter]), sign)
+    jump, rest = 2.0 * c[crossing] * np.abs(rate[crossing]), np.delete(active, leave)
+
+    def probe(j):
+        """(gamma at crossing j along d, n times the rate just before it)"""
+        gamma = theta.gamma + tau[crossing[j]] * direction
+        grad = ev(np.r_[gamma, delta], kinks=np.r_[rest, crossing[j]])[1]
+        return gamma, w.size * grad[:k] @ direction - 0.5 * jump[j]
+
+    linear = c[active[leave]] * (1.0 - max_s) + np.cumsum(jump)
+    last = min(int(np.searchsorted(linear, 0.0)), crossing.size - 1)
+    lo = bisect.bisect_left(range(last), True, key=lambda j: not probe(j)[1] + jump[j] < 0.0)
+    reached, before = probe(lo)
+    if lo == 0 and before > 0.0:
+        return cert, (rest, 0.5 * (theta.gamma + reached))
+    return cert, (np.r_[rest, crossing[lo]], reached)
 
 
-def _kink_finish(ev, x, box, opt, runs):
-    """Jump from a ladder end x to the kink vertex it approaches and certify it.
+def _face_fit(ev, theta, active, box, opt, runs):
+    """One tight L-BFGS-B run on the face {eps_t = 0, t in active} from
+    theta: (theta, value, success) at its end, None where no gamma near
+    theta.gamma solves eps_A = 0.
 
-    A starts as the p+q+1 observations with the smallest |eta_t| at x; gamma
-    solves eps_t = 0 on A, one tight L-BFGS-B run fits delta alone, where the
-    criterion is smooth, and _certify checks the end. While max|s_t| > 1,
-    _certify's swap replaces the kink with the largest |s_t|; where no gamma
-    solves eps_t = 0 on A, the kink with the largest |eta_t| at x gives way
-    to the next-smallest. At most MAX_PIVOTS swaps are taken. A swap back to
-    an active set already tried means the minimizer lies on the edge between
-    two vertices, which _edge_finish fits. Returns (theta, fun, certificate);
-    theta is None unless certified, and certificate is the last one made
-    (None if none).
+    With no kinks the run is over theta itself, and at a vertex (p+q+1
+    kinks) over delta alone with gamma held at the vertex. In between,
+    z = N' gamma gives coordinates on the face, N orthonormal columns
+    spanning the null space of J_A at theta: gamma(z) solves eps_A = 0,
+    N' gamma = z by Newton steps from theta.gamma, and the run is
+    over (z, delta), its z-gradient the rows of M^-T g_gamma on N, with
+    M = [J_A; N'] and g_gamma taken with sign(eta_t) = 0 on A.
     """
     orders, k = ev.orders, ev.k
-    theta = ParamVector.from_theta(orders, x)
+    m = k - len(active)
+    if m == k:
+        run = _lbfgsb(ev, theta.theta, box, opt, runs, _TIGHT)
+        return ParamVector.from_theta(orders, run.x), run.fun, run.success
+    basis = np.empty((k, 0))
+    if m:
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = eps_gamma_derivs(orders, ev.y, theta.gamma, residuals(orders, ev.y, theta.gamma))
+        basis = np.linalg.svd(jac[active])[2][len(active) :].T
+
+    def on_face(z):
+        return _kink_gamma(ev, theta.gamma, active, basis, z)
+
+    def value_and_gradient(x):
+        solved = on_face(x[:m])
+        if solved is None:
+            return np.nan, np.zeros(x.size)
+        value, grad = ev(np.r_[solved[0], x[m:]], kinks=active)
+        return value, np.r_[np.linalg.solve(solved[1].T, grad[:k])[k - m :], grad[k:]]
+
+    solved = on_face(basis.T @ theta.gamma)
+    if solved is None:
+        return None
+    fun = value_and_gradient if m else ev.held(solved[0])
+    start = np.r_[basis.T @ solved[0], theta.delta]
+    run = _lbfgsb(fun, start, np.c_[box[:, :m], box[:, k:]], opt, runs, _TIGHT)
+    solved = on_face(run.x[:m]) if m else solved
+    if solved is None:
+        return None
+    end = ParamVector(orders, solved[0], run.x[m:])
+    return end, ev(end.theta)[0], run.success
+
+
+def _face_finish(ev, x, success, box, opt, runs):
+    """(x, value, converged, certificate) of the face finish from the last
+    smoothed stage's end x and its run's success (the initializer and False
+    for a criterion without stages).
+
+    A starts as the p+q+1 smallest |eta_t| at x, a vertex, for a criterion
+    with kinks, and empty otherwise. Each face is fitted and its end
+    certified, and A moves as the certificate says, at most MAX_PIVOTS
+    times; where no finite end solves eps_A = 0, the kink with the largest
+    |eta_t| at x leaves A. Without a certified end, the lowest of the face
+    ends and x is kept, converged if its run succeeded with a finite value,
+    with the last certificate made (None if none).
+    """
+    best, cert = (x, ev(x)[0], bool(success)), None
+    if not np.isfinite(best[1]):
+        return x, best[1], False, cert
+    theta = ParamVector.from_theta(ev.orders, x)
     eps, h = _eps_h(theta, ev.y)
     abs_eta = np.abs(eps / np.sqrt(h))
-    order = np.argsort(abs_eta, kind="stable")
-    active, entering = order[:k].copy(), iter(order[k:])
-    visited = set()
-    cert = None
+    active = np.argsort(abs_eta, kind="stable")[: ev.k if ev.crit.ladder else 0]
     for pivots in range(MAX_PIVOTS + 1):
-        visited.add(frozenset(active.tolist()))
-        solved = _kink_gamma(ev, theta.gamma, active, 0.0)
-        if solved is None:
-            swap = int(np.argmax(abs_eta[active])), next(int(t) for t in entering if t not in active)
-        else:
-            run = _lbfgsb(ev.held(solved[0]), theta.delta, box[:, k:], opt, runs, _TIGHT)
-            if not np.isfinite(run.fun):
+        face = _face_fit(ev, theta, active, box, opt, runs)
+        if face is None or not np.isfinite(face[1]):
+            if not active.size:
                 break
-            theta = ParamVector(orders, solved[0], run.x)
-            cert, swap = _certify(ev, theta, active, box, pivots)
-            if cert.certified:
-                return theta, float(run.fun), cert
-            if swap is None:
-                break  # delta is not at a KKT point, or no kink to swap in
-        swapped = active.copy()
-        swapped[swap[0]] = swap[1]
-        if frozenset(swapped.tolist()) in visited:
-            if solved is None:
-                break
-            return _edge_finish(ev, theta, box, opt, runs, active, swap, pivots + 1)
-        active = swapped
-    return None, np.nan, cert
-
-
-def _edge_finish(ev, theta, box, opt, runs, active, swap, pivots):
-    """Fit on the edge {eps_t = 0 for t in active but the swap's leaving
-    kink l} from the vertex theta towards the swap's crossing.
-
-    With eps_l = sign * tau, gamma(tau) solves the kink equations, and one
-    tight L-BFGS-B run over (tau, delta), 0 <= tau <= reach, started
-    halfway, minimizes the criterion, smooth there; the tau-derivative is
-    g_gamma . d gamma/d tau with J_A d gamma/d tau = sign e_l. Returns
-    _kink_finish's (theta, fun, certificate) for the edge's p+q kinks.
-    """
-    orders, k = theta.orders, ev.k
-    leave, _, reach, sign = swap
-    unit = sign * np.eye(k)[leave]
-    last = theta.gamma  # the Newton steps start where the last evaluation ended
-
-    def on_edge(tau):
-        nonlocal last
-        solved = _kink_gamma(ev, last, active, tau * unit)
-        if solved is not None:
-            last = solved[0]
-        return solved
-
-    def value_and_gradient(z):
-        solved = on_edge(z[0])
-        if solved is None:
-            return np.nan, np.zeros(z.size)
-        value, grad = ev(np.concatenate([solved[0], z[1:]]))
-        return value, np.concatenate([[grad[:k] @ np.linalg.solve(solved[1], unit)], grad[k:]])
-
-    edge_box = np.c_[[0.0, reach], box[:, k:]]
-    run = _lbfgsb(value_and_gradient, np.r_[0.5 * reach, theta.delta], edge_box, opt, runs, _TIGHT)
-    solved = on_edge(run.x[0]) if np.isfinite(run.fun) else None
-    if solved is None:
-        return None, np.nan, None
-    edge = ParamVector(orders, solved[0], run.x[1:])
-    cert, _ = _certify(ev, edge, np.delete(active, leave), box, pivots)
-    if cert.certified:
-        return edge, ev(edge.theta)[0], cert
-    return None, np.nan, cert
+            active = np.delete(active, np.argmax(abs_eta[active]))
+            continue
+        theta, value, success = face
+        if value < best[1]:
+            best = theta.theta, value, success
+        cert, move = _certify(ev, theta, active, box, pivots)
+        if cert.certified:
+            return theta.theta, value, True, cert
+        if move is None:
+            break
+        active, gamma = move
+        theta = ParamVector(ev.orders, gamma, theta.delta)
+    return *best, cert
 
 
 def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
@@ -747,24 +755,22 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     Descends by L-BFGS-B on the exact weighted score from a moment-based
     initializer, in theta under the parameter box of _box, which reaches
     the faces alpha_i = 0 and beta_j = 0. The exponential criterion's
-    minimizer sits on |eps| kinks, at a vertex where p+q+1 residuals are
-    zero or on an edge with p+q, so its descent runs three stages on the
-    smoothed criterion (|eta| -> sqrt(eta^2 + mu^2), mu = 1e-2, 1e-3,
-    1e-4), each started where the previous one ended, and then the kink
-    finish (_kink_finish): gamma solves eps_t = 0 on the p+q+1 smallest
-    |eta_t|, delta is fitted alone, and a certificate checks that the end
-    is Clarke-stationary, with a few active-set swaps and an edge fit where
-    they cycle. If it does not certify, the fallback stages (mu = 1e-5 down
-    to 1e-7) continue from the third stage's end. Only if the descent neither certifies nor
-    ends its final stage successfully with a finite value are
+    minimizer sits on a face of its |eps| kinks, with 0 to p+q+1 residuals
+    zero, so its descent first runs three stages on the smoothed criterion
+    (|eta| -> sqrt(eta^2 + mu^2), mu = 1e-2, 1e-3, 1e-4), each started where
+    the previous one ended. The face finish (_face_finish) then fits faces
+    by tight L-BFGS-B runs, from the vertex of the p+q+1 smallest |eta_t|
+    (with no kinks from the initializer for the gaussian criterion), until
+    a certificate shows the end is Clarke-stationary. Only if the descent
+    neither certifies nor ends in a successful run with a finite value are
     `config.optimizer.restarts` seeded jittered starts descended too, and
     the best end is kept. The objective reported is the exact criterion,
     the fit's Evaluator at theta_hat (inf where that is not finite).
 
     Returns a FitResult; converged=False flags that the descent which
-    produced theta_hat was neither certified nor met its final stage's
-    termination tolerances (the point is still reported, with NaN
-    covariance). status records why the covariance is NaN.
+    produced theta_hat was neither certified nor ended in a successful run
+    (the point is still reported, with NaN covariance). status records why
+    the covariance is NaN.
     """
     if criterion not in CRITERIA:
         raise DomainError(f"unknown criterion {criterion!r}")
@@ -786,21 +792,13 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     runs = []
     ev = Evaluator(orders, data, w, crit)
 
-    def stages(start, ladder):
-        for mu, tolerances in ladder:
-            start = _lbfgsb(ev, start, box, opt, runs, tolerances, (mu,)).x
-        return runs[-1]
-
     def descend(start):
-        """(x, fun, converged, certificate) of one descent."""
-        end = stages(start, crit.ladder)
-        cert = None
-        if crit.kinks and np.isfinite(end.fun):
-            theta, fun, cert = _kink_finish(ev, end.x, box, opt, runs)
-            if theta is not None:
-                return theta.theta, fun, True, cert
-            end = stages(end.x, crit.fallback)
-        return end.x, end.fun, bool(end.success and np.isfinite(end.fun)), cert
+        """(x, value, converged, certificate) of one descent."""
+        success = False
+        for mu, tolerances in crit.ladder:
+            run = _lbfgsb(ev, start, box, opt, runs, tolerances, (mu,))
+            start, success = run.x, run.success
+        return _face_finish(ev, start, success, box, opt, runs)
 
     ends = [descend(x0)]
     if not ends[0][2]:

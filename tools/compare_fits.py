@@ -4,10 +4,11 @@ Fits the same seeded paths of six designs with both criteria in each tree,
 takes the one-step update from every converged fit, and prints per design
 and estimator how the tree differs from its parent: the largest objective
 rise, theta moves in units of the parent's standard errors (median and
-largest), the median criterion evaluations, the share of exponential fits
-that certified their vertex, the fits that are bit-identical, and the
-failing one-steps. Each tree runs in its own subprocess with
-PYTHONPATH=<tree>/src, so the two never share an import.
+largest), the median criterion evaluations, the share of fits that
+certified their end (a tree whose gaussian fits have no certificate shows
+"-" for them), the fits that are bit-identical, and the failing
+one-steps. Each tree runs in its own subprocess with PYTHONPATH=<tree>/src,
+so the two never share an import.
 
 Run from the root of a checkout:
 

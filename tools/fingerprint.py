@@ -2,7 +2,7 @@
 
 Covers 40 self-weighted fits (5 designs x 4 seeded paths x both criteria;
 the last design has two lags in the AR, ARCH and GARCH parts) with their
-status and kink-finish certificate, two one-step updates per fit (kernel
+status and face-finish certificate, two one-step updates per fit (kernel
 g0 from the config, and g0 = 0.5 passed in), the public score,
 information, covariance and objective functions at the true parameters,
 and a 3-replication run_scenario with all four estimators. Every float is hashed by its bytes, and every raised
