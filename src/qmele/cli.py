@@ -97,7 +97,7 @@ def _parse_theta(text, orders):
 def _dist_from_args(args):
     return InnovationDist(
         kind=args.dist,
-        standardization=args.standardization,
+        standardization=getattr(args, "standardization", "abs_mean_one"),
         epsilon=getattr(args, "epsilon", 0.0) or 0.0,
         tau=getattr(args, "tau", 1.0) or 1.0,
     )
@@ -265,13 +265,7 @@ def cmd_acf(args):
 
 
 def cmd_efficiency(args):
-    dist = InnovationDist(
-        kind=args.dist,
-        standardization="abs_mean_one",
-        epsilon=args.epsilon or 0.0,
-        tau=args.tau or 1.0,
-    )
-    rep = efficiency_compare(dist)
+    rep = efficiency_compare(_dist_from_args(args))
     lines = [
         f"kind        {args.dist}",
         f"kappa1      {reports.fmt(rep.kappa1)}",

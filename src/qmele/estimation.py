@@ -294,11 +294,12 @@ class Evaluator:
     """One fit's weighted criterion mean (mu-smoothed) as theta -> (value,
     exact gradient), built once per orders, series y, weights and criterion;
     (nan, 0) where theta breaks ParamVector.validate's constraints (sum(beta)
-    >= 1 is inside _box) or checked_eps_h would report overflow. NaN, not
-    inf: after an infinite trial value the L-BFGS-B line search can accept a
-    near-zero step and report convergence, while NaN ends the descent as a
-    failure, which the fit then handles. held(gamma) is the same map over
-    delta alone, the residual pass, a_t and the gamma adjoint skipped."""
+    >= 1 is inside _box), checked_eps_h would report overflow or the value is
+    not finite. NaN, not inf: after an infinite trial value the L-BFGS-B line
+    search can accept a near-zero step and report convergence, while NaN ends
+    the descent as a failure, which the fit then handles. held(gamma) is the
+    same map over delta alone, the residual pass, a_t and the gamma adjoint
+    skipped."""
 
     def __init__(self, orders, data, w, crit):
         self.orders, self.y = orders, as_series(data).values
@@ -317,7 +318,7 @@ class Evaluator:
 
     def _mean_pass(self, gamma):
         eps = residuals(self.orders, self.y, gamma)
-        return eps, eps * eps, bool(np.isfinite(eps).all())
+        return eps, eps * eps
 
     def _evaluate(self, gamma, delta, mu, mean, kinks=None):
         size = delta.size if mean else gamma.size + delta.size
@@ -325,18 +326,20 @@ class Evaluator:
             omb = check_coefficients(self.orders, gamma, delta)
         except DomainError:
             return np.nan, np.zeros(size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            eps, e2, eps_finite = mean or self._mean_pass(gamma)
-            h = volatility(self.orders, e2, delta, omb)
-        # h >= alpha0 > 0, so its max is above the limit or NaN iff any entry is
-        if not (eps_finite and h.max() <= H_OVERFLOW_LIMIT):
-            return np.nan, np.zeros(size)
         w = self.w
-        loss, a, b = self.crit.terms(eps, e2, h, mu, with_a=mean is None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps, e2 = mean or self._mean_pass(gamma)
+            h = volatility(self.orders, e2, delta, omb)
+            loss, a, b = self.crit.terms(eps, e2, h, mu, with_a=mean is None)
+            value = _weighted_mean(w, loss)
+        # h >= alpha0 > 0, so its max is above the limit or NaN iff any entry is;
+        # a non-finite eps, or an eps^2 overflowing under a finite h, gives a non-finite value
+        if not (math.isfinite(value) and h.max() <= H_OVERFLOW_LIMIT):
+            return np.nan, np.zeros(size)
         if kinks is not None:
             a[kinks] = 0.0
         grad = adjoint(self.orders, self.y, eps, e2, h, gamma, delta, omb, None if mean else w * a, w * b)
-        return _weighted_mean(w, loss), grad / w.size
+        return value, grad / w.size
 
 
 def qmele_objective(theta, data, weights):

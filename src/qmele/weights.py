@@ -231,6 +231,15 @@ def _garch11_coeffs(alpha, beta):
     return a1, b1
 
 
+def _mc_mean(f, a1, b1, dist, mc_draws, seed):
+    """Monte Carlo mean of f(a1 eta^2 + b1) over mc_draws seeded innovations, and its SE."""
+    if mc_draws < 1:
+        raise DomainError("mc_draws must be >= 1")
+    eta = dist.sample(np.random.default_rng(seed), mc_draws)
+    vals = f(a1 * eta * eta + b1)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(mc_draws)) if mc_draws > 1 else 0.0
+
+
 def strict_stationarity_check(alpha, beta, dist, mc_draws=DEFAULT_MC_DRAWS, seed=DEFAULT_MC_SEED):
     """Check the GARCH(1,1) strict-stationarity condition E log(a1 eta^2 + b1) < 0.
 
@@ -243,13 +252,7 @@ def strict_stationarity_check(alpha, beta, dist, mc_draws=DEFAULT_MC_DRAWS, seed
             raise DomainError("alpha1 = beta1 = 0 leaves no dynamics to check")
         est = float(np.log(b1))
         return StationarityDecision(est, 0.0, est < 0.0)
-    if mc_draws < 1:
-        raise DomainError("mc_draws must be >= 1")
-    rng = np.random.default_rng(seed)
-    eta = dist.sample(rng, mc_draws)
-    vals = np.log(a1 * eta * eta + b1)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(mc_draws)) if mc_draws > 1 else 0.0
+    est, se = _mc_mean(np.log, a1, b1, dist, mc_draws, seed)
     return StationarityDecision(est, se, est < 0.0)
 
 
@@ -268,11 +271,5 @@ def moment_condition_check(
     if a1 == 0.0:
         est = b1**iota
         return MomentDecision(float(est), 0.0, est < 1.0)
-    if mc_draws < 1:
-        raise DomainError("mc_draws must be >= 1")
-    rng = np.random.default_rng(seed)
-    eta = dist.sample(rng, mc_draws)
-    vals = (a1 * eta * eta + b1) ** iota
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(mc_draws)) if mc_draws > 1 else 0.0
+    est, se = _mc_mean(lambda x: x**iota, a1, b1, dist, mc_draws, seed)
     return MomentDecision(est, se, est + 3.0 * se < 1.0)

@@ -499,6 +499,13 @@ def test_fit_value_is_nan_where_the_filter_overflows():
         assert np.isnan(value)
         assert grad.shape == (x.size - k if held else x.size,)
         np.testing.assert_array_equal(grad, 0.0)
+    # eps^2 overflows while the constant h = alpha0 stays under H_OVERFLOW_LIMIT (r = s = 0)
+    y, x = np.random.default_rng(0).standard_normal(600), np.array([0.0, 0.5, 1.9, 0.0, 1.0])
+    for crit, mu in [(QMELE, 1e-2), (QMLE, 0.0), (QMLE, 1e-2)]:
+        evaluate = Evaluator(ModelOrders(1, 2, 0, 0), y, np.ones(600), crit)
+        for value, grad in [evaluate(x, mu), evaluate.held(x[:4])(x[4:], mu)]:
+            assert np.isnan(value)
+            np.testing.assert_array_equal(grad, 0.0)
 
 
 SERIES_T3 = simulate(make_theta([0.0, 0.3, 0.2, 0.2, 0.5]), InnovationDist("student_t3"), 300, seed=4).values
