@@ -18,7 +18,6 @@ from .estimation import (
     FitConfig,
     FitResult,
     G0Mode,
-    OptimizerConfig,
     covariance_local,
     covariance_self_weighted,
     estimate_eta2,

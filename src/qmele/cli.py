@@ -128,11 +128,11 @@ def cmd_fit(args):
             "threshold": args.weight_threshold,
         },
         "g0": {"mode": None if args.g0_known is None else "known", "value": args.g0_known},
-        "optimizer": {"max_iter": args.max_iter, "restarts": args.restarts},
+        "optimizer": {"restarts": args.restarts},
     }
     cp.read_dict({sec: {k: str(v) for k, v in kv.items() if v is not None} for sec, kv in flags.items()})
-    weight_spec, g0_mode, optimizer = _fit_settings(cp)
-    config = FitConfig(weight_spec=weight_spec, optimizer=optimizer, g0_mode=g0_mode, seed=args.seed)
+    weight_spec, g0_mode, restarts = _fit_settings(cp)
+    config = FitConfig(weight_spec=weight_spec, restarts=restarts, g0_mode=g0_mode, seed=args.seed)
     sw = fit_self_weighted(data, orders, config, criterion="qmele")
     out = _ensure_out_dir(args.out_dir)
     n_obs = np.asarray(data.values if hasattr(data, "values") else data).size
@@ -322,9 +322,7 @@ def build_parser():
     p.add_argument("--g0-known", type=float, default=None,
                    help="inject a known innovation density at zero instead of the kernel estimate")
     p.add_argument("--restarts", type=int, default=None,
-                   help="seeded jittered starts, tried only if the first descent fails (default 5)")
-    p.add_argument("--max-iter", type=int, default=None,
-                   help="iteration cap of each optimizer run (default 3000)")
+                   help="seeded jittered starts tried in turn until a descent converges (default 5)")
     p.add_argument("--max-lag", type=int, default=20, help="diagnostic ACF/PACF lags")
     p.add_argument("--hill-k-max", type=int, default=None)
     p.set_defaults(func=cmd_fit)

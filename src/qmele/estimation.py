@@ -19,8 +19,10 @@ for fits over delta alone at a vertex, keeps eps for the held gamma and
 runs only the volatility pass, the loss, b_t and the lambda pass. The
 exponential fit descends three smoothed criteria; then every fit finishes
 on a face {eps_t = 0, t in A} of its criterion, A empty for the gaussian
-one, and certifies its end (fit_self_weighted). The "local" estimator
-takes a single Newton-type step from the self-weighted fit,
+one, and certifies its end, and a descent that does not converge is
+followed by seeded jittered ones in turn until one does (fit_self_weighted).
+The "local" estimator takes a single Newton-type step from the self-weighted
+fit,
 
     theta_1 = theta_0 - [2 Sigma*(theta_0)]^{-1} T*(theta_0),
 
@@ -66,12 +68,14 @@ ESTIMATOR_KINDS = (SW_QMELE, LOCAL_QMELE, SW_QMLE, LOCAL_QMLE)
 ETA2_FLOOR = 1.0 + 1e-6
 COND_LIMIT = 1e12
 MAX_STEP_HALVINGS = 30
-# (mu, L-BFGS-B tolerances) of the exponential fit's smoothed stages: three
-# at the default tolerances bring the fit near its kinks, where the face
-# finish takes over. Every face run is tight, since the default stop divides
-# the reduction by max(|f|, 1), loose for a criterion below 1.
+# mu of the exponential fit's smoothed stages: three at L-BFGS-B's default
+# tolerances bring the fit near its kinks, where the face finish takes over.
+# Every face run is tight, since the default stop divides the reduction by
+# max(|f|, 1), loose for a criterion below 1. MAX_ITER caps the iterations
+# of each run, far above what any fit takes.
 _TIGHT = {"ftol": 1e-15, "gtol": 1e-12}
-_MU_LADDER = ((1e-2, {}), (1e-3, {}), (1e-4, {}))
+_MU_LADDER = (1e-2, 1e-3, 1e-4)
+MAX_ITER = 3000
 # the face finish: active-set moves, Newton steps onto eps_A(gamma) = 0
 # with an MA part, and the largest smooth gradient that still counts as a
 # KKT point (a gradient g left costs at most g^2 / 2c in the criterion, c
@@ -109,30 +113,18 @@ class G0Mode:
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings of the self-weighted fit.
-
-    max_iter caps the iterations of each optimizer run; restarts is the
-    number of seeded jittered starts tried when the descent from the
-    initializer fails.
-    """
-
-    max_iter: int = 3000
-    restarts: int = 5
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
-        if self.restarts < 0:
-            raise DomainError("restarts must be >= 0")
-
-
-@dataclass(frozen=True)
 class FitConfig:
+    """Fit settings; restarts caps the seeded jittered starts (drawn from
+    seed) tried in turn after a descent that does not converge."""
+
     weight_spec: WeightSpec = field(default_factory=WeightSpec)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    restarts: int = 5
     g0_mode: G0Mode = field(default_factory=G0Mode.kernel)
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise DomainError("restarts must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -232,10 +224,9 @@ class Criterion:
     (a_t is None unless with_a). sigma(w, h, g0) and
     omega(w, h, eta2, eta_sq_dev) give the per-observation scales of the
     deps and dh cross products in Sigma and Omega, where eta_sq_dev is the
-    plug-in for E(1 - eta^2)^2. ladder lists the (mu, L-BFGS-B tolerances)
-    stages on the smoothed criterion before the face finish: none for a
-    smooth criterion, whose finish starts with no kinks rather than at a
-    vertex (p+q+1 kinks).
+    plug-in for E(1 - eta^2)^2. ladder lists the mu of the stages on the
+    smoothed criterion before the face finish: none for a smooth criterion,
+    whose finish starts with no kinks rather than at a vertex (p+q+1 kinks).
     """
 
     sw_kind: str
@@ -566,10 +557,10 @@ def _box(orders):
     return box
 
 
-def _lbfgsb(fun, x0, box, opt, runs, tolerances, args=()):
+def _lbfgsb(fun, x0, box, runs, args=(), **tolerances):
     """One L-BFGS-B run of fun -> (value, gradient) from x0 in the box's
-    (lower, upper) rows under opt's caps and the tolerances, appended to runs."""
-    options = dict(maxiter=opt.max_iter, maxfun=10 * opt.max_iter, **tolerances)
+    (lower, upper) rows under MAX_ITER and the tolerances, appended to runs."""
+    options = dict(maxiter=MAX_ITER, maxfun=10 * MAX_ITER, **tolerances)
     run = minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", bounds=box.T, options=options)
     runs.append(run)
     return run
@@ -665,7 +656,7 @@ def _certify(ev, theta, active, box, pivots):
     return cert, (np.r_[rest, crossing[lo]], reached)
 
 
-def _face_fit(ev, theta, active, box, opt, runs):
+def _face_fit(ev, theta, active, box, runs):
     """One tight L-BFGS-B run on the face {eps_t = 0, t in active} from
     theta: (theta, value, success) at its end, None where no gamma near
     theta.gamma solves eps_A = 0.
@@ -681,8 +672,9 @@ def _face_fit(ev, theta, active, box, opt, runs):
     orders, k = ev.orders, ev.k
     m = k - len(active)
     if m == k:
-        run = _lbfgsb(ev, theta.theta, box, opt, runs, _TIGHT)
-        return ParamVector.from_theta(orders, run.x), run.fun, run.success
+        run = _lbfgsb(ev, theta.theta, box, runs, **_TIGHT)
+        end = ParamVector.from_theta(orders, run.x)
+        return end, ev(end.theta)[0], run.success
     basis = np.empty((k, 0))
     if m:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -704,7 +696,7 @@ def _face_fit(ev, theta, active, box, opt, runs):
         return None
     fun = value_and_gradient if m else ev.held(solved[0])
     start = np.r_[basis.T @ solved[0], theta.delta]
-    run = _lbfgsb(fun, start, np.c_[box[:, :m], box[:, k:]], opt, runs, _TIGHT)
+    run = _lbfgsb(fun, start, np.c_[box[:, :m], box[:, k:]], runs, **_TIGHT)
     solved = on_face(run.x[:m]) if m else solved
     if solved is None:
         return None
@@ -712,7 +704,7 @@ def _face_fit(ev, theta, active, box, opt, runs):
     return end, ev(end.theta)[0], run.success
 
 
-def _face_finish(ev, x, success, box, opt, runs):
+def _face_finish(ev, x, success, box, runs):
     """(x, value, converged, certificate) of the face finish from the last
     smoothed stage's end x and its run's success (the initializer and False
     for a criterion without stages).
@@ -733,7 +725,7 @@ def _face_finish(ev, x, success, box, opt, runs):
     abs_eta = np.abs(eps / np.sqrt(h))
     active = np.argsort(abs_eta, kind="stable")[: ev.k if ev.crit.ladder else 0]
     for pivots in range(MAX_PIVOTS + 1):
-        face = _face_fit(ev, theta, active, box, opt, runs)
+        face = _face_fit(ev, theta, active, box, runs)
         if face is None or not np.isfinite(face[1]):
             if not active.size:
                 break
@@ -764,11 +756,14 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     the previous one ended. The face finish (_face_finish) then fits faces
     by tight L-BFGS-B runs, from the vertex of the p+q+1 smallest |eta_t|
     (with no kinks from the initializer for the gaussian criterion), until
-    a certificate shows the end is Clarke-stationary. Only if the descent
-    neither certifies nor ends in a successful run with a finite value are
-    `config.optimizer.restarts` seeded jittered starts descended too, and
-    the best end is kept. The objective reported is the exact criterion,
-    the fit's Evaluator at theta_hat (inf where that is not finite).
+    a certificate shows the end is Clarke-stationary. A descent that
+    neither certifies nor ends in a successful run with a finite value is
+    not converged; then up to config.restarts seeded jittered starts are
+    descended in turn until one converges, which recovers a descent stuck
+    on a wrong face, such as beta = 0 where every trial step with
+    sum(beta) >= 1 is NaN. The converged end is kept, else the lowest. The
+    objective reported is the exact criterion, the fit's Evaluator at
+    theta_hat (inf where that is not finite).
 
     Returns a FitResult; converged=False flags that the descent which
     produced theta_hat was neither certified nor ended in a successful run
@@ -788,35 +783,28 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
         )
 
     w = compute_weights(data, config.weight_spec, orders)
-    opt = config.optimizer
     x0 = _initial_params(y, orders).theta
     k, j = orders.p + orders.q + 1, orders.p + orders.q + 2 + orders.r
     box = _box(orders)
-    runs = []
+    runs, ends = [], []
     ev = Evaluator(orders, data, w, crit)
-
-    def descend(start):
-        """(x, value, converged, certificate) of one descent."""
+    rng, start = np.random.default_rng(config.seed), x0
+    while True:
         success = False
-        for mu, tolerances in crit.ladder:
-            run = _lbfgsb(ev, start, box, opt, runs, tolerances, (mu,))
+        for mu in crit.ladder:
+            run = _lbfgsb(ev, start, box, runs, (mu,))
             start, success = run.x, run.success
-        return _face_finish(ev, start, success, box, opt, runs)
-
-    ends = [descend(x0)]
-    if not ends[0][2]:
-        rng = np.random.default_rng(config.seed)
-        for _ in range(opt.restarts):
-            # gamma + 0.3 z; alpha * e^(0.7 z); beta * e^(0.7 z) rescaled to keep sum(beta) < 1
-            z = rng.normal(0.0, 1.0, orders.m)
-            start = x0.copy()
-            start[:k] += 0.3 * z[:k]
-            start[k:] *= np.exp(0.7 * z[k:])
-            start[j:] /= 1.0 - x0[j:].sum() + start[j:].sum()
-            ends.append(descend(start))
-    x_hat, _, converged, cert = min(ends, key=lambda end: np.nan_to_num(end[1], nan=np.inf))
+        ends.append(_face_finish(ev, start, success, box, runs))
+        if ends[-1][2] or len(ends) > config.restarts:
+            break
+        # gamma + 0.3 z; alpha * e^(0.7 z); beta * e^(0.7 z) rescaled to keep sum(beta) < 1
+        z = rng.normal(0.0, 1.0, orders.m)
+        start = x0.copy()
+        start[:k] += 0.3 * z[:k]
+        start[k:] *= np.exp(0.7 * z[k:])
+        start[j:] /= 1.0 - x0[j:].sum() + start[j:].sum()
+    x_hat, value, converged, cert = min(ends, key=lambda end: (not end[2], np.nan_to_num(end[1], nan=np.inf)))
     theta_hat = ParamVector.from_theta(orders, x_hat)
-    value = ev(x_hat)[0]
 
     cov = np.full((orders.m, orders.m), np.nan)
     g0 = eta2 = np.nan

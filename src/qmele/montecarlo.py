@@ -19,7 +19,6 @@ from .estimation import (
     SW_QMELE,
     FitConfig,
     G0Mode,
-    OptimizerConfig,
     fit_self_weighted,
     local_qmele_step,
 )
@@ -41,7 +40,7 @@ class ScenarioConfig:
     estimators: tuple = (SW_QMELE, LOCAL_QMELE)
     weight_spec: WeightSpec = field(default_factory=WeightSpec)
     g0_mode: G0Mode = field(default_factory=G0Mode.kernel)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    restarts: int = 5
     burn_in: int = 500
     name: str = "scenario"
 
@@ -53,11 +52,12 @@ class ScenarioConfig:
         for e in self.estimators:
             if e not in ESTIMATOR_KINDS:
                 raise DomainError(f"unknown estimator kind {e!r}")
+        self.fit_config()  # checks restarts
 
     def fit_config(self):
         return FitConfig(
             weight_spec=self.weight_spec,
-            optimizer=self.optimizer,
+            restarts=self.restarts,
             g0_mode=self.g0_mode,
             seed=self.seed,
         )
@@ -189,7 +189,7 @@ _ALLOWED_KEYS = {
     "study": {"n", "replications", "seed", "burn_in", "estimators", "name"},
     "weights": {"variant", "iota", "c_quantile", "threshold"},
     "g0": {"mode", "value"},
-    "optimizer": {"max_iter", "restarts"},
+    "optimizer": {"restarts"},
 }
 
 
@@ -201,7 +201,7 @@ def _floats(text):
 
 
 def _fit_settings(cp):
-    """WeightSpec, G0Mode and OptimizerConfig from the [weights], [g0] and
+    """WeightSpec, G0Mode and restarts from the [weights], [g0] and
     [optimizer] sections of a parsed config; absent keys take defaults."""
     weight_spec = WeightSpec(
         variant=cp.get("weights", "variant", fallback="infinite_k9"),
@@ -213,11 +213,7 @@ def _fit_settings(cp):
         cp.get("g0", "mode", fallback="kernel"),
         cp.getfloat("g0", "value") if cp.has_option("g0", "value") else None,
     )
-    optimizer = OptimizerConfig(
-        max_iter=cp.getint("optimizer", "max_iter", fallback=3000),
-        restarts=cp.getint("optimizer", "restarts", fallback=5),
-    )
-    return weight_spec, g0_mode, optimizer
+    return weight_spec, g0_mode, cp.getint("optimizer", "restarts", fallback=5)
 
 
 def _read_config(text, sections, source):
@@ -267,7 +263,7 @@ def parse_scenario(text, name="scenario"):
             e.strip()
             for e in cp.get("study", "estimators", fallback=SW_QMELE).replace(",", " ").split()
         )
-        weight_spec, g0_mode, optimizer = _fit_settings(cp)
+        weight_spec, g0_mode, restarts = _fit_settings(cp)
         return ScenarioConfig(
             orders=orders,
             theta0=theta0,
@@ -278,7 +274,7 @@ def parse_scenario(text, name="scenario"):
             estimators=estimators,
             weight_spec=weight_spec,
             g0_mode=g0_mode,
-            optimizer=optimizer,
+            restarts=restarts,
             burn_in=cp.getint("study", "burn_in", fallback=500),
             name=cp.get("study", "name", fallback=name),
         )

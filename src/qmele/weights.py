@@ -177,23 +177,21 @@ def hill_estimator(values, k):
     return est
 
 
-def hill_sweep(values, k_max, k_min=1):
-    """Hill estimates for k = k_min..k_max, skipping degenerate k.
+def hill_sweep(values, k_max):
+    """Hill estimates for k = 1..k_max, skipping degenerate k.
 
     Returns a TailReport; n_dropped counts discarded nonpositive entries.
     """
     v = np.asarray(values, dtype=float)
     pos = v[v > 0.0]
     dropped = v.size - pos.size
-    if k_min < 1:
-        raise DomainError("k_min must be >= 1")
-    if k_max < k_min:
-        raise DomainError("k_max must be >= k_min")
+    if k_max < 1:
+        raise DomainError("k_max must be >= 1")
     if k_max >= pos.size:
         raise DomainError(f"k_max must be < number of positive values ({pos.size})")
     logs = np.log(np.sort(pos))
     ks, alphas = [], []
-    for k in range(k_min, k_max + 1):
+    for k in range(1, k_max + 1):
         est = _hill_from_sorted_logs(logs, k)
         if est is not None:
             ks.append(k)

@@ -273,15 +273,21 @@ def test_cli_fit_accepts_config_file(tmp_path):
 
 
 def test_cli_fit_config_rejects_simplex_tolerance(tmp_path, capsys):
-    # the exponential fit has no simplex polish, so the key is unknown
+    # the exponential fit has no simplex polish and no iteration cap to set,
+    # so both retired keys are unknown and the --max-iter flag is gone
     y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 300, seed=98).values
     data = tmp_path / "y.csv"
     data.write_text("y\n" + "\n".join(f"{x:.10g}" for x in y) + "\n")
     cfg = tmp_path / "fit.ini"
-    cfg.write_text("[optimizer]\nsimplex_tolerance = 1e-7\n")
     out = tmp_path / "out"
-    assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", cfg, "--out-dir", out) == 3
-    assert "unknown key 'simplex_tolerance'" in capsys.readouterr().err
+    for key, value in (("simplex_tolerance", "1e-7"), ("max_iter", "10")):
+        cfg.write_text(f"[optimizer]\n{key} = {value}\n")
+        assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", cfg, "--out-dir", out) == 3
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fit", data, "--orders", "1,0,1,1", "--max-iter", "10", "--out-dir", out)
+    assert exc.value.code == 2
     assert not (out / "fit_report.json").exists()
 
 

@@ -16,7 +16,6 @@ from qmele import (
     InnovationDist,
     InsufficientDataError,
     ModelOrders,
-    OptimizerConfig,
     ParamVector,
     SingularInformationError,
     WeightSpec,
@@ -404,16 +403,17 @@ def test_fit_under_t3_innovations():
 
 def test_optimizer_config_validation():
     with pytest.raises(DomainError):
-        OptimizerConfig(max_iter=0)
+        FitConfig(restarts=-1)
     with pytest.raises(DomainError):
         G0Mode("known")
 
 
-def test_converged_describes_the_returned_point():
+def test_converged_describes_the_returned_point(monkeypatch):
     theta0 = make_theta(THETA_FINITE)
     data = simulate(theta0, InnovationDist("laplace"), 300, seed=602)
-    capped = FitConfig(optimizer=OptimizerConfig(max_iter=1, restarts=0), g0_mode=G0Mode.known(0.5))
-    fit = fit_self_weighted(data, AR1_GARCH11, capped)
+    with monkeypatch.context() as patch:
+        patch.setattr("qmele.estimation.MAX_ITER", 1)
+        fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(restarts=0, g0_mode=G0Mode.known(0.5)))
     assert fit.converged is False
     assert fit.status == "not_converged"
     assert fit.nfev > 0
@@ -551,10 +551,10 @@ def test_evaluator_is_the_filter_path(point):
     "orders, truth",
     [(AR1_GARCH11, THETA_FINITE), (ModelOrders(1, 0, 1, 2), [0.0, 0.5, 0.1, 0.18, 0.2, 0.2])],
 )
-def test_restarts_run_after_a_failed_descent(orders, truth):
+def test_restarts_run_after_a_failed_descent(orders, truth, monkeypatch):
     data = simulate(make_theta(truth, orders), LAPLACE, 500, seed=604)
-    capped = FitConfig(optimizer=OptimizerConfig(max_iter=1, restarts=3), seed=7)
-    fit = fit_self_weighted(data, orders, capped)
+    monkeypatch.setattr("qmele.estimation.MAX_ITER", 1)
+    fit = fit_self_weighted(data, orders, FitConfig(restarts=3, seed=7))
     assert fit.converged is False
     assert fit.starts == 4
     assert fit.theta_hat.is_valid()
@@ -569,6 +569,19 @@ def test_garch12_fit_not_above_criterion_at_truth():
     assert fit.converged
     assert fit.objective_value <= qmele_objective(theta0, data, fit.weights)
     assert fit.objective_value == pytest.approx(qmele_objective(fit.theta_hat, data, fit.weights), rel=1e-12)
+
+
+def test_restarts_stop_at_the_first_converged_descent():
+    # the first descent ends uncertified on the beta1 = beta2 = 0 face; the
+    # first jittered start certifies, and no further start is descended
+    orders = ModelOrders(1, 0, 1, 2)
+    theta0 = make_theta([0.0, 0.5, 0.1, 0.3, 0.2, 0.2], orders)
+    data = simulate(theta0, LAPLACE, 1000, burn_in=500, seed=50011)
+    fit = fit_self_weighted(data, orders, FitConfig(g0_mode=G0Mode.known(0.5), seed=50011))
+    assert fit.converged and fit.certificate.certified
+    assert fit.starts == 2
+    assert fit.nfev < 150
+    assert fit.objective_value <= qmele_objective(theta0, data, fit.weights)
 
 
 def test_igarch_fit_needs_one_ladder():
@@ -716,7 +729,7 @@ def test_exponential_fit_certifies_below_an_edge():
     # multiplier is 1.004; the minimizer has one zero residual
     orders = ModelOrders(1, 1, 1, 1)
     data = simulate(make_theta(THETA_ARMA, orders), NORMAL, 1000, burn_in=500, seed=3272157582)
-    fit = fit_self_weighted(data, orders, FitConfig(optimizer=OptimizerConfig(restarts=1), seed=3272157582))
+    fit = fit_self_weighted(data, orders, FitConfig(restarts=1, seed=3272157582))
     assert fit.converged
     assert fit.certificate.certified and len(fit.certificate.active) < 3
     value, polished = nelder_mead_polish(fit, data, orders)
@@ -729,7 +742,7 @@ def test_exponential_fit_certifies_an_edge_fitted_along_its_kinks():
     # the edge its end had kkt 1.9e-6, the gradient along the edge
     orders = ModelOrders(1, 1, 1, 1)
     data = simulate(make_theta(THETA_ARMA, orders), NORMAL, 1000, burn_in=500, seed=4000994098)
-    fit = fit_self_weighted(data, orders, FitConfig(optimizer=OptimizerConfig(restarts=1), seed=4000994096))
+    fit = fit_self_weighted(data, orders, FitConfig(restarts=1, seed=4000994096))
     assert fit.converged
     assert fit.certificate.certified and len(fit.certificate.active) == 2
     value, polished = nelder_mead_polish(fit, data, orders)
@@ -798,7 +811,7 @@ def test_fit_status_names_a_singular_information_matrix():
     orders = ModelOrders(1, 1, 1, 1)
     theta = make_theta([0.0, 0.5, 0.3, 0.1, 0.18, 0.4], orders)
     data = simulate(theta, NORMAL, 1000, burn_in=500, seed=3966384047)
-    config = FitConfig(optimizer=OptimizerConfig(restarts=1), seed=3966384047)
+    config = FitConfig(restarts=1, seed=3966384047)
     for criterion in ("qmele", "qmle"):
         fit = fit_self_weighted(data, orders, config, criterion=criterion)
         assert fit.converged

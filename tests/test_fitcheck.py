@@ -1,4 +1,5 @@
-"""Smoke test of tools/fitcheck.py: its records repeat byte for byte and compare reads them back."""
+"""Smoke test of tools/fitcheck.py: digest runs, its records repeat byte for byte and compare
+reads them back."""
 
 import importlib.util
 import json
@@ -31,3 +32,9 @@ def test_fitcheck_records_repeat_and_compare_to_themselves(tmp_path, capsys):
     assert sum(fits for fits, _ in counts) == 32 and sum(cert for _, cert in counts) == 32
     assert set(re.findall(r"uncertified (\d+)", out)) == {"0"}
     assert set(re.findall(r"changed (\d+)", out)) == {"0"}
+
+
+def test_fitcheck_digest_prints_one_sha256(capsys):
+    # the value is pinned in CHANGES.md, not here: it depends on the machine's floating point
+    fitcheck.main(["digest"])
+    assert re.fullmatch(r"[0-9a-f]{64}\n", capsys.readouterr().out)

@@ -13,8 +13,6 @@ from qmele import (
     run_replication,
     run_scenario,
 )
-from qmele.estimation import OptimizerConfig
-
 from conftest import make_theta
 
 TINY_INI = """
@@ -60,7 +58,7 @@ def tiny_config(replications=4, estimators=(SW_QMELE, LOCAL_QMELE), seed=314, n=
         seed=seed,
         estimators=estimators,
         g0_mode=G0Mode.known(0.5),
-        optimizer=OptimizerConfig(restarts=1),
+        restarts=1,
         name="tiny",
     )
 
@@ -72,7 +70,7 @@ def test_parse_scenario_roundtrip():
     assert config.dist.kind == "laplace"
     assert config.estimators == (SW_QMELE, LOCAL_QMELE)
     assert config.g0_mode == G0Mode.known(0.5)
-    assert config.optimizer.restarts == 1
+    assert config.restarts == 1
     assert config.n == 300 and config.replications == 4 and config.seed == 314
 
 
@@ -87,6 +85,11 @@ def test_parse_scenario_named_errors():
         parse_scenario(TINY_INI.replace("sw_qmele, local_qmele", "nonsense"))
     with pytest.raises(DataIngestError, match="unknown g0 mode 'knwon'"):
         parse_scenario(TINY_INI.replace("mode = known", "mode = knwon"))
+    # the iteration cap is retired: a module constant, no longer a setting
+    with pytest.raises(DataIngestError, match="unknown key 'max_iter' in section \\[optimizer\\]"):
+        parse_scenario(TINY_INI + "max_iter = 10\n")
+    with pytest.raises(DataIngestError, match="restarts must be >= 0"):
+        parse_scenario(TINY_INI.replace("restarts = 1", "restarts = -1"))
 
 
 def test_replication_determinism():

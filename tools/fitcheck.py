@@ -35,6 +35,12 @@ on fewer than p+q+1 kinks, pivoted, uncertified and restarted), the fits
 that certified at OLD with no pivot and how many of them changed theta,
 objective or nfev, and NEW's uncertified fits as benchmark seed:simulation
 seed. compare FILE FILE summarises one tree.
+
+The tool builds FitConfig(restarts=...), so a tree whose FitConfig has no
+restarts field (one older than that field) is recorded with that tree's
+own copy of this file: git show <rev>:tools/fitcheck.py > old_fitcheck.py,
+run with PYTHONPATH=<that tree>/src. Records of one SET from either tool
+compare.
 """
 
 import hashlib
@@ -45,9 +51,9 @@ import zlib
 import numpy as np
 
 from qmele import (ESTIMATOR_KINDS, FitConfig, FitResult, G0Mode, InnovationDist, ModelOrders,
-                   OptimizerConfig, ParamVector, ScenarioConfig, covariance_local,
-                   covariance_self_weighted, fit_self_weighted, local_qmele_step, qmele_objective,
-                   qmle_objective, run_scenario, sigma_star, simulate, t_star)
+                   ParamVector, ScenarioConfig, covariance_local, covariance_self_weighted,
+                   fit_self_weighted, local_qmele_step, qmele_objective, qmle_objective,
+                   run_scenario, sigma_star, simulate, t_star)
 
 LAPLACE, NORMAL = InnovationDist("laplace", "abs_mean_one"), InnovationDist("normal", "var_one")
 KNOWN = G0Mode.known(0.5)
@@ -135,7 +141,7 @@ def digest():
     orders, theta = _truth(order_tuple, theta_tuple)
     table = run_scenario(ScenarioConfig(
         orders=orders, theta0=theta, dist=dist, n=600, replications=3, seed=seed,
-        estimators=ESTIMATOR_KINDS, g0_mode=KNOWN, optimizer=OptimizerConfig(restarts=1)))
+        estimators=ESTIMATOR_KINDS, g0_mode=KNOWN, restarts=1))
     for kind in ESTIMATOR_KINDS:
         d.add(kind, table.bias[kind], table.sd[kind], table.ad[kind],
               table.successes[kind], table.failures[kind])
@@ -158,7 +164,7 @@ def path_fits(spec):
         for name, orders, theta, dist, base, restarts in DESIGNS:
             g0_mode = KNOWN if dist is LAPLACE else G0Mode.kernel()
             for s in range(base, base + 40):
-                config = FitConfig(g0_mode=g0_mode, seed=s, optimizer=OptimizerConfig(restarts=restarts))
+                config = FitConfig(g0_mode=g0_mode, seed=s, restarts=restarts)
                 yield name, None, orders, theta, dist, s, config, (("qmele", True), ("qmle", True))
         return
     kind, *bounds = spec.split(":")
@@ -173,7 +179,7 @@ def path_fits(spec):
                 yield name, seed, (1, 0, 1, 1), theta, LAPLACE, s, config, (("qmele", True),)
         (base,) = derived_seeds(seed, "mc_arma_normal", 1)
         for s in range(base, base + 8):  # two mc-table calls of 4, each seeded with its first
-            config = FitConfig(optimizer=OptimizerConfig(restarts=1), seed=base + (s - base) // 4 * 4)
+            config = FitConfig(restarts=1, seed=base + (s - base) // 4 * 4)
             yield ("arma11_normal", seed, (1, 1, 1, 1), THETA_ARMA, NORMAL, s, config,
                    (("qmele", False), ("qmle", True)))
 
