@@ -28,7 +28,7 @@ data = simulate(theta0, InnovationDist("laplace"), n=1000, burn_in=500, seed=12)
 # in simulation the innovation density at zero is known: g(0) = 1/2
 config = FitConfig(g0_mode=G0Mode.known(0.5), seed=0)
 sw = fit_self_weighted(data, orders, config, criterion="qmele")
-local = local_qmele_step(sw, data, g0=0.5, config=config)
+local = local_qmele_step(sw, data, g0=0.5)
 
 names = orders.param_names()
 print(f"{'':10}" + "".join(f"{nm:>12}" for nm in names))

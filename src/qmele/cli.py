@@ -58,7 +58,7 @@ def read_series_csv(path, column=None, no_header=False):
         if len(rows) == 1:
             raise DataIngestError(f"{path}: header only, no data rows")
     elif column is not None:
-        raise DataIngestError("--column requires a header row (drop --no-header)")
+        raise DataIngestError(f"{path}: --column requires a header row (drop --no-header)")
 
     try:
         # float() strips surrounding whitespace itself
@@ -139,16 +139,12 @@ def cmd_fit(args):
 
     fits = [("sw", sw)]
     if sw.converged:
-        # a failed one-step update leaves the converged self-weighted fit
-        # to report, as in a replication study
-        try:
-            fits.append(("local", local_qmele_step(sw, data, config=config)))
-        except (DomainError, ArithmeticError) as exc:
-            print(f"local step failed, reporting the self-weighted fit: {exc}", file=sys.stderr)
-    final = fits[-1][1]
+        fits.append(("local", local_qmele_step(sw, data)))
 
     text_parts, json_parts = [], []
     for label, fit in fits:
+        if fit.status != "ok":
+            print(f"{fit.estimator_kind} fit: status {fit.status}", file=sys.stderr)
         text_parts.append(fit_label_header(label) + reports.fit_report_text(fit, n_obs))
         json_parts.append(reports.fit_report_json(fit, n_obs))
     with open(os.path.join(out, "fit_report.txt"), "w", encoding="utf-8", newline="") as fh:
@@ -156,8 +152,10 @@ def cmd_fit(args):
     with open(os.path.join(out, "fit_report.json"), "w", encoding="utf-8", newline="") as fh:
         fh.write("[\n" + ",\n".join(p.rstrip("\n") for p in json_parts) + "\n]\n")
 
-    if final.converged:
-        eta = standardized_residuals(final, data)
+    # diagnostics of the last converged fit: the one-step unless it was not taken
+    converged = [fit for _, fit in fits if fit.converged]
+    if converged:
+        eta = standardized_residuals(converged[-1], data)
         reports.write_csv(os.path.join(out, "residuals.csv"), *reports.series_csv_rows(eta, "eta"))
         max_lag = min(args.max_lag, eta.size - 1)
         eta_sq = eta * eta

@@ -26,9 +26,11 @@ fit,
 
     theta_1 = theta_0 - [2 Sigma*(theta_0)]^{-1} T*(theta_0),
 
-with T* and Sigma* evaluated without weights (local_qmele_step). Both
-report sandwich standard errors (1/4) Sigma^-1 Omega Sigma^-1 / n, built
-by one _sandwich from one filter_series pass at the reported estimate.
+with T* and Sigma* evaluated without weights and g(0) taken from the fit
+(local_qmele_step). Both return the FitResult of one _fit_result: sandwich
+standard errors (1/4) Sigma^-1 Omega Sigma^-1 / n from one filter_series
+pass at the reported estimate, or NaN ones with a status naming the
+failure; a step that cannot be taken is reported, not raised.
 """
 import bisect
 import math
@@ -157,13 +159,16 @@ class FitResult:
     covariance already carries the (1/4) Sigma^-1 Omega Sigma^-1 / n scaling,
     i.e. it estimates Var(theta_hat); std_errors are the square roots of its
     diagonal. g0 and eta2 record the nuisance quantities used to build it.
-    converged says whether theta_hat is certified or the optimizer run that
-    produced it met its termination tolerances; iterations and nfev count
-    the iterations and criterion evaluations over all optimizer runs, starts
-    the descents run. status says why the covariance is NaN: "ok",
-    "not_converged", "singular_information", "domain" or "overflow".
-    certificate is the self-weighted fit's last face-finish certificate
-    (None for a one-step update, or if no finish got as far).
+    For a self-weighted fit, converged says whether theta_hat is certified
+    or the optimizer run that produced it met its termination tolerances;
+    iterations and nfev count the iterations and criterion evaluations over
+    all optimizer runs, starts the descents run. For a one-step update,
+    converged says the step was taken. status says why the covariance is
+    NaN: "ok", "not_converged", "singular_information", "domain",
+    "overflow" or, for a step that no halving makes feasible,
+    "infeasible_step". certificate is the self-weighted fit's last
+    face-finish certificate (None for a one-step update, or if no finish
+    got as far).
     """
 
     theta_hat: ParamVector
@@ -285,12 +290,12 @@ class Evaluator:
     """One fit's weighted criterion mean (mu-smoothed) as theta -> (value,
     exact gradient), built once per orders, series y, weights and criterion;
     (nan, 0) where theta breaks ParamVector.validate's constraints (sum(beta)
-    >= 1 is inside _box), checked_eps_h would report overflow or the value is
-    not finite. NaN, not inf: after an infinite trial value the L-BFGS-B line
-    search can accept a near-zero step and report convergence, while NaN ends
-    the descent as a failure, which the fit then handles. held(gamma) is the
-    same map over delta alone, the residual pass, a_t and the gamma adjoint
-    skipped."""
+    >= 1 is inside _box), checked_eps_h would report overflow or the value
+    or the gradient is not finite. NaN, not inf: after an infinite trial
+    value the L-BFGS-B line search can accept a near-zero step and report
+    convergence, while NaN ends the descent as a failure, which the fit
+    then handles. held(gamma) is the same map over delta alone, the
+    residual pass, a_t and the gamma adjoint skipped."""
 
     def __init__(self, orders, data, w, crit):
         self.orders, self.y = orders, as_series(data).values
@@ -323,13 +328,13 @@ class Evaluator:
             h = volatility(self.orders, e2, delta, omb)
             loss, a, b = self.crit.terms(eps, e2, h, mu, with_a=mean is None)
             value = _weighted_mean(w, loss)
+            if kinks is not None:
+                a[kinks] = 0.0
+            grad = adjoint(self.orders, self.y, eps, e2, h, gamma, delta, omb, None if mean else w * a, w * b)
         # h >= alpha0 > 0, so its max is above the limit or NaN iff any entry is;
         # a non-finite eps, or an eps^2 overflowing under a finite h, gives a non-finite value
-        if not (math.isfinite(value) and h.max() <= H_OVERFLOW_LIMIT):
+        if not (math.isfinite(value) and h.max() <= H_OVERFLOW_LIMIT and np.isfinite(grad).all()):
             return np.nan, np.zeros(size)
-        if kinks is not None:
-            a[kinks] = 0.0
-        grad = adjoint(self.orders, self.y, eps, e2, h, gamma, delta, omb, None if mean else w * a, w * b)
         return value, grad / w.size
 
 
@@ -443,20 +448,6 @@ def _sandwich(out, crit, w, g0, eta2, eta_sq_dev):
     sig_inv = _sym_inv(sig)
     cov = 0.25 * sig_inv @ omg @ sig_inv / n
     return 0.5 * (cov + cov.T)
-
-
-def _filter_moments(theta, data, g0_mode, g0=None):
-    """One filter_series pass at theta and the sandwich's nuisance estimates:
-    (out, g0, eta2, eta_sq_dev). g0 defaults to g0_mode on the standardized
-    residuals; eta2 is floored at ETA2_FLOOR."""
-    out = filter_series(theta, data)
-    eta = out.eps / np.sqrt(out.h)
-    if g0 is None:
-        g0 = estimate_g0(eta, g0_mode)
-    if g0 <= 0.0:
-        raise DomainError("g0 must be > 0")
-    eta2 = max(estimate_eta2(eta), ETA2_FLOOR)
-    return out, g0, eta2, float(np.mean((1.0 - eta * eta) ** 2))
 
 
 def covariance_self_weighted(theta, data, weights, g0, eta2):
@@ -744,6 +735,38 @@ def _face_finish(ev, x, success, box, runs):
     return *best, cert
 
 
+def _failure(exc):
+    """The status naming the failure exc: singular_information, domain or overflow."""
+    if isinstance(exc, SingularInformationError):
+        return "singular_information"
+    return "domain" if isinstance(exc, DomainError) else "overflow"
+
+
+def _fit_result(theta, data, crit, w, g0, status="ok", objective=None, **fields):
+    """The FitResult reporting theta, its other fields as given. Where status
+    is "ok", one filter_series pass at theta gives the objective (the
+    criterion mean with weights w, unless given), E eta^2 floored at
+    ETA2_FLOOR, g0 (estimated where given as a G0Mode) and the sandwich
+    with weights w; a failure on the way leaves NaN covariance and status
+    naming it. Whatever is not computed is NaN."""
+    cov, eta2 = np.full((theta.m, theta.m), np.nan), np.nan
+    if status == "ok":
+        try:
+            out = filter_series(theta, data)
+            if objective is None:
+                objective = _criterion_mean(out.eps, out.h, w, crit)
+            eta = out.eps / np.sqrt(out.h)
+            g0 = estimate_g0(eta, g0) if isinstance(g0, G0Mode) else g0
+            eta2 = max(estimate_eta2(eta), ETA2_FLOOR)
+            cov = _sandwich(out, crit, w, g0, eta2, float(np.mean((1.0 - eta * eta) ** 2)))
+        except (DomainError, ArithmeticError) as exc:
+            status = _failure(exc)
+    objective = math.nan if objective is None else objective
+    g0 = math.nan if isinstance(g0, G0Mode) else float(g0)
+    return FitResult(theta, objective, cov, np.sqrt(np.maximum(np.diag(cov), 0.0)),
+                     g0=g0, eta2=float(eta2), status=status, **fields)
+
+
 def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     """Minimize the self-weighted criterion over the constrained space.
 
@@ -804,40 +827,15 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
         start[k:] *= np.exp(0.7 * z[k:])
         start[j:] /= 1.0 - x0[j:].sum() + start[j:].sum()
     x_hat, value, converged, cert = min(ends, key=lambda end: (not end[2], np.nan_to_num(end[1], nan=np.inf)))
-    theta_hat = ParamVector.from_theta(orders, x_hat)
-
-    cov = np.full((orders.m, orders.m), np.nan)
-    g0 = eta2 = np.nan
-    status = "ok" if converged else "not_converged"
-    if converged:
-        try:
-            out, g0, eta2, eta_sq_dev = _filter_moments(theta_hat, data, config.g0_mode)
-            cov = _sandwich(out, crit, w, g0, eta2, eta_sq_dev)
-        except SingularInformationError:
-            status = "singular_information"
-        except DomainError:
-            status = "domain"
-        except ArithmeticError:
-            status = "overflow"
-    return FitResult(
-        theta_hat=theta_hat,
-        objective_value=value if math.isfinite(value) else math.inf,
-        covariance=cov,
-        std_errors=np.sqrt(np.maximum(np.diag(cov), 0.0)),
-        converged=converged,
-        iterations=sum(r.nit for r in runs),
-        estimator_kind=crit.sw_kind,
-        g0=float(g0),
-        eta2=float(eta2),
-        weights=w,
-        nfev=sum(r.nfev for r in runs),
-        starts=len(ends),
-        status=status,
-        certificate=cert,
+    return _fit_result(
+        ParamVector.from_theta(orders, x_hat), data, crit, w, config.g0_mode,
+        "ok" if converged else "not_converged", objective=value if math.isfinite(value) else math.inf,
+        converged=converged, iterations=sum(r.nit for r in runs), estimator_kind=crit.sw_kind,
+        weights=w, nfev=sum(r.nfev for r in runs), starts=len(ends), certificate=cert,
     )
 
 
-def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
+def local_qmele_step(theta_init, data, g0=None):
     """One Newton-type step from a converged self-weighted fit.
 
     The update direction is -[2 Sigma*]^{-1} T* for the exponential
@@ -847,10 +845,15 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
     t_star defines sign(0) = 0. A coordinate on its lower bound in _box at
     the initializer that this step would push below it is held there, the
     step solved over the other coordinates; a step still infeasible is
-    halved until feasible, and the number of halvings is reported.
+    halved until feasible, at most MAX_STEP_HALVINGS times, and the number
+    of halvings is reported.
 
-    g0 defaults to the config's g0 mode evaluated on the initializer's
-    standardized residuals.
+    g0 defaults to the initializer's, which its sandwich used. A step taken
+    is converged, its sandwich built as a fit's is. A step that cannot be
+    taken reports the initializer's theta, not converged, with NaN
+    objective and covariance and a status naming why: "infeasible_step"
+    where no halving makes it feasible, or the failure of the information
+    matrix, g0 or the filter at the initializer.
     """
     if not isinstance(theta_init, FitResult):
         raise DomainError("theta_init must be a FitResult from fit_self_weighted")
@@ -859,39 +862,33 @@ def local_qmele_step(theta_init, data, g0=None, config=FitConfig()):
     crit = QMLE if theta_init.estimator_kind in (SW_QMLE, LOCAL_QMLE) else QMELE
     data = as_series(data)
     theta0 = theta_init.theta_hat
-
-    out, g0, _, _ = _filter_moments(theta0, data, config.g0_mode, g0)
-    info = 2.0 * _cross(out, crit.sigma(1.0, out.h, g0))
+    g0 = theta_init.g0 if g0 is None else g0
     cert = theta_init.certificate
-    score = _score(out, crit, cert.active if cert is not None and cert.certified else ())
-    step = -_sym_inv(info) @ score
-    held = (theta0.theta == _box(theta0.orders)[0]) & (step < 0.0)
-    if held.any():
-        free = ~held
-        step = np.zeros(theta0.m)
-        step[free] = -_sym_inv(info[np.ix_(free, free)]) @ score[free]
-
-    shrink = 0
-    theta1 = ParamVector.from_theta(theta0.orders, theta0.theta + step)
-    while not theta1.is_valid():
-        shrink += 1
-        if shrink > MAX_STEP_HALVINGS:
-            raise DomainError("one-step update could not be shrunk into the feasible region")
-        step = 0.5 * step
+    shrink, status = 0, "ok"
+    try:
+        if not g0 > 0.0:
+            raise DomainError("g0 must be > 0")
+        out = filter_series(theta0, data)
+        info = 2.0 * _cross(out, crit.sigma(1.0, out.h, g0))
+        score = _score(out, crit, cert.active if cert is not None and cert.certified else ())
+        del out  # free the n x m pass at theta0 before _fit_result makes one at theta1
+        step = -_sym_inv(info) @ score
+        held = (theta0.theta == _box(theta0.orders)[0]) & (step < 0.0)
+        if held.any():
+            free = ~held
+            step = np.zeros(theta0.m)
+            step[free] = -_sym_inv(info[np.ix_(free, free)]) @ score[free]
         theta1 = ParamVector.from_theta(theta0.orders, theta0.theta + step)
-
-    out, _, eta2, eta_sq_dev = _filter_moments(theta1, data, config.g0_mode, g0)
-    cov = _sandwich(out, crit, 1.0, g0, eta2, eta_sq_dev)
-    return FitResult(
-        theta_hat=theta1,
-        objective_value=_criterion_mean(out.eps, out.h, 1.0, crit),
-        covariance=cov,
-        std_errors=np.sqrt(np.maximum(np.diag(cov), 0.0)),
-        converged=True,
-        iterations=1,
-        estimator_kind=crit.local_kind,
-        g0=float(g0),
-        eta2=float(eta2),
-        weights=theta_init.weights,
-        shrink_count=shrink,
+        while not theta1.is_valid():
+            if shrink == MAX_STEP_HALVINGS:
+                theta1, status = theta0, "infeasible_step"
+                break
+            shrink += 1
+            step = 0.5 * step
+            theta1 = ParamVector.from_theta(theta0.orders, theta0.theta + step)
+    except (DomainError, ArithmeticError) as exc:
+        theta1, status = theta0, _failure(exc)
+    return _fit_result(
+        theta1, data, crit, 1.0, g0, status, converged=status == "ok", iterations=1,
+        estimator_kind=crit.local_kind, weights=theta_init.weights, shrink_count=shrink,
     )

@@ -108,14 +108,6 @@ def run_replication(config, index):
             std_errors[kind] = fit.std_errors
             converged[kind] = bool(np.all(np.isfinite(fit.std_errors)))
 
-    def one_step(sw_fit):
-        if sw_fit is None or not sw_fit.converged:
-            return None
-        try:
-            return local_qmele_step(sw_fit, data, config=fit_cfg)
-        except (DomainError, ArithmeticError):
-            return None
-
     for criterion, crit in CRITERIA.items():
         if not {crit.sw_kind, crit.local_kind} & wanted:
             continue
@@ -125,7 +117,7 @@ def run_replication(config, index):
             sw = None
         record(crit.sw_kind, sw)
         if crit.local_kind in wanted:
-            record(crit.local_kind, one_step(sw))
+            record(crit.local_kind, local_qmele_step(sw, data) if sw is not None and sw.converged else None)
 
     return ReplicationRecord(index, estimates, std_errors, converged)
 

@@ -74,6 +74,25 @@ def test_simulate_igarch_paths_heavier_tailed():
     assert np.mean(ratios) > 2.0
 
 
+# (file name, its text or None for no file, read_series_csv keywords, the
+# same as qmele flags, and the part of the message that names the file or row)
+BAD_INPUTS = [
+    ("missing.csv", None, {}, (), "missing.csv: [Errno 2]"),
+    ("header.csv", "y\n", {}, (), "header.csv: header only"),
+    ("raw2.csv", "1\n2\n", {"column": "y", "no_header": True}, ("--column", "y", "--no-header"),
+     "raw2.csv: --column requires a header"),
+    ("ragged.csv", "a,b\n1,2\n3\n", {"column": "b"}, ("--column", "b"), "ragged.csv: row 3 has no column 2"),
+]
+
+
+def bad_inputs(tmp_path):
+    """BAD_INPUTS with each file written under tmp_path and named by its path."""
+    for name, text, kwargs, flags, message in BAD_INPUTS:
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        yield tmp_path / name, kwargs, flags, message
+
+
 def test_read_series_csv_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -98,6 +117,11 @@ def test_read_series_csv_errors(tmp_path):
     raw.write_text("1.5\n2.5\n")
     np.testing.assert_array_equal(read_series_csv(str(raw), no_header=True), [1.5, 2.5])
 
+    for path, kwargs, _, message in bad_inputs(tmp_path):
+        with pytest.raises(Exception) as err:
+            read_series_csv(str(path), **kwargs)
+        assert message in str(err.value)
+
 
 def test_read_series_csv_skips_blank_rows(tmp_path):
     path = tmp_path / "gaps.csv"
@@ -120,7 +144,7 @@ def test_fmt_edge_values():
         assert reports.fmt(value) == text
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert run_cli("hill", empty, "--k-max", "5", "--out-dir", tmp_path) == 3
@@ -143,6 +167,22 @@ def test_cli_exit_codes(tmp_path):
         )
         == 4
     )
+    for path, _, flags, message in bad_inputs(tmp_path):
+        assert run_cli("acf", path, *flags, "--out-dir", tmp_path) == 3
+        assert message in capsys.readouterr().err
+    simulate = ("simulate", "--dist", "laplace", "--n", "50", "--out-dir", tmp_path)
+    scan = ("region-scan", "--iota", "1", "--dist", "laplace", "--out-dir", tmp_path)
+    bad_flags = [
+        (simulate + ("--orders", "1,0,1", "--theta", "0,1"), "--orders expects four integers p,q,r,s, got '1,0,1'"),
+        (simulate + ("--orders", "1,0,x,1", "--theta", "0,1"), "--orders expects integers, got '1,0,x,1'"),
+        (simulate + ("--orders", "0,0,0,0", "--theta", "0,one"), "--theta expects numbers, got '0,one'"),
+        (scan + ("--alpha1", "0:0.5", "--beta1", "0:1:3"), "--alpha1 expects min:max:steps, got '0:0.5'"),
+        (scan + ("--alpha1", "0:0.5:3", "--beta1", "0:1:x"), "--beta1 expects min:max:steps, got '0:1:x'"),
+        (scan + ("--alpha1", "0.5:0:3", "--beta1", "0:1:3"), "--alpha1: empty grid '0.5:0:3'"),
+    ]
+    for argv, message in bad_flags:
+        assert run_cli(*argv) == 3
+        assert message in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")
     assert exc.value.code == 2
@@ -313,20 +353,20 @@ def test_cli_fit_holds_beta_face_in_local_step(tmp_path):
 
 
 def test_cli_fit_reports_sw_fit_when_local_step_fails(tmp_path, capsys, monkeypatch):
-    import qmele.cli
-    from qmele import DomainError
+    import qmele.estimation
 
-    def failing(*args, **kwargs):
-        raise DomainError("one-step update could not be shrunk into the feasible region")
-
-    monkeypatch.setattr(qmele.cli, "local_qmele_step", failing)
+    # only the one-step forms the score vector; a NaN one leaves no halving of the step feasible
+    monkeypatch.setattr(qmele.estimation, "_score", lambda out, crit, active=(): np.full(out.deps.shape[1], np.nan))
     out = tmp_path / "out"
     assert run_cli("fit", simulate_beta_face_path(tmp_path), "--orders", "1,0,1,1", "--out-dir", out) == 0
-    assert "could not be shrunk into the feasible region" in capsys.readouterr().err
+    assert capsys.readouterr().err == "local_qmele fit: status infeasible_step\n"
     report = json.loads((out / "fit_report.json").read_text())
-    assert [r["estimator"] for r in report] == ["sw_qmele"]
-    assert report[0]["converged"] is True
-    assert (out / "fit_report.txt").read_text().startswith("== sw ==")
+    assert [r["estimator"] for r in report] == ["sw_qmele", "local_qmele"]
+    assert [(r["converged"], r["status"]) for r in report] == [(True, "ok"), (False, "infeasible_step")]
+    assert report[1]["estimates"] == report[0]["estimates"]
+    assert all(np.isnan(v) for v in report[1]["std_errors"].values())
+    text = (out / "fit_report.txt").read_text()
+    assert text.startswith("== sw ==") and "== local ==" in text
     for name in ("residuals.csv", "acf_eta.csv", "pacf_eta_sq.csv", "hill_eta_sq.csv"):
         assert (out / name).exists()
 

@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from qmele import (
+    ESTIMATOR_KINDS,
     LOCAL_QMELE,
     SW_QMELE,
     DomainError,
@@ -17,6 +18,7 @@ from qmele import (
     InsufficientDataError,
     ModelOrders,
     ParamVector,
+    ScenarioConfig,
     SingularInformationError,
     WeightSpec,
     compute_weights,
@@ -29,6 +31,7 @@ from qmele import (
     local_qmele_step,
     qmele_objective,
     qmle_objective,
+    run_replication,
     sigma_star,
     simulate,
     t_star,
@@ -396,7 +399,7 @@ def test_fit_under_t3_innovations():
     np.testing.assert_array_equal(
         fit.covariance, covariance_self_weighted(fit.theta_hat, data, fit.weights, fit.g0, fit.eta2)
     )
-    stepped = local_qmele_step(fit, data, config=FitConfig(seed=4))
+    stepped = local_qmele_step(fit, data)
     assert stepped.converged
     assert np.all(np.isfinite(stepped.std_errors))
 
@@ -818,6 +821,21 @@ def test_fit_status_names_a_singular_information_matrix():
         assert fit.theta_hat.alpha[0] == 0.0
         assert np.all(np.isnan(fit.std_errors))
         assert fit.status == "singular_information"
+        # so is the one-step's information matrix: the step is reported as not taken
+        stepped = local_qmele_step(fit, data)
+        assert stepped.converged is False
+        assert stepped.status == "singular_information"
+        np.testing.assert_array_equal(stepped.theta_hat.theta, fit.theta_hat.theta)
+        assert np.all(np.isnan(stepped.std_errors))
+    # a replication records every estimator of that path as failed, with
+    # NaN SEs, and the steps not taken with NaN estimates
+    scenario = ScenarioConfig(orders=orders, theta0=theta, dist=NORMAL, n=1000, replications=1,
+                              seed=3966384047, estimators=ESTIMATOR_KINDS, restarts=1)
+    record = run_replication(scenario, 0)
+    for kind in ESTIMATOR_KINDS:
+        assert record.converged[kind] is False
+        assert np.all(np.isnan(record.std_errors[kind]))
+        assert np.all(np.isnan(record.estimates[kind])) == kind.startswith("local")
 
 
 def test_exponential_fit_reaches_the_beta_face():
@@ -843,7 +861,7 @@ def test_local_step_holds_face_coordinates(orders, truth, dist, seed):
     fit = fit_self_weighted(data, orders, FitConfig(seed=seed))
     assert fit.converged
     assert fit.theta_hat.beta[-1] == 0.0
-    stepped = local_qmele_step(fit, data, config=FitConfig(seed=seed))
+    stepped = local_qmele_step(fit, data)
     assert stepped.shrink_count == 0
     assert stepped.theta_hat.beta[-1] == 0.0
     assert stepped.theta_hat.is_valid()
@@ -866,3 +884,57 @@ def test_fit_forms_the_derivative_matrices_at_most_twice(monkeypatch, criterion)
     fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5)), criterion=criterion)
     assert fit.converged and fit.nfev > 20
     assert len(calls) <= 2
+
+
+ARMA21_GARCH22 = ModelOrders(2, 1, 2, 2)
+THETA_ARMA21_GARCH22 = [0.0, 0.3, 0.2, 0.3, 0.1, 0.1, 0.08, 0.3, 0.2]
+# the threshold at the largest |y| of n = 600 (nearest rank) leaves every weight 1
+UNIT_WEIGHTS = WeightSpec(threshold="absolute", c_quantile=0.999)
+
+
+def unit_weight_gaussian_fit(seed):
+    data = simulate(make_theta(THETA_ARMA21_GARCH22, ARMA21_GARCH22), NORMAL, 600, seed=seed)
+    fit = fit_self_weighted(data, ARMA21_GARCH22, FitConfig(UNIT_WEIGHTS), criterion="qmle")
+    assert np.all(fit.weights == 1.0)
+    return data, fit
+
+
+def test_evaluator_is_nan_where_only_the_gradient_overflows():
+    # a trial point of this fit: psi = -1.36 makes the residuals grow while h
+    # stays near alpha0 = 8.8e-27, so the value is finite (1.2e182) while the
+    # lambda pass's ARCH dot products overflow
+    data, fit = unit_weight_gaussian_fit(4)
+    assert fit.converged and fit.status == "ok"
+    point = [0.21693790618881634, 1.095869988645903, -1.0391097814995838, -1.3558793590915665,
+             8.75651076269652e-27, 0.0, 0.0, 0.4334378629587764, 0.0]
+    value, grad = Evaluator(ARMA21_GARCH22, data, np.ones(600), QMLE)(np.array(point))
+    assert np.isnan(value) and not grad.any()
+
+
+def test_local_step_reports_an_infeasible_step():
+    # the fit ends on beta1 = beta2 = 0; the re-solve over the other
+    # coordinates frees a beta that the step then pushes below 0
+    data, fit = unit_weight_gaussian_fit(7)
+    assert fit.converged and fit.status == "ok"
+    assert np.all(fit.theta_hat.beta == 0.0)
+    stepped = local_qmele_step(fit, data)
+    assert stepped.converged is False
+    assert stepped.status == "infeasible_step"
+    assert stepped.shrink_count == 30
+    np.testing.assert_array_equal(stepped.theta_hat.theta, fit.theta_hat.theta)
+    assert np.all(np.isnan(stepped.covariance))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(arma_garch_designs())
+def test_local_step_is_a_fixed_point_at_an_interior_optimum(design):
+    # the unit-weight gaussian fit minimizes the criterion the gaussian one-step
+    # takes its Newton step on, so where it is certified inside the box the step stays put
+    orders, theta, seed = design
+    data = simulate(theta, NORMAL, 600, seed=seed)
+    fit = fit_self_weighted(data, orders, FitConfig(UNIT_WEIGHTS, seed=seed), criterion="qmle")
+    assume(fit.certificate is not None and fit.certificate.certified and fit.status == "ok")
+    assume(np.all(fit.theta_hat.delta[1:] > 0.0))
+    stepped = local_qmele_step(fit, data)
+    assert stepped.converged and stepped.shrink_count == 0
+    assert np.max(np.abs(stepped.theta_hat.theta - fit.theta_hat.theta) / fit.std_errors) <= 1e-5

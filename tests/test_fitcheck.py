@@ -32,6 +32,16 @@ def test_fitcheck_records_repeat_and_compare_to_themselves(tmp_path, capsys):
     assert sum(fits for fits, _ in counts) == 32 and sum(cert for _, cert in counts) == 32
     assert set(re.findall(r"uncertified (\d+)", out)) == {"0"}
     assert set(re.findall(r"changed (\d+)", out)) == {"0"}
+    assert set(re.findall(r"above truth (\d+)", out)) == {"0"}
+
+    # a converged fit above the criterion at the truth is counted, whatever its SEs
+    assert all("truth" in r for r in records)
+    raised = dict(records[5], objective=records[5]["truth"] + 1e-6, se=[float("nan")] * 5)
+    assert raised["converged"] and fitcheck.above_truth([raised, *records]) == 1
+    worse = tmp_path / "worse.jsonl"
+    worse.write_text("".join(json.dumps(r) + "\n" for r in [*records[:5], raised, *records[6:]]))
+    fitcheck.main(["compare", str(worse), str(first)])
+    assert sum(map(int, re.findall(r"above truth (\d+)", capsys.readouterr().out))) == 1
 
 
 def test_fitcheck_digest_prints_one_sha256(capsys):

@@ -7,7 +7,7 @@
 digest prints one sha256 over 40 self-weighted fits (5 designs x 4 seeded
 paths x both criteria; the last design has two lags in the AR, ARCH and
 GARCH parts) with their status and certificate, two one-step updates per
-converged fit (kernel g0 from the config, and g0 = 0.5 passed in), the
+converged fit (the fit's kernel g0, and g0 = 0.5 passed in), the
 public score, information, covariance and objective functions at the true
 parameters, and a 3-replication run_scenario with all four estimators.
 Floats are hashed by their bytes and exceptions by type and message, so two
@@ -15,8 +15,9 @@ trees print the same digest only if they compute the same numbers bit for
 bit on the same machine.
 
 record fits every path of SET (n = 1000 after a 500 burn-in) and writes one
-JSON line per self-weighted fit with its one-step update, floats in repr
-(exact). SET is one of
+JSON line per self-weighted fit with its one-step update (the status of a
+step that fails), and truth, the criterion at the true parameters with the
+fit's weights, floats in repr (exact). SET is one of
 - designs: six designs x 40 paths, both criteria, each with its one-step;
 - bench:START:STOP: for each benchmark seed in [START, STOP), the quota fits
   of two perfbench workloads as they run them. mc_laplace: 8 replications
@@ -31,16 +32,18 @@ theta moves in OLD's standard errors (median, largest), median and total
 criterion evaluations, certified fits, the fits with identical theta, SE
 and objective, and the failing one-steps. Under each self-weighted line
 come NEW's counts (fits, certified, certified on a face below a vertex, i.e.
-on fewer than p+q+1 kinks, pivoted, uncertified and restarted), the fits
+on fewer than p+q+1 kinks, pivoted, uncertified, restarted, and converged
+above truth by more than a relative 1e-9, as perfbench judges), the fits
 that certified at OLD with no pivot and how many of them changed theta,
 objective or nfev, and NEW's uncertified fits as benchmark seed:simulation
 seed. compare FILE FILE summarises one tree.
 
-The tool builds FitConfig(restarts=...), so a tree whose FitConfig has no
-restarts field (one older than that field) is recorded with that tree's
-own copy of this file: git show <rev>:tools/fitcheck.py > old_fitcheck.py,
-run with PYTHONPATH=<that tree>/src. Records of one SET from either tool
-compare.
+The tool builds FitConfig(restarts=...) and calls local_qmele_step without
+a config, so a tree older than either (whose step takes its g0 mode from a
+config) is recorded with that tree's own copy of this file: git show
+<rev>:tools/fitcheck.py > old_fitcheck.py, run with PYTHONPATH=<that
+tree>/src. Records of one SET from either tool compare; those without
+truth count none above it.
 """
 
 import hashlib
@@ -59,6 +62,8 @@ LAPLACE, NORMAL = InnovationDist("laplace", "abs_mean_one"), InnovationDist("nor
 KNOWN = G0Mode.known(0.5)
 THETA_FINITE, THETA_IGARCH = (0.0, 0.5, 0.1, 0.18, 0.4), (0.0, 0.5, 0.1, 0.3, 0.4)
 THETA_ARMA = (0.0, 0.5, 0.3, 0.1, 0.18, 0.4)
+OBJECTIVES = {"qmele": qmele_objective, "qmle": qmle_objective}
+TRUTH_RTOL = 1e-9
 # digest: (name, orders, theta, innovations, base seed); path i of n = 600 has seed base + i
 DIGEST_DESIGNS = (
     ("laplace_finite", (1, 0, 1, 1), THETA_FINITE, LAPLACE, 50000),
@@ -134,9 +139,8 @@ def digest():
                              criterion=criterion)
                 if fit is None or not fit.converged:
                     continue
-                d.call("step_kernel", local_qmele_step, fit, data, config=FitConfig(seed=path))
-                d.call("step_known", local_qmele_step, fit, data, g0=0.5,
-                       config=FitConfig(g0_mode=KNOWN, seed=3))
+                d.call("step_kernel", local_qmele_step, fit, data)
+                d.call("step_known", local_qmele_step, fit, data, g0=0.5)
     name, order_tuple, theta_tuple, dist, seed = DIGEST_DESIGNS[0]
     orders, theta = _truth(order_tuple, theta_tuple)
     table = run_scenario(ScenarioConfig(
@@ -197,20 +201,26 @@ def record(spec, path):
             data = simulate(truth, dist, 1000, burn_in=500, seed=seed)
             for criterion, with_step in criteria:
                 fit = fit_self_weighted(data, orders, config, criterion=criterion)
+                at_truth = OBJECTIVES[criterion](truth, data, fit.weights)
                 c = fit.certificate
                 line = {"design": design, "bench": bench, "seed": seed, "criterion": criterion,
-                        "orders": order_tuple, **_estimate(fit), "nfev": fit.nfev,
+                        "orders": order_tuple, **_estimate(fit), "truth": at_truth, "nfev": fit.nfev,
                         "iterations": fit.iterations, "starts": fit.starts, "converged": fit.converged,
                         "status": fit.status, "certificate": None if c is None else {
                             "active": len(c.active), "max_s": c.max_s, "kkt": c.kkt,
                             "pivots": c.pivots, "certified": c.certified}, "local": None}
                 if with_step and fit.converged:
-                    try:
-                        step = local_qmele_step(fit, data, config=config)
-                        line["local"] = {**_estimate(step), "shrink_count": step.shrink_count}
-                    except (ValueError, ArithmeticError) as exc:
-                        line["local"] = f"{type(exc).__name__}: {exc}"
+                    step = local_qmele_step(fit, data)
+                    line["local"] = ({**_estimate(step), "shrink_count": step.shrink_count}
+                                     if step.status == "ok" else step.status)
                 fh.write(json.dumps(line) + "\n")
+
+
+def above_truth(records):
+    """The converged fits whose objective is above the criterion at the true theta
+    (perfbench's rtol); records without a truth, from an older tool, count none."""
+    return sum(r["converged"] and r["objective"] > r["truth"] + TRUTH_RTOL * max(1.0, abs(r["truth"]))
+               for r in records if "truth" in r)
 
 
 def _same(a, b, keys):
@@ -251,6 +261,7 @@ def _counts(pairs):
     changed = sum(not _same(a, b, ("theta", "objective", "nfev")) for a, b in zero)
     print(f"{'':<15}fits {len(new)}  certified {len(new) - len(bad)}  face {face}  pivoted {pivoted}"
           f"  uncertified {len(bad)}  restarts {sum(r['starts'] > 1 for r in new)}"
+          f"  above truth {above_truth(new)}"
           f"  zero-pivot at OLD {len(zero)}, changed {changed}")
     if bad:
         print(f"{'':<15}uncertified: " + " ".join(bad))
