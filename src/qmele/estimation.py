@@ -8,8 +8,11 @@ the gaussian (QMLE, "qmle") l_t = log h_t + eps_t^2 / h_t with E eta^2 = 1.
 A record holds all that differs between them; every code path is shared.
 
 The self-weighted estimator minimizes (1/n) sum_t w_t l_t(theta) by
-L-BFGS-B (_lbfgsb) on the exact weighted score, in theta under _box, which
-holds the faces alpha_i = 0 and beta_j = 0. Every evaluation, and the
+L-BFGS-B on the exact weighted score, in theta under _box, which holds the
+faces alpha_i = 0 and beta_j = 0. Every run is one call of minimize, which
+drives scipy's compiled setulb with the steps and results of
+scipy.optimize.minimize but without its per-run and per-evaluation
+wrappers. Every evaluation, and the
 reported objective, goes through the fit's one Evaluator: a check of
 theta without a ParamVector, one residual and one volatility pass, the
 loss and score factors (a_t, b_t) from one eta, sqrt(h) and eps^2, and the
@@ -38,7 +41,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, _lbfgsb
+from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .exceptions import (
     DomainError,
@@ -548,13 +552,57 @@ def _box(orders):
     return box
 
 
-def _lbfgsb(fun, x0, box, runs, args=(), **tolerances):
-    """One L-BFGS-B run of fun -> (value, gradient) from x0 in the box's
-    (lower, upper) rows under MAX_ITER and the tolerances, appended to runs."""
-    options = dict(maxiter=MAX_ITER, maxfun=10 * MAX_ITER, **tolerances)
-    run = minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", bounds=box.T, options=options)
-    runs.append(run)
-    return run
+def minimize(fun, x0, box, runs, args=(), ftol=2.2204460492503131e-09, gtol=1e-5):
+    """One L-BFGS-B run (Byrd, Lu, Nocedal & Zhu 1995) of fun(x, *args) ->
+    (value, gradient) from x0 in the box's (lower, upper) rows, appended to
+    runs as an OptimizeResult: x, fun (the value last handed to setulb),
+    nfev, nit, success (the run met its tolerances) and message.
+
+    It drives scipy's compiled setulb step for step as
+    scipy.optimize.minimize(method="L-BFGS-B", jac=True) does, so its
+    results are the same bit for bit, without that call's wrappers: memory
+    10, 20 line-search steps, factr = ftol / eps, fun evaluated at x0
+    clipped to the box and then only where setulb asks at an x not equal
+    to the last one, and setulb handed a float64 copy of the gradient, so
+    that it never writes into fun's. The run stops after MAX_ITER
+    iterations (read at the call) or once more than 10 * MAX_ITER
+    evaluations are made."""
+    max_iter, n = MAX_ITER, len(x0)
+    lower, upper = box
+    finite_lower, finite_upper = np.isfinite(lower), np.isfinite(upper)
+    nbd = np.array([[0, 3], [1, 2]], dtype=np.int32)[finite_lower.astype(int), finite_upper.astype(int)]
+    low, up = np.where(finite_lower, lower, 0.0), np.where(finite_upper, upper, 0.0)
+    x = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
+    memory = 10
+    wa = np.zeros(2 * memory * n + 5 * n + 11 * memory * memory + 8 * memory)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave, dsave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32), np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    last = x.copy()
+    value, grad = fun(last, *args)
+    nfev, nit = 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    while True:
+        g = g.astype(np.float64)
+        _lbfgsb.setulb(memory, x, low, up, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # FG: the value and gradient at x
+            if not np.array_equal(x, last):
+                last = x.copy()
+                value, grad = fun(last, *args)
+                nfev += 1
+            f, g = value, grad
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            nit += 1
+            if nit >= max_iter:
+                task[:] = 5, 504
+            elif nfev > 10 * max_iter:
+                task[:] = 5, 502
+        else:
+            break
+    message = status_messages[int(task[0])] + ": " + task_messages[int(task[1])]
+    runs.append(OptimizeResult(x=x, fun=f, nfev=nfev, nit=nit, success=bool(task[0] == 4), message=message))
+    return runs[-1]
 
 
 def _kink_gamma(ev, gamma, active, basis, z):
@@ -600,7 +648,8 @@ def _certify(ev, theta, active, box, pivots):
     halfway to it; otherwise that crossing is swapped in for l.
     """
     k, w = ev.k, ev.w
-    eps, h = _eps_h(theta, ev.y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps, h = _eps_h(theta, ev.y)
     grad = ev(theta.theta, kinks=active)[1]
     jac = eps_gamma_derivs(ev.orders, ev.y, theta.gamma, eps)
     c = w / np.sqrt(h)
@@ -663,7 +712,7 @@ def _face_fit(ev, theta, active, box, runs):
     orders, k = ev.orders, ev.k
     m = k - len(active)
     if m == k:
-        run = _lbfgsb(ev, theta.theta, box, runs, **_TIGHT)
+        run = minimize(ev, theta.theta, box, runs, **_TIGHT)
         end = ParamVector.from_theta(orders, run.x)
         return end, ev(end.theta)[0], run.success
     basis = np.empty((k, 0))
@@ -687,7 +736,7 @@ def _face_fit(ev, theta, active, box, runs):
         return None
     fun = value_and_gradient if m else ev.held(solved[0])
     start = np.r_[basis.T @ solved[0], theta.delta]
-    run = _lbfgsb(fun, start, np.c_[box[:, :m], box[:, k:]], runs, **_TIGHT)
+    run = minimize(fun, start, np.c_[box[:, :m], box[:, k:]], runs, **_TIGHT)
     solved = on_face(run.x[:m]) if m else solved
     if solved is None:
         return None
@@ -712,7 +761,8 @@ def _face_finish(ev, x, success, box, runs):
     if not np.isfinite(best[1]):
         return x, best[1], False, cert
     theta = ParamVector.from_theta(ev.orders, x)
-    eps, h = _eps_h(theta, ev.y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps, h = _eps_h(theta, ev.y)
     abs_eta = np.abs(eps / np.sqrt(h))
     active = np.argsort(abs_eta, kind="stable")[: ev.k if ev.crit.ladder else 0]
     for pivots in range(MAX_PIVOTS + 1):
@@ -815,7 +865,7 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     while True:
         success = False
         for mu in crit.ladder:
-            run = _lbfgsb(ev, start, box, runs, (mu,))
+            run = minimize(ev, start, box, runs, (mu,))
             start, success = run.x, run.success
         ends.append(_face_finish(ev, start, success, box, runs))
         if ends[-1][2] or len(ends) > config.restarts:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal._sigtools import _linear_filter
 
 from .exceptions import DomainError, NumericOverflowError
 
@@ -306,12 +306,14 @@ def _iir(forcing, lag_coeffs, presample_value):
     """Run x_t = forcing_t + sum_j lag_coeffs[j] * x_{t-j} with constant
     pre-sample outputs x_k = c for k <= 0, c = presample_value.
 
-    lfilter carries the pre-sample in its state zi. With a = (1, -lag_coeffs)
-    that state is zi[m] = 0 - sum_{j>m} a_j c, built here from the same
-    products and sums as scipy's lfiltic, so the output equals
+    The run is scipy's compiled direct-form filter, the kernel that
+    lfilter([1], a, forcing[, zi]) calls after its argument checks, with
+    a = (1, -lag_coeffs); the pre-sample sits in its state zi. That state is
+    zi[m] = 0 - sum_{j>m} a_j c, built here from the same products and sums
+    as scipy's lfiltic, so the output equals
     lfilter([1], a, forcing, zi=lfiltic([1], a, full(s, c)))[0] bit for bit
-    without lfiltic's call cost. For c = 0 lfilter starts from its own zero
-    state. With no lags, forcing itself is returned.
+    without the calls' overhead. For c = 0 the filter starts from its own
+    zero state. With no lags, forcing itself is returned.
     """
     s = lag_coeffs.size
     if s == 0:
@@ -320,12 +322,12 @@ def _iir(forcing, lag_coeffs, presample_value):
     a[0] = 1.0
     np.negative(lag_coeffs, out=a[1:])
     if presample_value == 0.0:
-        return lfilter(_ONE, a, forcing)
+        return _linear_filter(_ONE, a, forcing, -1)
     prods = a[1:] * presample_value
     zi = 0.0 - prods  # right for the last entry, a sum of one product
     for m in range(s - 1):
         zi[m] = 0.0 - prods[m:].sum()
-    return lfilter(_ONE, a, forcing, zi=zi)[0]
+    return _linear_filter(_ONE, a, forcing, -1, zi)[0]
 
 
 def _reversed_iir(forcing, lag_coeffs):

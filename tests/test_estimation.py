@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -41,8 +41,11 @@ from qmele.estimation import (
     KKT_TOL,
     QMELE,
     QMLE,
+    _TIGHT,
     Evaluator,
+    _box,
     _criterion_mean,
+    _initial_params,
     _sandwich,
 )
 from qmele.model import _eps_h, checked_eps_h
@@ -774,6 +777,42 @@ def test_gaussian_fit_certifies_an_abnormal_stop(monkeypatch):
     assert fit.starts == 1
 
 
+@pytest.mark.parametrize("case", ["smoothed_then_held", "abnormal_stop", "max_iter"])
+def test_minimize_replays_scipys_lbfgsb(case, monkeypatch):
+    # the driver runs scipy's setulb as scipy.optimize.minimize does, so a
+    # scipy release that changes either shows here as a moved run
+    import qmele.estimation
+
+    if case == "max_iter":
+        monkeypatch.setattr(qmele.estimation, "MAX_ITER", 3)
+    truth, crit, seed = (THETA_IGARCH, QMLE, 20260635) if case == "abnormal_stop" else (THETA_FINITE, QMELE, 50000)
+    data = simulate(make_theta(truth), LAPLACE, 1000, burn_in=500, seed=seed)
+    ev = Evaluator(AR1_GARCH11, data, compute_weights(data, WeightSpec(), AR1_GARCH11), crit)
+    x, box, k = _initial_params(data.values, AR1_GARCH11).theta, _box(AR1_GARCH11), ev.k
+
+    def replay(fun, x0, bounds, args=(), **tolerances):
+        options = dict(maxiter=qmele.estimation.MAX_ITER, maxfun=10 * qmele.estimation.MAX_ITER, **tolerances)
+        ref = minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", bounds=bounds.T, options=options)
+        run = qmele.estimation.minimize(fun, x0, bounds, [], args, **tolerances)
+        assert run.x.tobytes() == ref.x.tobytes()
+        np.testing.assert_equal((run.fun, run.nfev, run.nit, run.success, run.message),
+                                (ref.fun, ref.nfev, ref.nit, ref.success, ref.message))
+        return run
+
+    if crit.ladder:
+        # the exponential fit's first smoothed stage, then a tight delta-only
+        # run at its gamma, as at a vertex
+        end = replay(ev, x, box, (1e-2,))
+        run = replay(ev.held(end.x[:k]), end.x[k:], box[:, k:], **_TIGHT)
+    else:
+        # the gaussian fit's lone tight run
+        run = replay(ev, x, box, **_TIGHT)
+    if case == "abnormal_stop":
+        assert not run.success and run.message.startswith("ABNORMAL")
+    if case == "max_iter":
+        assert run.nit == 3 and not run.success
+
+
 # orders up to (2,2,2,2), largest first so that examples shrink towards it
 ORDERS_UP_TO_2222 = sorted(
     [(p, q, r, s) for p in range(3) for q in range(3) for r in range(3) for s in range(3) if r or not s],
@@ -797,6 +836,9 @@ def arma_garch_designs(draw):
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(arma_garch_designs())
+# the face finish's first Newton solve lands at psi1 = 2.84, where |eps| reaches
+# 2.4e255 and eps^2 overflows while the face value stays finite
+@example((ModelOrders(2, 1, 0, 0), make_theta([-0.078125, 0.0419921875, 0.0, 0.0, 0.21875], ModelOrders(2, 1, 0, 0)), 504))
 def test_certified_fit_is_not_improved_by_nelder_mead(design):
     orders, theta, seed = design
     data = simulate(theta, LAPLACE, 600, seed=seed)

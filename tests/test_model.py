@@ -16,7 +16,7 @@ from qmele import (
     simulate_with_innovations,
 )
 
-from qmele.model import _iir, eps_gamma_derivs
+from qmele.model import _iir, _reversed_iir, eps_gamma_derivs
 
 from conftest import AR1_GARCH11, make_theta
 
@@ -99,6 +99,8 @@ def test_iir_equals_lfilter_from_lfiltic_state(s, nonzero_presample):
         a = np.concatenate([[1.0], -lag])
         ref = lfilter([1.0], a, x, zi=lfiltic([1.0], a, y=np.full(s, c)))[0]
         assert np.array_equal(_iir(x, lag, c), ref)
+        # the backward pass filters a reversed view of its forcing in place
+        assert np.array_equal(_reversed_iir(x, lag), lfilter([1.0], a, x[::-1].copy())[::-1])
 
 
 @pytest.mark.parametrize(
