@@ -11,8 +11,10 @@ files; repeated runs are byte-identical.
 
 import argparse
 import csv
+import io
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -31,12 +33,40 @@ from .montecarlo import _fit_settings, _read_config, _read_text, load_scenario, 
 from .weights import hill_sweep, moment_condition_check
 
 
+# whitespace to str.strip() and numpy's float parser, but not to float()
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def read_series_csv(path, column=None, no_header=False):
     """Read one numeric column from a CSV file.
 
-    Picks the named column (header files only) or the first column. Errors
-    name the file and the offending row.
+    Picks the named column (header files only) or the first column. The
+    header is the first row whose cells are not all blank; such blank rows
+    are skipped. numpy's compiled reader parses the column after the header
+    in one pass, with no Python object per row. A file it rejects or finds
+    empty is read again by _read_series_rows, the csv-module reference, so
+    values and error messages are the same either way. Errors name the file
+    and the offending row, counted among the non-blank rows.
     """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = [] if no_header else next((r for r in csv.reader(fh) if "".join(r).strip()), [])
+            body = fh.read()  # the rows after the header
+        col_idx = [c.strip() for c in header].index(column) if column is not None else 0
+        if not any(ch in body for ch in _NOT_FLOAT_SPACE):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # numpy warns on a file with no data
+                values = np.loadtxt(io.StringIO(body), delimiter=",", quotechar='"', comments=None,
+                                    usecols=col_idx, ndmin=1)
+            if values.size:
+                return values
+    except (OSError, ValueError, csv.Error):
+        pass
+    return _read_series_rows(path, column, no_header)
+
+
+def _read_series_rows(path, column, no_header):
+    """read_series_csv by the csv module: one list per row, and every error message."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -69,11 +99,12 @@ def read_series_csv(path, column=None, no_header=False):
     for i, row in enumerate(rows[start:], start=start + 1):
         if col_idx >= len(row):
             raise DataIngestError(f"{path}: row {i} has no column {col_idx + 1}")
-        cell = row[col_idx].strip()
+        cell = row[col_idx]
         try:
             float(cell)
         except ValueError as exc:
-            raise DataIngestError(f"{path}: row {i}: non-numeric cell {cell!r}") from exc
+            shown = cell if any(ch in cell for ch in _NOT_FLOAT_SPACE) else cell.strip()
+            raise DataIngestError(f"{path}: row {i}: non-numeric cell {shown!r}") from exc
 
 
 def _parse_orders(text):

@@ -170,9 +170,9 @@ class FitResult:
     converged says the step was taken. status says why the covariance is
     NaN: "ok", "not_converged", "singular_information", "domain",
     "overflow" or, for a step that no halving makes feasible,
-    "infeasible_step". certificate is the self-weighted fit's last
-    face-finish certificate (None for a one-step update, or if no finish
-    got as far).
+    "infeasible_step". certificate is the face-finish certificate of
+    theta_hat (None for a one-step update, or where theta_hat is not a face
+    end but the smoothed stages' end).
     """
 
     theta_hat: ParamVector
@@ -755,11 +755,11 @@ def _face_finish(ev, x, success, box, runs):
     times; where no finite end solves eps_A = 0, the kink with the largest
     |eta_t| at x leaves A. Without a certified end, the lowest of the face
     ends and x is kept, converged if its run succeeded with a finite value,
-    with the last certificate made (None if none).
+    with the certificate of the face end kept (None for x).
     """
-    best, cert = (x, ev(x)[0], bool(success)), None
+    best = (x, ev(x)[0], bool(success), None)
     if not np.isfinite(best[1]):
-        return x, best[1], False, cert
+        return x, best[1], False, None
     theta = ParamVector.from_theta(ev.orders, x)
     with np.errstate(over="ignore", invalid="ignore"):
         eps, h = _eps_h(theta, ev.y)
@@ -773,16 +773,16 @@ def _face_finish(ev, x, success, box, runs):
             active = np.delete(active, np.argmax(abs_eta[active]))
             continue
         theta, value, success = face
-        if value < best[1]:
-            best = theta.theta, value, success
         cert, move = _certify(ev, theta, active, box, pivots)
         if cert.certified:
             return theta.theta, value, True, cert
+        if value < best[1]:
+            best = theta.theta, value, success, cert
         if move is None:
             break
         active, gamma = move
         theta = ParamVector(ev.orders, gamma, theta.delta)
-    return *best, cert
+    return best
 
 
 def _failure(exc):

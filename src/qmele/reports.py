@@ -24,15 +24,21 @@ def round6(x):
 
 
 def write_csv(path, header, rows):
-    """Write rows of already-formatted strings with a fixed newline."""
+    """Write a header and rows of already-formatted strings with a fixed
+    newline, in one write. rows may also be the body as one string of
+    newline-ended lines (series_csv_rows)."""
+    if not isinstance(rows, str):
+        rows = "".join(",".join(row) + "\n" for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n" + rows)
 
 
 def series_csv_rows(values, name="y"):
-    return [name], [[fmt(v)] for v in np.asarray(values, dtype=float)]
+    """Header and body of a one-column series file. The body formats every
+    value as fmt does, in one %-pass over a tuple of floats, so no list or
+    string is made per row."""
+    values = np.asarray(values, dtype=float).tolist()
+    return [name], ("%.6g\n" * len(values)) % tuple(values)
 
 
 def acf_csv_rows(report):

@@ -1,10 +1,16 @@
+import gc
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qmele import InnovationDist, reports, simulate
+import qmele
+from qmele import InnovationDist, cli, reports, simulate
 from qmele.cli import main, read_series_csv
 
 from conftest import THETA_FINITE, THETA_IGARCH, make_theta
@@ -132,6 +138,113 @@ def test_read_series_csv_skips_blank_rows(tmp_path):
     with pytest.raises(Exception) as err:
         read_series_csv(str(path))
     assert "row 4: non-numeric cell 'x'" in str(err.value)
+
+
+# (file text, read_series_csv keywords, whether numpy's reader takes the file
+# without the csv-module reference)
+CSV_CORPUS = [
+    ("y\n1.5\n-2e-3\n7\n", {}, True),
+    ("\n\n1\n2\n3\n", {}, True),  # the header is the first non-blank row, "1"
+    ("\n \n,\n\ty\n4\n5", {}, True),
+    ("y\n1\n\n2\n\n\n3\n\n", {}, True),
+    ("a,b\n\n 1.5 , 10\n , \n\t\n-2e-3,20\n   \n,\n7,30\n", {}, False),
+    ("a,b\n\n 1.5 , 10\n , \n\t\n-2e-3,20\n   \n,\n7,30\n", {"column": "b"}, False),
+    ("y\r\n1\r\n2\r\n\r\n3\r\n", {}, True),
+    ("y\r1\r2\r", {}, False),
+    ('name,y\n"a,b",1\n"c","2"\n"d ""e""", 3 \n"f\ng",4\n', {"column": "y"}, True),
+    ('"y"\n"1"2\n" 3 "\n', {}, True),
+    ("y,\n1,\n2,3\n4,5,6\n", {}, True),
+    ("a,b\n1,10\n2\n", {"column": "b"}, False),
+    ("\ufeffy\n1\n2\n", {}, True),
+    ("\ufeffy\n1\n2\n", {"column": "y"}, False),
+    ("\ufeff1\n2\n", {"no_header": True}, False),
+    ("y\n1_000\ninf\n-nan\n", {}, False),
+    ("y\ninf\n-nan\nNaN\n-Infinity\n-0.0\n5e-324\n1.797e308\n1e400\n", {}, True),
+    ("y\n1\x1c\n2\n", {}, False),
+    ("y\n 1\u2003\n\u20032\n", {}, True),
+    ("a,b\n1,10\n2,20\n", {"column": "b"}, True),
+    ("a, b \n1,10\n2,20\n", {"column": "b"}, True),
+    ("a,b\n1,10\n2,20\n", {"column": "c"}, False),
+    ("1.5\n2.5\n", {"no_header": True}, True),
+    ("\n\n1.5\n2.5\n", {"no_header": True}, True),
+    ("1\n2\n", {"column": "y", "no_header": True}, False),
+    ("y\n1\n#2\n", {}, False),
+    ("y\n\n \n", {}, False),
+    ("", {}, False),
+]
+
+
+def _outcome(fn, path, kwargs):
+    """The array read, as dtype, shape and bytes, or the error raised."""
+    try:
+        values = fn(str(path), **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return values.dtype, values.shape, values.tobytes()
+
+
+@pytest.mark.parametrize("text,kwargs,compiled", CSV_CORPUS)
+def test_read_series_csv_equals_the_csv_module_reference(tmp_path, monkeypatch, text, kwargs, compiled):
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode("utf-8"))
+    reference = _outcome(cli._read_series_rows, path, {"column": None, "no_header": False, **kwargs})
+    if compiled:
+        def no_fallback(*args):
+            raise AssertionError("numpy's reader rejected the file")
+
+        monkeypatch.setattr(cli, "_read_series_rows", no_fallback)
+    # byte for byte, so the sign of zeros and nans counts
+    assert _outcome(read_series_csv, path, kwargs) == reference
+
+
+def test_series_body_is_fmt_of_every_value(tmp_path):
+    rng = np.random.default_rng(18)
+    edges = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.797e308, -1.7976931348623157e308, 1e-5, 9.999995e-5, 1e-4, 999999.5, 999999.4,
+             1e6, 123456.5, 0.5, -1.0, 1e16, 2.0**53 + 1]
+    draws = rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-323.0, 308.0, 100_000)
+    values = np.r_[edges, draws, rng.standard_t(3, 1000)]
+    header, body = reports.series_csv_rows(values, "eta")
+    assert header == ["eta"]
+    assert body == "".join(reports.fmt(v) + "\n" for v in values)
+    path = tmp_path / "eta.csv"
+    reports.write_csv(str(path), header, body)
+    assert path.read_bytes() == ("eta\n" + body).encode("ascii")
+
+
+def test_series_files_are_read_and_written_without_a_full_collection(tmp_path):
+    # one container object per row sets off generation-2 collections on long series
+    path, out = tmp_path / "y.csv", tmp_path / "eta.csv"
+    values = np.random.default_rng(5).standard_t(3, 50_000)
+    path.write_text("y\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+    full = []
+
+    def count(phase, info):
+        if phase == "start" and info["generation"] == 2:
+            full.append(info)
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        read = read_series_csv(str(path))
+        reports.write_csv(str(out), *reports.series_csv_rows(read, "eta"))
+    finally:
+        gc.callbacks.remove(count)
+    np.testing.assert_array_equal(read, values)
+    assert full == []
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qmele.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "qmele", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and "usage: qmele" in shown.stdout
+    missing = run("acf", "missing.csv", "--out-dir", "out")
+    assert missing.returncode == 3 and "missing.csv" in missing.stderr
 
 
 def test_fmt_edge_values():

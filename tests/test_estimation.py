@@ -851,6 +851,23 @@ def test_certified_fit_is_not_improved_by_nelder_mead(design):
         assert polished >= fit.objective_value - 1e-9
 
 
+def test_certificate_describes_the_point_the_fit_keeps():
+    # the draw pinned above: the face finish rejects its face ends (the first at
+    # psi1 = 2.84, value 2.6e253) and keeps the smoothed stages' end
+    orders = ModelOrders(2, 1, 0, 0)
+    data = simulate(make_theta([-0.078125, 0.0419921875, 0.0, 0.0, 0.21875], orders), LAPLACE, 600, seed=504)
+    config = FitConfig(WeightSpec(threshold="absolute"), g0_mode=G0Mode.known(0.5), seed=504)
+    fit = fit_self_weighted(data, orders, config)
+    assert fit.converged and fit.status == "ok"
+    np.testing.assert_allclose(fit.theta_hat.theta, [-0.029211, 0.683322, -0.025604, -0.610897, 0.218626],
+                               atol=1e-6)
+    assert fit.objective_value == pytest.approx(0.2252705, abs=1e-7)
+    cert = fit.certificate
+    if cert is not None:  # then theta_hat lies on the face it certifies
+        eps, _ = _eps_h(fit.theta_hat, data.values)
+        assert np.abs(eps[list(cert.active)]).max() <= 1e-8
+
+
 def test_fit_status_names_a_singular_information_matrix():
     # the optimum has alpha1 = 0, where beta1 is not identified
     orders = ModelOrders(1, 1, 1, 1)

@@ -23,6 +23,18 @@ def test_fitcheck_records_repeat_and_compare_to_themselves(tmp_path, capsys):
     assert len(records) == 32
     assert sum(r["local"] is not None for r in records) == 24
 
+    # R = 2 replications per design are the first two of the quota's 8, in the same order
+    two = tmp_path / "two.jsonl"
+    fitcheck.main(["record", "bench:700:701:2", str(two)])
+    seeds, expected = {}, []
+    for line, r in zip(first.read_text().splitlines(), records):
+        kept = seeds.setdefault(r["design"], [])
+        if r["seed"] not in kept and len(kept) < 2:
+            kept.append(r["seed"])
+        if r["seed"] in kept:
+            expected.append(line)
+    assert len(expected) == 8 and two.read_text().splitlines() == expected
+
     fitcheck.main(["compare", str(first), str(first)])
     out = capsys.readouterr().out
     assert set(re.findall(r"rise (\S+)", out)) == {"+0.00e+00"}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmele import (
     DegenerateSampleError,
@@ -78,6 +80,34 @@ def test_weights_match_brute_force(variant, iota, threshold):
     spec = WeightSpec(variant, iota=iota, threshold=threshold)
     w = compute_weights(y, spec)
     np.testing.assert_allclose(w, brute_force_weights(y, spec), rtol=0, atol=1e-12)
+
+
+@st.composite
+def weight_cases(draw):
+    """A spec of any variant and threshold, orders up to (2,2,2,2), and a t3 series
+    of 2-150 values shifted by up to 3 (off centre), with up to 5 pre-sample values."""
+    variant = draw(st.sampled_from(["infinite_k9", "finite_lag", "infinite_iota_scaled"]))
+    iota = draw(st.floats(0.2, 10.0)) if variant == "infinite_iota_scaled" else None
+    spec = WeightSpec(variant, iota=iota, c_quantile=draw(st.floats(0.05, 0.95)),
+                      threshold=draw(st.sampled_from(["signed", "absolute"])))
+    orders = ModelOrders(*(draw(st.integers(0, 2)) for _ in range(4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = draw(st.floats(-3.0, 3.0))
+    y = shift + rng.standard_t(3, draw(st.integers(2, 150)))
+    return spec, orders, y, shift + rng.standard_t(3, draw(st.integers(0, 5)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(weight_cases())
+def test_weights_match_brute_force_property(case):
+    spec, orders, y, pre = case
+    base = y if spec.threshold == "signed" else np.abs(y)
+    if nearest_rank_quantile(base, spec.c_quantile) <= 0.0:
+        with pytest.raises(DomainError, match="absolute"):
+            compute_weights(y, spec, orders, prehistory=pre)
+        return
+    w = compute_weights(y, spec, orders, prehistory=pre)
+    np.testing.assert_allclose(w, brute_force_weights(y, spec, orders, pre), rtol=0, atol=1e-12)
 
 
 def test_weights_signed_threshold_needs_positive_quantile():

@@ -19,12 +19,15 @@ JSON line per self-weighted fit with its one-step update (the status of a
 step that fails), and truth, the criterion at the true parameters with the
 fit's weights, floats in repr (exact). SET is one of
 - designs: six designs x 40 paths, both criteria, each with its one-step;
-- bench:START:STOP: for each benchmark seed in [START, STOP), the quota fits
-  of two perfbench workloads as they run them. mc_laplace: 8 replications
-  of each Laplace AR(1)-GARCH(1,1) design (finite variance, IGARCH), g0
-  known, sw_qmele and local_qmele. mc_arma_normal: 8 replications of
-  ARMA(1,1)-GARCH(1,1) with normal innovations, restarts = 1, in two
-  mc-table calls of 4: sw_qmele, sw_qmle and local_qmle.
+- bench:START:STOP[:R]: for each benchmark seed in [START, STOP), the first
+  R (default 8, the quota) replications of each design of two perfbench
+  workloads, fitted as they fit them. mc_laplace: each Laplace
+  AR(1)-GARCH(1,1) design (finite variance, IGARCH), g0 known, sw_qmele
+  and local_qmele. mc_arma_normal: ARMA(1,1)-GARCH(1,1) with normal
+  innovations, restarts = 1, in mc-table calls of 4: sw_qmele, sw_qmle
+  and local_qmle. A 30 s mc_laplace run holds 150 or more replications of
+  each design, so bench:1500:1600:150 holds the 30,000 mc_laplace units
+  of 100 such runs (and 15,000 ARMA paths).
 
 compare prints per design and estimator how the fits of NEW differ from
 those of OLD, two record files of one SET: the largest objective rise,
@@ -172,17 +175,18 @@ def path_fits(spec):
                 yield name, None, orders, theta, dist, s, config, (("qmele", True), ("qmle", True))
         return
     kind, *bounds = spec.split(":")
-    if kind != "bench" or len(bounds) != 2:
+    if kind != "bench" or len(bounds) not in (2, 3):
         raise SystemExit(f"unknown SET {spec!r}")
-    for seed in range(*map(int, bounds)):
+    start, stop, reps = (*map(int, bounds), 8)[:3]
+    for seed in range(start, stop):
         finite, igarch = derived_seeds(seed, "mc_laplace", 2)
         for name, theta, base in (("laplace_finite", THETA_FINITE, finite),
                                   ("laplace_igarch", THETA_IGARCH, igarch)):
-            for s in range(base, base + 8):
+            for s in range(base, base + reps):
                 config = FitConfig(g0_mode=KNOWN, seed=s)
                 yield name, seed, (1, 0, 1, 1), theta, LAPLACE, s, config, (("qmele", True),)
         (base,) = derived_seeds(seed, "mc_arma_normal", 1)
-        for s in range(base, base + 8):  # two mc-table calls of 4, each seeded with its first
+        for s in range(base, base + reps):  # mc-table calls of 4, each seeded with its first
             config = FitConfig(restarts=1, seed=base + (s - base) // 4 * 4)
             yield ("arma11_normal", seed, (1, 1, 1, 1), THETA_ARMA, NORMAL, s, config,
                    (("qmele", False), ("qmle", True)))
