@@ -5,6 +5,9 @@ Common flags: --seed, --out-dir, --config. Input CSVs are UTF-8 with a
 period decimal point; a header row is assumed unless --no-header is given.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 
+An omitted setting takes the default of the dataclass or function it is
+passed to, and choices are the tuples those validate against.
+
 Every command's output is a pure function of its flags, config and input
 files; repeated runs are byte-identical.
 """
@@ -23,6 +26,8 @@ from .diagnostics import acf, efficiency_compare, pacf, standardized_residuals
 from .estimation import FitConfig, fit_self_weighted, local_qmele_step
 from .exceptions import DataIngestError, DomainError
 from .model import (
+    INNOVATION_KINDS,
+    STANDARDIZATIONS,
     InnovationDist,
     ModelOrders,
     ParamVector,
@@ -30,7 +35,7 @@ from .model import (
     simulate,
 )
 from .montecarlo import _fit_settings, _read_config, _read_text, load_scenario, run_scenario
-from .weights import hill_sweep, moment_condition_check
+from .weights import DEFAULT_MC_DRAWS, THRESHOLDS, WEIGHT_VARIANTS, hill_sweep, moment_condition_check
 
 
 # whitespace to str.strip() and numpy's float parser, but not to float()
@@ -70,7 +75,7 @@ def _read_series_rows(path, column, no_header):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, csv.Error) as exc:
         raise DataIngestError(f"cannot read {path}: {exc}") from exc
     rows = [r for r in rows if "".join(r).strip()]
     if not rows:
@@ -125,13 +130,13 @@ def _parse_theta(text, orders):
     return ParamVector.from_theta(orders, np.asarray(vals)).validate()
 
 
+def _given(args, *names):
+    """The named flags that were given, as keywords for the library call."""
+    return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+
+
 def _dist_from_args(args):
-    return InnovationDist(
-        kind=args.dist,
-        standardization=getattr(args, "standardization", "abs_mean_one"),
-        epsilon=getattr(args, "epsilon", 0.0) or 0.0,
-        tau=getattr(args, "tau", 1.0) or 1.0,
-    )
+    return InnovationDist(args.dist, **_given(args, "standardization", "epsilon", "tau"))
 
 
 def _ensure_out_dir(path):
@@ -162,8 +167,7 @@ def cmd_fit(args):
         "optimizer": {"restarts": args.restarts},
     }
     cp.read_dict({sec: {k: str(v) for k, v in kv.items() if v is not None} for sec, kv in flags.items()})
-    weight_spec, g0_mode, restarts = _fit_settings(cp)
-    config = FitConfig(weight_spec=weight_spec, restarts=restarts, g0_mode=g0_mode, seed=args.seed)
+    config = FitConfig(seed=args.seed, **_fit_settings(cp))
     sw = fit_self_weighted(data, orders, config, criterion="qmele")
     out = _ensure_out_dir(args.out_dir)
     n_obs = np.asarray(data.values if hasattr(data, "values") else data).size
@@ -211,7 +215,7 @@ def cmd_simulate(args):
     orders = _parse_orders(args.orders)
     theta = _parse_theta(args.theta, orders)
     dist = _dist_from_args(args)
-    data = simulate(theta, dist, args.n, burn_in=args.burn_in, seed=args.seed)
+    data = simulate(theta, dist, args.n, seed=args.seed, **_given(args, "burn_in"))
     out = _ensure_out_dir(args.out_dir)
     path = os.path.join(out, args.out)
     reports.write_csv(path, *reports.series_csv_rows(data.values, "y"))
@@ -324,16 +328,15 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
 
     def add_dist(p, standardization=True):
-        p.add_argument("--dist", required=True, choices=["laplace", "normal", "student_t3", "mixture"])
+        p.add_argument("--dist", required=True, choices=INNOVATION_KINDS)
         if standardization:
-            p.add_argument("--standardization", default="abs_mean_one",
-                           choices=["abs_mean_one", "var_one", "raw"])
-        p.add_argument("--epsilon", type=float, default=0.0)
-        p.add_argument("--tau", type=float, default=1.0)
+            p.add_argument("--standardization", choices=STANDARDIZATIONS)
+        p.add_argument("--epsilon", type=float)
+        p.add_argument("--tau", type=float)
 
     def add_input(p):
         p.add_argument("input", help="input CSV file")
-        p.add_argument("--column", default=None, help="named column to read")
+        p.add_argument("--column", help="named column to read")
         p.add_argument("--no-header", action="store_true", help="input has no header row")
 
     p = sub.add_parser("fit", help="fit the model and emit diagnostics")
@@ -341,19 +344,19 @@ def build_parser():
     add_common(p)
     p.add_argument("--orders", required=True, help="model orders p,q,r,s")
     p.add_argument("--log-returns-x100", action="store_true", help="transform prices to 100x log returns")
-    p.add_argument("--config", default=None,
+    p.add_argument("--config",
                    help="optional key=value file with [weights]/[g0]/[optimizer] sections; explicit flags win")
-    p.add_argument("--weight-variant", default=None,
-                   choices=["infinite_k9", "finite_lag", "infinite_iota_scaled"])
-    p.add_argument("--iota", type=float, default=None)
-    p.add_argument("--c-quantile", type=float, default=None)
-    p.add_argument("--weight-threshold", default=None, choices=["signed", "absolute"])
-    p.add_argument("--g0-known", type=float, default=None,
+    p.add_argument("--weight-variant", choices=WEIGHT_VARIANTS)
+    p.add_argument("--iota", type=float)
+    p.add_argument("--c-quantile", type=float)
+    p.add_argument("--weight-threshold", choices=THRESHOLDS)
+    p.add_argument("--g0-known", type=float,
                    help="inject a known innovation density at zero instead of the kernel estimate")
-    p.add_argument("--restarts", type=int, default=None,
-                   help="seeded jittered starts tried in turn until a descent converges (default 5)")
+    p.add_argument("--restarts", type=int,
+                   help="seeded jittered starts tried in turn until a descent converges "
+                        f"(default {FitConfig.restarts})")
     p.add_argument("--max-lag", type=int, default=20, help="diagnostic ACF/PACF lags")
-    p.add_argument("--hill-k-max", type=int, default=None)
+    p.add_argument("--hill-k-max", type=int)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="simulate a seeded path to CSV")
@@ -362,7 +365,7 @@ def build_parser():
     p.add_argument("--theta", required=True, help="comma-separated parameter vector")
     add_dist(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--burn-in", type=int, default=500)
+    p.add_argument("--burn-in", type=int)
     p.add_argument("--out", default="simulated.csv", help="output file name inside --out-dir")
     p.set_defaults(func=cmd_simulate)
 
@@ -370,7 +373,7 @@ def build_parser():
     add_common(p)
     p.add_argument("--config", required=True)
     p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = serial)")
-    p.add_argument("--replications", type=int, default=None, help="override the config value")
+    p.add_argument("--replications", type=int, help="override the config value")
     p.set_defaults(func=cmd_mc_table)
 
     p = sub.add_parser("hill", help="Hill tail-index sweep")
@@ -385,7 +388,7 @@ def build_parser():
     p.add_argument("--beta1", required=True, help="grid min:max:steps")
     p.add_argument("--iota", type=float, required=True)
     add_dist(p)
-    p.add_argument("--draws", type=int, default=1_000_000)
+    p.add_argument("--draws", type=int, default=DEFAULT_MC_DRAWS)
     p.set_defaults(func=cmd_region_scan)
 
     p = sub.add_parser("acf", help="ACF/PACF with white-noise bands")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSampleError, DomainError
-from .model import _eps_h, as_series
+from .model import checked_eps_h
 
 PREFER_QMELE = "qmele"
 PREFER_QMLE = "qmle"
@@ -44,13 +44,14 @@ class EfficiencyReport:
 
 
 def standardized_residuals(fit, data):
-    """Residuals eta_hat_t = eps_t(gamma_hat) / sqrt(h_t(theta_hat))."""
+    """Residuals eta_hat_t = eps_t(gamma_hat) / sqrt(h_t(theta_hat)).
+
+    Raises NumericOverflowError, as every filter caller does, if a
+    recursion leaves the finite range or h exceeds H_OVERFLOW_LIMIT.
+    """
     if not fit.converged:
         raise DomainError("fit did not converge; residuals would be meaningless")
-    data = as_series(data)
-    eps, h = _eps_h(fit.theta_hat, data.values)
-    if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(h))):
-        raise DomainError("filter overflowed at the fitted parameters")
+    _, eps, h = checked_eps_h(fit.theta_hat, data)
     return eps / np.sqrt(h)
 
 

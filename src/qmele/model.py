@@ -26,6 +26,9 @@ from scipy.signal._sigtools import _linear_filter
 from .exceptions import DomainError, NumericOverflowError
 
 H_OVERFLOW_LIMIT = 1e300
+BURN_IN = 500  # simulated observations dropped before the retained path
+INNOVATION_KINDS = ("laplace", "normal", "student_t3", "mixture")
+STANDARDIZATIONS = ("abs_mean_one", "var_one", "raw")
 
 # closed-form absolute first moments of the unscaled innovation laws
 _ABS_MEAN = {
@@ -182,9 +185,9 @@ class InnovationDist:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("laplace", "normal", "student_t3", "mixture"):
+        if self.kind not in INNOVATION_KINDS:
             raise DomainError(f"unknown innovation kind {self.kind!r}")
-        if self.standardization not in ("abs_mean_one", "var_one", "raw"):
+        if self.standardization not in STANDARDIZATIONS:
             raise DomainError(f"unknown standardization {self.standardization!r}")
         if self.kind == "mixture":
             if not 0.0 <= self.epsilon <= 1.0:
@@ -471,7 +474,7 @@ def _check_finite(v, name, limit=np.finfo(float).max):
         raise NumericOverflowError(f"{name} recursion overflowed at t={t}", t=t)
 
 
-def simulate_with_innovations(theta, dist, n, burn_in=500, seed=0):
+def simulate_with_innovations(theta, dist, n, burn_in=BURN_IN, seed=0):
     """Simulate a path and return (y, eta) for the retained segment."""
     theta.validate()
     if n < 1:
@@ -520,7 +523,7 @@ def simulate_with_innovations(theta, dist, n, burn_in=500, seed=0):
     return np.array(y[lag + burn_in :]), eta[burn_in:].copy()
 
 
-def simulate(theta, dist, n, burn_in=500, seed=0):
+def simulate(theta, dist, n, burn_in=BURN_IN, seed=0):
     """Simulate n observations from the model (after a burn-in).
 
     Identical arguments, including the seed, reproduce the identical series.

@@ -4,6 +4,9 @@ aggregate bias / sample SD / mean asymptotic SD per parameter.
 Replication i uses seed base_seed + i, so parallel and serial execution
 produce identical tables; failed replications are excluded from the moments
 and counted separately.
+
+Scenario files are flat key = value sections read through one table,
+_KEYS; a key a file omits takes the default of the dataclass it sets.
 """
 
 import configparser
@@ -15,7 +18,6 @@ import numpy as np
 from .estimation import (
     CRITERIA,
     ESTIMATOR_KINDS,
-    LOCAL_QMELE,
     SW_QMELE,
     FitConfig,
     G0Mode,
@@ -23,7 +25,7 @@ from .estimation import (
     local_qmele_step,
 )
 from .exceptions import DataIngestError, DomainError
-from .model import InnovationDist, ModelOrders, ParamVector, simulate
+from .model import BURN_IN, InnovationDist, ModelOrders, ParamVector, simulate
 from .weights import WeightSpec
 
 
@@ -37,11 +39,11 @@ class ScenarioConfig:
     n: int
     replications: int
     seed: int
-    estimators: tuple = (SW_QMELE, LOCAL_QMELE)
+    estimators: tuple = (SW_QMELE,)
     weight_spec: WeightSpec = field(default_factory=WeightSpec)
     g0_mode: G0Mode = field(default_factory=G0Mode.kernel)
-    restarts: int = 5
-    burn_in: int = 500
+    restarts: int = FitConfig.restarts
+    burn_in: int = BURN_IN
     name: str = "scenario"
 
     def __post_init__(self):
@@ -174,43 +176,55 @@ def run_scenario(config, jobs=1):
 # flat key = value scenario files
 
 
-_ALLOWED_KEYS = {
-    "model": {"p", "q", "r", "s"},
-    "truth": {"mu", "phi", "psi", "alpha0", "alpha", "beta"},
-    "innovations": {"kind", "standardization", "epsilon", "tau"},
-    "study": {"n", "replications", "seed", "burn_in", "estimators", "name"},
-    "weights": {"variant", "iota", "c_quantile", "threshold"},
-    "g0": {"mode", "value"},
-    "optimizer": {"restarts"},
-}
-
-
 def _floats(text):
-    text = text.strip()
-    if not text:
-        return ()
     return tuple(float(x) for x in text.replace(",", " ").split())
 
 
+def _names(text):
+    return tuple(text.replace(",", " ").split())
+
+
+# section -> {key: (builder keyword, parser)}: every key a file may set; the
+# builders (ModelOrders ... FitConfig) hold the defaults and check the values
+_KEYS = {
+    "model": {k: (k, int) for k in "pqrs"},
+    "truth": {"mu": ("mu", float), "alpha0": ("alpha0", float),
+              **{k: (k, _floats) for k in ("phi", "psi", "alpha", "beta")}},
+    "innovations": {"kind": ("kind", str), "standardization": ("standardization", str),
+                    "epsilon": ("epsilon", float), "tau": ("tau", float)},
+    "study": {"n": ("n", int), "replications": ("replications", int), "seed": ("seed", int),
+              "burn_in": ("burn_in", int), "estimators": ("estimators", _names), "name": ("name", str)},
+    "weights": {"variant": ("variant", str), "iota": ("iota", float),
+                "c_quantile": ("c_quantile", float), "threshold": ("threshold", str)},
+    "g0": {"mode": ("kind", str), "value": ("value", float)},
+    "optimizer": {"restarts": ("restarts", int)},
+}
+_REQUIRED = {"model": ("p", "q", "r", "s"), "truth": ("mu", "alpha0"), "innovations": ("kind",),
+             "study": ("n", "replications", "seed")}
+
+
+def _keywords(cp, section):
+    """Builder keywords of the keys that `section` of a parsed config sets."""
+    for key in _REQUIRED.get(section, ()):
+        if not cp.has_option(section, key):
+            raise DataIngestError(f"missing required key {key!r} in section [{section}]")
+    return {kw: parse(cp.get(section, key))
+            for key, (kw, parse) in _KEYS[section].items() if cp.has_option(section, key)}
+
+
 def _fit_settings(cp):
-    """WeightSpec, G0Mode and restarts from the [weights], [g0] and
-    [optimizer] sections of a parsed config; absent keys take defaults."""
-    weight_spec = WeightSpec(
-        variant=cp.get("weights", "variant", fallback="infinite_k9"),
-        iota=cp.getfloat("weights", "iota") if cp.has_option("weights", "iota") else None,
-        c_quantile=cp.getfloat("weights", "c_quantile", fallback=0.90),
-        threshold=cp.get("weights", "threshold", fallback="signed"),
-    )
-    g0_mode = G0Mode(
-        cp.get("g0", "mode", fallback="kernel"),
-        cp.getfloat("g0", "value") if cp.has_option("g0", "value") else None,
-    )
-    return weight_spec, g0_mode, cp.getint("optimizer", "restarts", fallback=5)
+    """FitConfig keywords from the [weights], [g0] and [optimizer] sections
+    of a parsed config."""
+    return {
+        "weight_spec": WeightSpec(**_keywords(cp, "weights")),
+        "g0_mode": G0Mode(**_keywords(cp, "g0")),
+        **_keywords(cp, "optimizer"),
+    }
 
 
 def _read_config(text, sections, source):
     """Parse key = value text, rejecting any section outside `sections` and
-    any key outside _ALLOWED_KEYS; `source` names the text in messages."""
+    any key outside _KEYS; `source` names the text in messages."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
@@ -220,59 +234,26 @@ def _read_config(text, sections, source):
         if section not in sections:
             raise DataIngestError(f"unknown config section [{section}] in {source}")
         for key in cp[section]:
-            if key not in _ALLOWED_KEYS[section]:
+            if key not in _KEYS[section]:
                 raise DataIngestError(f"unknown key {key!r} in section [{section}] of {source}")
     return cp
 
 
-def parse_scenario(text, name="scenario"):
+def parse_scenario(text, name=ScenarioConfig.name):
     """Parse a flat key = value scenario description (INI sections)."""
-    cp = _read_config(text, _ALLOWED_KEYS, "scenario config")
-
-    def need(section, key):
-        if not cp.has_option(section, key):
-            raise DataIngestError(f"missing required key {key!r} in section [{section}]")
-        return cp.get(section, key)
-
+    cp = _read_config(text, _KEYS, "scenario config")
     try:
-        orders = ModelOrders(*(int(need("model", key)) for key in "pqrs"))
-        theta0 = ParamVector.from_parts(
-            orders,
-            mu=float(need("truth", "mu")),
-            phi=_floats(cp.get("truth", "phi", fallback="")),
-            psi=_floats(cp.get("truth", "psi", fallback="")),
-            alpha0=float(need("truth", "alpha0")),
-            alpha=_floats(cp.get("truth", "alpha", fallback="")),
-            beta=_floats(cp.get("truth", "beta", fallback="")),
-        ).validate()
-        dist = InnovationDist(
-            kind=need("innovations", "kind"),
-            standardization=cp.get("innovations", "standardization", fallback="abs_mean_one"),
-            epsilon=cp.getfloat("innovations", "epsilon", fallback=0.0),
-            tau=cp.getfloat("innovations", "tau", fallback=1.0),
-        )
-        estimators = tuple(
-            e.strip()
-            for e in cp.get("study", "estimators", fallback=SW_QMELE).replace(",", " ").split()
-        )
-        weight_spec, g0_mode, restarts = _fit_settings(cp)
+        orders = ModelOrders(**_keywords(cp, "model"))
         return ScenarioConfig(
             orders=orders,
-            theta0=theta0,
-            dist=dist,
-            n=cp.getint("study", "n"),
-            replications=cp.getint("study", "replications"),
-            seed=cp.getint("study", "seed"),
-            estimators=estimators,
-            weight_spec=weight_spec,
-            g0_mode=g0_mode,
-            restarts=restarts,
-            burn_in=cp.getint("study", "burn_in", fallback=500),
-            name=cp.get("study", "name", fallback=name),
+            theta0=ParamVector.from_parts(orders, **_keywords(cp, "truth")).validate(),
+            dist=InnovationDist(**_keywords(cp, "innovations")),
+            **{"name": name, **_keywords(cp, "study")},
+            **_fit_settings(cp),
         )
     except DataIngestError:
         raise
-    except (ValueError, DomainError, configparser.Error) as exc:
+    except (ValueError, configparser.Error) as exc:
         raise DataIngestError(f"invalid scenario config: {exc}") from exc
 
 

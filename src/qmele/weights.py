@@ -20,6 +20,8 @@ from .model import as_series
 
 DEFAULT_MC_DRAWS = 1_000_000
 DEFAULT_MC_SEED = 20260401
+WEIGHT_VARIANTS = ("infinite_k9", "finite_lag", "infinite_iota_scaled")
+THRESHOLDS = ("signed", "absolute")
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,11 @@ class WeightSpec:
     threshold: str = "signed"
 
     def __post_init__(self):
-        if self.variant not in ("infinite_k9", "finite_lag", "infinite_iota_scaled"):
+        if self.variant not in WEIGHT_VARIANTS:
             raise DomainError(f"unknown weight variant {self.variant!r}")
         if not 0.0 < self.c_quantile < 1.0:
             raise DomainError("c_quantile must be in (0, 1)")
-        if self.threshold not in ("signed", "absolute"):
+        if self.threshold not in THRESHOLDS:
             raise DomainError(f"unknown threshold convention {self.threshold!r}")
         if self.variant == "infinite_iota_scaled":
             if self.iota is None or self.iota <= 0.0:

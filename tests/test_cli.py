@@ -88,6 +88,8 @@ BAD_INPUTS = [
     ("raw2.csv", "1\n2\n", {"column": "y", "no_header": True}, ("--column", "y", "--no-header"),
      "raw2.csv: --column requires a header"),
     ("ragged.csv", "a,b\n1,2\n3\n", {"column": "b"}, ("--column", "b"), "ragged.csv: row 3 has no column 2"),
+    # a field over the csv module's 131,072-character limit, which numpy also rejects
+    ("long.csv", 'y\n"' + "x" * 200_000 + '"\n', {}, (), "long.csv: field larger than field limit"),
 ]
 
 
@@ -292,6 +294,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         (scan + ("--alpha1", "0:0.5", "--beta1", "0:1:3"), "--alpha1 expects min:max:steps, got '0:0.5'"),
         (scan + ("--alpha1", "0:0.5:3", "--beta1", "0:1:x"), "--beta1 expects min:max:steps, got '0:1:x'"),
         (scan + ("--alpha1", "0.5:0:3", "--beta1", "0:1:3"), "--alpha1: empty grid '0.5:0:3'"),
+        # an omitted flag takes InnovationDist's default; a given zero is checked, not replaced
+        (("efficiency", "--dist", "mixture", "--epsilon", "0.5", "--tau", "0", "--out-dir", tmp_path),
+         "mixture scale tau must be > 0"),
     ]
     for argv, message in bad_flags:
         assert run_cli(*argv) == 3
@@ -423,6 +428,28 @@ def test_cli_fit_accepts_config_file(tmp_path):
     assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", bad, "--out-dir", out) == 3
     bad.write_text("[g0]\nmode = knwon\nvalue = 0.5\n")  # misspelled mode
     assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", bad, "--out-dir", out) == 3
+
+
+def test_cli_fit_flags_build_the_fit_config(tmp_path, monkeypatch):
+    # no settings flag: FitConfig's own defaults; each flag sets one field
+    seen = []
+
+    def capture(data, orders, config, criterion):
+        seen.append(config)
+        raise qmele.DomainError("captured")
+
+    monkeypatch.setattr(cli, "fit_self_weighted", capture)
+    data = tmp_path / "y.csv"
+    data.write_text("y\n1\n2\n3\n")
+    fit = ("fit", data, "--orders", "1,0,1,1", "--out-dir", tmp_path)
+    assert run_cli(*fit) == 3
+    assert run_cli(*fit, "--seed", "3", "--weight-variant", "infinite_iota_scaled", "--iota", "0.5",
+                   "--c-quantile", "0.8", "--weight-threshold", "absolute", "--g0-known", "0.5",
+                   "--restarts", "2") == 3
+    assert seen == [
+        qmele.FitConfig(seed=0),
+        qmele.FitConfig(qmele.WeightSpec("infinite_iota_scaled", 0.5, 0.8, "absolute"), 2, qmele.G0Mode.known(0.5), 3),
+    ]
 
 
 def test_cli_fit_config_rejects_simplex_tolerance(tmp_path, capsys):

@@ -9,6 +9,7 @@ from qmele import (
     FitResult,
     InnovationDist,
     ModelOrders,
+    NumericOverflowError,
     ParamVector,
     SW_QMELE,
     acf,
@@ -63,6 +64,17 @@ def test_standardized_residuals_requires_convergence():
     )
     with pytest.raises(DomainError):
         standardized_residuals(bad, np.array([1.0, 2.0]))
+
+
+def test_standardized_residuals_overflow_is_a_numeric_failure():
+    # the same rule as every filter caller: h above H_OVERFLOW_LIMIT (here
+    # 1 + 10 * 1e300 at t = 2, still finite) overflows
+    from dataclasses import replace
+
+    theta = ParamVector.from_parts(ModelOrders(0, 0, 1, 0), mu=0.0, alpha0=1.0, alpha=[10.0])
+    fit = replace(_const_fit(1.0), theta_hat=theta, covariance=np.eye(3), std_errors=np.ones(3))
+    with pytest.raises(NumericOverflowError, match="h recursion overflowed at t=2"):
+        standardized_residuals(fit, np.array([1e150, 1.0, 1.0]))
 
 
 def test_acf_lag_zero_and_bands():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qmele import (
     InnovationDist,
     LOCAL_QMELE,
     ModelOrders,
+    ParamVector,
     SW_QMELE,
     ScenarioConfig,
     parse_scenario,
@@ -74,6 +77,33 @@ def test_parse_scenario_roundtrip():
     assert config.n == 300 and config.replications == 4 and config.seed == 314
 
 
+def test_parse_scenario_takes_every_omitted_key_from_the_dataclasses():
+    # only the required keys: every other field, estimators included, is
+    # ScenarioConfig's own default
+    text = (
+        "[model]\np = 0\nq = 0\nr = 0\ns = 0\n[truth]\nmu = 0.5\nalpha0 = 2\n"
+        "[innovations]\nkind = normal\n[study]\nn = 300\nreplications = 4\nseed = 314\n"
+    )
+    orders = ModelOrders(0, 0, 0, 0)
+    expected = ScenarioConfig(
+        orders=orders,
+        theta0=ParamVector.from_parts(orders, mu=0.5, alpha0=2.0),
+        dist=InnovationDist("normal"),
+        n=300,
+        replications=4,
+        seed=314,
+    )
+    parsed = parse_scenario(text)
+    for f in fields(ScenarioConfig):
+        got, want = getattr(parsed, f.name), getattr(expected, f.name)
+        if f.name == "theta0":
+            assert got.orders == want.orders
+            np.testing.assert_array_equal(got.theta, want.theta)
+        else:
+            assert got == want, f.name
+    assert parsed.estimators == (SW_QMELE,)
+
+
 def test_parse_scenario_named_errors():
     with pytest.raises(DataIngestError, match="unknown key"):
         parse_scenario(TINY_INI + "\n[weights]\nbogus = 3\n")
@@ -81,6 +111,9 @@ def test_parse_scenario_named_errors():
         parse_scenario(TINY_INI + "\n[surprise]\nx = 1\n")
     with pytest.raises(DataIngestError, match="alpha0"):
         parse_scenario(TINY_INI.replace("alpha0 = 0.1", ""))
+    for key, line in (("n", "n = 300\n"), ("replications", "replications = 4\n"), ("seed", "seed = 314\n")):
+        with pytest.raises(DataIngestError, match=f"^missing required key '{key}' in section \\[study\\]$"):
+            parse_scenario(TINY_INI.replace(line, ""))
     with pytest.raises(DataIngestError, match="estimator"):
         parse_scenario(TINY_INI.replace("sw_qmele, local_qmele", "nonsense"))
     with pytest.raises(DataIngestError, match="unknown g0 mode 'knwon'"):
