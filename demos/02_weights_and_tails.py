@@ -23,7 +23,7 @@ orders = ModelOrders(1, 0, 1, 1)
 igarch = ParamVector.from_parts(orders, mu=0.0, phi=[0.5], alpha0=0.1, alpha=[0.3], beta=[0.4])
 dist = InnovationDist("laplace")
 
-y = simulate(igarch, dist, 1500, seed=3).values
+y = simulate(igarch, dist, 1500, seed=3)
 w = compute_weights(y, WeightSpec("infinite_k9", c_quantile=0.90))
 print(f"weights: min={w.min():.4f}  share at 1.0 = {np.mean(w == 1.0):.2%}")
 print(f"ten smallest weights sit right after the ten largest |y| bursts: "

@@ -43,7 +43,6 @@ from .model import (
     InnovationDist,
     ModelOrders,
     ParamVector,
-    SeriesData,
     filter_series,
     filter_vjp,
     log_return_transform,

@@ -145,11 +145,9 @@ def _ensure_out_dir(path):
 
 
 def cmd_fit(args):
-    values = read_series_csv(args.input, column=args.column, no_header=args.no_header)
+    data = read_series_csv(args.input, column=args.column, no_header=args.no_header)
     if args.log_returns_x100:
-        data = log_return_transform(values)
-    else:
-        data = values
+        data = log_return_transform(data)
     orders = _parse_orders(args.orders)
 
     # the optional config file holds the fit settings shared with scenario files
@@ -170,7 +168,7 @@ def cmd_fit(args):
     config = FitConfig(seed=args.seed, **_fit_settings(cp))
     sw = fit_self_weighted(data, orders, config, criterion="qmele")
     out = _ensure_out_dir(args.out_dir)
-    n_obs = np.asarray(data.values if hasattr(data, "values") else data).size
+    n_obs = data.size
 
     fits = [("sw", sw)]
     if sw.converged:
@@ -218,7 +216,7 @@ def cmd_simulate(args):
     data = simulate(theta, dist, args.n, seed=args.seed, **_given(args, "burn_in"))
     out = _ensure_out_dir(args.out_dir)
     path = os.path.join(out, args.out)
-    reports.write_csv(path, *reports.series_csv_rows(data.values, "y"))
+    reports.write_csv(path, *reports.series_csv_rows(data, "y"))
     print(f"simulated series written to {path}")
     return 0
 

@@ -7,6 +7,8 @@ double-exponential innovations with E|eta| = 1, robust to heavy tails, and
 the gaussian (QMLE, "qmle") l_t = log h_t + eps_t^2 / h_t with E eta^2 = 1.
 A record holds all that differs between them; every code path is shared.
 
+A series enters every public function through model.as_series, the one
+series check, and goes on as the float ndarray it returns.
 The self-weighted estimator minimizes (1/n) sum_t w_t l_t(theta) by
 L-BFGS-B on the exact weighted score, in theta under _box, which holds the
 faces alpha_i = 0 and beta_j = 0. Every run is one call of minimize, which
@@ -283,7 +285,7 @@ def _criterion_mean(eps, h, w, crit, mu=0.0):
 def _checked_objective(theta, data, weights, crit):
     data = as_series(data)
     w = np.asarray(weights, dtype=float)
-    if w.shape != data.values.shape:
+    if w.shape != data.shape:
         raise DomainError("weights must match the series length")
     # filter overflow propagates, as from filter_series
     _, eps, h = checked_eps_h(theta, data)
@@ -302,7 +304,7 @@ class Evaluator:
     residual pass, a_t and the gamma adjoint skipped."""
 
     def __init__(self, orders, data, w, crit):
-        self.orders, self.y = orders, as_series(data).values
+        self.orders, self.y = orders, as_series(data)
         self.w = w
         self.crit = crit
         self.k = orders.p + orders.q + 1
@@ -471,7 +473,7 @@ def covariance_self_weighted(theta, data, weights, g0, eta2):
         raise DomainError("eta2 must be >= 1 (E|eta| = 1 forces E eta^2 >= 1)")
     data = as_series(data)
     w = np.asarray(weights, dtype=float)
-    if w.shape != data.values.shape:
+    if w.shape != data.shape:
         raise DomainError("weights must match the series length")
     # the exponential Omega does not use E(1 - eta^2)^2
     return _sandwich(filter_series(theta, data), QMELE, w, g0, eta2, np.nan)
@@ -480,7 +482,7 @@ def covariance_self_weighted(theta, data, weights, g0, eta2):
 def covariance_local(theta, data, g0, eta2):
     """Sampling covariance of the one-step estimator (unit weights)."""
     data = as_series(data)
-    return covariance_self_weighted(theta, data, np.ones(data.n), g0, eta2)
+    return covariance_self_weighted(theta, data, np.ones(data.size), g0, eta2)
 
 
 # ---------------------------------------------------------------------------
@@ -846,21 +848,20 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     if criterion not in CRITERIA:
         raise DomainError(f"unknown criterion {criterion!r}")
     crit = CRITERIA[criterion]
-    data = as_series(data)
-    y = data.values
+    y = as_series(data)
     if not isinstance(orders, ModelOrders):
         orders = ModelOrders(*orders)
-    if data.n < 10 * orders.m:
+    if y.size < 10 * orders.m:
         raise InsufficientDataError(
-            f"need n >= 10*m = {10 * orders.m} observations, have {data.n}"
+            f"need n >= 10*m = {10 * orders.m} observations, have {y.size}"
         )
 
-    w = compute_weights(data, config.weight_spec, orders)
+    w = compute_weights(y, config.weight_spec, orders)
     x0 = _initial_params(y, orders).theta
     k, j = orders.p + orders.q + 1, orders.p + orders.q + 2 + orders.r
     box = _box(orders)
     runs, ends = [], []
-    ev = Evaluator(orders, data, w, crit)
+    ev = Evaluator(orders, y, w, crit)
     rng, start = np.random.default_rng(config.seed), x0
     while True:
         success = False
@@ -878,7 +879,7 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
         start[j:] /= 1.0 - x0[j:].sum() + start[j:].sum()
     x_hat, value, converged, cert = min(ends, key=lambda end: (not end[2], np.nan_to_num(end[1], nan=np.inf)))
     return _fit_result(
-        ParamVector.from_theta(orders, x_hat), data, crit, w, config.g0_mode,
+        ParamVector.from_theta(orders, x_hat), y, crit, w, config.g0_mode,
         "ok" if converged else "not_converged", objective=value if math.isfinite(value) else math.inf,
         converged=converged, iterations=sum(r.nit for r in runs), estimator_kind=crit.sw_kind,
         weights=w, nfev=sum(r.nfev for r in runs), starts=len(ends), certificate=cert,

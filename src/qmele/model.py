@@ -15,6 +15,10 @@ the series y and plain coefficient arrays gamma = (mu, phi.., psi..),
 delta = (alpha0, alpha.., beta..): residuals, volatility and the backward
 passes of adjoint, which gives ga @ deps + gb @ dh without the n x m
 derivatives that filter_series alone forms.
+
+A series is a float ndarray. as_series is its one check (1-d, nonempty,
+finite), made by every public function that takes a series; simulate and
+log_return_transform return one.
 """
 
 import math
@@ -237,25 +241,6 @@ class InnovationDist:
 
 
 @dataclass(frozen=True)
-class SeriesData:
-    """Observed series y_1..y_n with the zero pre-sample convention."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size < 1:
-            raise DomainError("series must be a nonempty 1-d vector")
-        if not np.isfinite(v).all():
-            raise DomainError("series values must be finite")
-
-    @property
-    def n(self):
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class FilterOutput:
     """Residuals, volatilities and their first derivatives w.r.t. theta.
 
@@ -271,9 +256,14 @@ class FilterOutput:
 
 
 def as_series(data):
-    if isinstance(data, SeriesData):
-        return data
-    return SeriesData(np.asarray(data, dtype=float))
+    """The observed series y_1..y_n as a float ndarray; DomainError unless it
+    is a nonempty 1-d vector of finite values."""
+    y = np.asarray(data, dtype=float)
+    if y.ndim != 1 or y.size < 1:
+        raise DomainError("series must be a nonempty 1-d vector")
+    if not np.isfinite(y).all():
+        raise DomainError("series values must be finite")
+    return y
 
 
 def _shift(v, k, fill=0.0):
@@ -421,7 +411,7 @@ def checked_eps_h(theta, data):
     range (|h| above H_OVERFLOW_LIMIT counts as overflow).
     """
     theta.validate()
-    y = as_series(data).values
+    y = as_series(data)
     with np.errstate(over="ignore", invalid="ignore"):
         eps, h = _eps_h(theta, y)
     _check_finite(eps, "eps")
@@ -524,18 +514,18 @@ def simulate_with_innovations(theta, dist, n, burn_in=BURN_IN, seed=0):
 
 
 def simulate(theta, dist, n, burn_in=BURN_IN, seed=0):
-    """Simulate n observations from the model (after a burn-in).
+    """Simulate n observations from the model (after a burn-in), as a
+    float ndarray.
 
     Identical arguments, including the seed, reproduce the identical series.
     """
-    y, _ = simulate_with_innovations(theta, dist, n, burn_in=burn_in, seed=seed)
-    return SeriesData(y)
+    return simulate_with_innovations(theta, dist, n, burn_in=burn_in, seed=seed)[0]
 
 
 def log_return_transform(prices):
     """Convert a positive price series to 100x log returns.
 
-    Returns a SeriesData of length len(prices)-1 with
+    Returns an array of length len(prices)-1 with
     y_t = 100 * (log p_t - log p_{t-1}).
     """
     prices = np.asarray(prices, dtype=float)
@@ -543,4 +533,4 @@ def log_return_transform(prices):
         raise DomainError("need at least two prices")
     if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
         raise DomainError("prices must be finite and strictly positive")
-    return SeriesData(100.0 * np.diff(np.log(prices)))
+    return 100.0 * np.diff(np.log(prices))

@@ -29,24 +29,24 @@ from .model import BURN_IN, InnovationDist, ModelOrders, ParamVector, simulate
 from .weights import WeightSpec
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything needed to reproduce one replication study."""
+@dataclass(frozen=True, kw_only=True)
+class ScenarioConfig(FitConfig):
+    """Everything needed to reproduce one replication study: the fit
+    settings of every replication (a FitConfig, seed required) and the
+    design they are fitted on."""
 
+    seed: int = field()  # no default: a scenario names its seed
     orders: ModelOrders
     theta0: ParamVector
     dist: InnovationDist
     n: int
     replications: int
-    seed: int
     estimators: tuple = (SW_QMELE,)
-    weight_spec: WeightSpec = field(default_factory=WeightSpec)
-    g0_mode: G0Mode = field(default_factory=G0Mode.kernel)
-    restarts: int = FitConfig.restarts
     burn_in: int = BURN_IN
     name: str = "scenario"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
         if not self.estimators:
@@ -54,15 +54,6 @@ class ScenarioConfig:
         for e in self.estimators:
             if e not in ESTIMATOR_KINDS:
                 raise DomainError(f"unknown estimator kind {e!r}")
-        self.fit_config()  # checks restarts
-
-    def fit_config(self):
-        return FitConfig(
-            weight_spec=self.weight_spec,
-            restarts=self.restarts,
-            g0_mode=self.g0_mode,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -91,7 +82,6 @@ def run_replication(config, index):
     """Simulate path `index`, fit the requested estimators on it."""
     seed = config.seed + index
     data = simulate(config.theta0, config.dist, config.n, burn_in=config.burn_in, seed=seed)
-    fit_cfg = config.fit_config()
     m = config.orders.m
     nan_vec = np.full(m, np.nan)
 
@@ -114,7 +104,7 @@ def run_replication(config, index):
         if not {crit.sw_kind, crit.local_kind} & wanted:
             continue
         try:
-            sw = fit_self_weighted(data, config.orders, fit_cfg, criterion=criterion)
+            sw = fit_self_weighted(data, config.orders, config, criterion=criterion)
         except (DomainError, ArithmeticError):
             sw = None
         record(crit.sw_kind, sw)
@@ -223,9 +213,9 @@ def _fit_settings(cp):
 
 
 def _read_config(text, sections, source):
-    """Parse key = value text, rejecting any section outside `sections` and
-    any key outside _KEYS; `source` names the text in messages."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse key = value text, `%` literal, rejecting any section outside
+    `sections` and any key outside _KEYS; `source` names the text in messages."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:

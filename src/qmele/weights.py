@@ -85,7 +85,8 @@ def compute_weights(data, spec=WeightSpec(), orders=None, prehistory=None):
 
     Parameters
     ----------
-    data : SeriesData or array_like
+    data : array_like
+        The series y_1..y_n, checked by model.as_series.
     spec : WeightSpec
     orders : ModelOrders, optional
         Required by the "finite_lag" variant (lags 1..p+r).
@@ -98,8 +99,7 @@ def compute_weights(data, spec=WeightSpec(), orders=None, prehistory=None):
     ndarray of weights in (0, 1]. The threshold C is computed from
     y_1..y_n only (never from the pre-history), per spec.threshold.
     """
-    data = as_series(data)
-    y = data.values
+    y = as_series(data)
     n = y.size
     if spec.threshold == "signed":
         C = nearest_rank_quantile(y, spec.c_quantile)

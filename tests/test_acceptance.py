@@ -103,7 +103,7 @@ def test_criterion_4_efficiency_calculator_exact():
 
 def test_criterion_5_derivative_correctness():
     orders = ModelOrders(1, 1, 1, 1)
-    data = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 300, seed=52).values
+    data = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 300, seed=52)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(20):
@@ -138,10 +138,10 @@ def test_criterion_5_derivative_correctness():
     orders2 = ModelOrders(1, 0, 1, 1)
     data2 = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 400, seed=11)
     theta2 = make_theta([0.02, 0.45, 0.12, 0.2, 0.35])
-    eps, h = _eps_h(theta2, data2.values)
+    eps, h = _eps_h(theta2, data2)
     assert np.min(np.abs(eps / np.sqrt(h))) > 1e-3
     T = t_star(theta2, data2)
-    w = np.ones(data2.n)
+    w = np.ones(data2.size)
     grad = np.zeros(orders2.m)
     for j in range(orders2.m):
         step = 1e-7 * max(1.0, abs(theta2.theta[j]))
@@ -152,7 +152,7 @@ def test_criterion_5_derivative_correctness():
             qmele_objective(ParamVector.from_theta(orders2, tp), data2, w)
             - qmele_objective(ParamVector.from_theta(orders2, tm), data2, w)
         ) / (2 * step)
-    score_rel = np.max(np.abs(T - data2.n * grad)) / np.max(np.abs(T))
+    score_rel = np.max(np.abs(T - data2.size * grad)) / np.max(np.abs(T))
     score_ok = score_rel <= 1e-5
     report(5, "filter derivatives and score match finite differences",
            deriv_ok and score_ok, f"worst_fd={worst:.2e} score_rel={score_rel:.2e}")
@@ -196,7 +196,7 @@ def test_criterion_8_property_suite(tmp_path):
 
     # covariance symmetry / positive semidefiniteness
     theta = make_theta([0.0, 0.5, 0.12, 0.2, 0.35])
-    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 400, seed=88).values
+    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 400, seed=88)
     cov = covariance_self_weighted(theta, y, compute_weights(y), g0=0.5, eta2=1.9)
     ok &= bool(np.allclose(cov, cov.T))
     ok &= bool(np.min(np.linalg.eigvalsh(cov)) > -1e-14)
@@ -245,7 +245,7 @@ def test_criterion_8_property_suite(tmp_path):
 
 def test_criterion_9_initial_value_insensitivity():
     theta = make_theta(THETA_IGARCH)
-    path = simulate(theta, InnovationDist("laplace"), 2300, burn_in=500, seed=77).values
+    path = simulate(theta, InnovationDist("laplace"), 2300, burn_in=500, seed=77)
     window, pre = path[300:], path[:300]
     assert window.size == 2000
     w_true = compute_weights(window, WeightSpec(), prehistory=pre)

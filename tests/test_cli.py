@@ -74,7 +74,7 @@ def test_simulate_igarch_paths_heavier_tailed():
     for seed in range(20):
         fin = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 1000, seed=seed)
         igr = simulate(make_theta(THETA_IGARCH), InnovationDist("laplace"), 1000, seed=seed)
-        ratios.append(np.var(igr.values) / np.var(fin.values))
+        ratios.append(np.var(igr) / np.var(fin))
     ratios = np.array(ratios)
     assert np.median(ratios) > 1.5
     assert np.mean(ratios) > 2.0
@@ -266,6 +266,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("y\n1\n2\n3\n")
     assert run_cli("fit", short, "--orders", "1,0,1,1", "--out-dir", tmp_path) == 3
+    # a % in a config value is literal, so a bad one is a named data error
+    percent = tmp_path / "percent.ini"
+    percent.write_text("[weights]\nvariant = 50%\n")
+    assert run_cli("fit", short, "--orders", "1,0,1,1", "--config", percent, "--out-dir", tmp_path) == 3
+    assert "unknown weight variant '50%'" in capsys.readouterr().err
     # constraint-violating theta is a data/domain error
     assert (
         run_cli(
@@ -412,7 +417,7 @@ def test_mc_table_aggregation_matches_persisted_file(tmp_path):
 
 
 def test_cli_fit_accepts_config_file(tmp_path):
-    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 600, seed=99).values
+    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 600, seed=99)
     data = tmp_path / "y.csv"
     data.write_text("y\n" + "\n".join(f"{x:.10g}" for x in y) + "\n")
     cfg = tmp_path / "fit.ini"
@@ -455,7 +460,7 @@ def test_cli_fit_flags_build_the_fit_config(tmp_path, monkeypatch):
 def test_cli_fit_config_rejects_simplex_tolerance(tmp_path, capsys):
     # the exponential fit has no simplex polish and no iteration cap to set,
     # so both retired keys are unknown and the --max-iter flag is gone
-    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 300, seed=98).values
+    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 300, seed=98)
     data = tmp_path / "y.csv"
     data.write_text("y\n" + "\n".join(f"{x:.10g}" for x in y) + "\n")
     cfg = tmp_path / "fit.ini"
@@ -513,7 +518,7 @@ def test_cli_fit_reports_sw_fit_when_local_step_fails(tmp_path, capsys, monkeypa
 
 def test_cli_fit_log_returns_path(tmp_path):
     # prices built from a simulated return series: the fit sees the returns
-    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 601, seed=77).values
+    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 601, seed=77)
     prices = np.exp(np.cumsum(np.concatenate([[0.0], y])) / 100.0)
     path = tmp_path / "prices.csv"
     path.write_text("p\n" + "\n".join(f"{x:.12g}" for x in prices) + "\n")

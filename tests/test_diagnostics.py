@@ -88,7 +88,7 @@ def test_acf_lag_zero_and_bands():
 
 def test_acf_ar1_level():
     theta = ParamVector.from_parts(ModelOrders(1, 0, 0, 0), mu=0.0, phi=[0.5], alpha0=1.0)
-    y = simulate(theta, InnovationDist("normal", "var_one"), 10_000, seed=2).values
+    y = simulate(theta, InnovationDist("normal", "var_one"), 10_000, seed=2)
     rep = acf(y, 5)
     assert 0.45 <= rep.values[1] <= 0.55
     assert 0.20 <= rep.values[2] <= 0.30
@@ -104,7 +104,7 @@ def test_acf_shift_scale_invariance():
 
 def test_pacf_lag1_equals_acf_lag1_and_ar2_cutoff():
     theta = ParamVector.from_parts(ModelOrders(2, 0, 0, 0), mu=0.0, phi=[0.5, 0.2], alpha0=1.0)
-    y = simulate(theta, InnovationDist("normal", "var_one"), 20_000, seed=3).values
+    y = simulate(theta, InnovationDist("normal", "var_one"), 20_000, seed=3)
     a = acf(y, 10)
     p = pacf(y, 10)
     assert p.values[0] == 1.0

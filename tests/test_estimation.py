@@ -87,7 +87,7 @@ def test_objective_propagates_filter_overflow():
 
 def test_objective_scales_linearly_in_weights():
     theta = make_theta([0.0, 0.3, 0.5, 0.1, 0.2])
-    y = simulate(theta, InnovationDist("laplace"), 200, seed=5).values
+    y = simulate(theta, InnovationDist("laplace"), 200, seed=5)
     w = compute_weights(y)
     base = qmele_objective(theta, y, w)
     assert qmele_objective(theta, y, 3.0 * w) == pytest.approx(3.0 * base, rel=1e-12)
@@ -132,10 +132,10 @@ def test_t_star_equals_n_times_gradient_at_kink_free_points():
     theta0 = make_theta(THETA_FINITE)
     data = simulate(theta0, InnovationDist("laplace"), 400, seed=11)
     theta = make_theta([0.02, 0.45, 0.12, 0.2, 0.35])
-    eps, h = _eps_h(theta, data.values)
+    eps, h = _eps_h(theta, data)
     assert np.min(np.abs(eps / np.sqrt(h))) > 1e-3  # kink-free for this seed
     T = t_star(theta, data)
-    n = data.n
+    n = data.size
     w = np.ones(n)
     grad = np.zeros(theta.m)
     for j in range(theta.m):
@@ -158,7 +158,7 @@ def test_sigma_star_hand_example():
 
 def test_sigma_star_symmetric_psd_and_linear_in_g0():
     theta = make_theta([0.0, 0.4, 0.3, 0.15, 0.45])
-    y = simulate(theta, InnovationDist("laplace"), 300, seed=3).values
+    y = simulate(theta, InnovationDist("laplace"), 300, seed=3)
     S1 = sigma_star(theta, y, g0=0.5)
     S2 = sigma_star(theta, y, g0=1.0)
     np.testing.assert_allclose(S1, S1.T)
@@ -200,7 +200,7 @@ def brute_force_sw_covariance(theta, y, w, g0, eta2, eta_sq_dev=None):
 
 def test_covariance_matches_brute_force_oracle():
     theta = make_theta([0.0, 0.5, 0.12, 0.2, 0.35])
-    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 250, seed=9).values
+    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 250, seed=9)
     w = compute_weights(y)
     cov = covariance_self_weighted(theta, y, w, g0=0.5, eta2=1.9)
     ref = brute_force_sw_covariance(theta, y, w, g0=0.5, eta2=1.9)
@@ -209,7 +209,7 @@ def test_covariance_matches_brute_force_oracle():
 
 def test_gaussian_covariance_matches_brute_force_oracle():
     theta = make_theta([0.0, 0.5, 0.12, 0.2, 0.35])
-    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 250, seed=9).values
+    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 250, seed=9)
     w = compute_weights(y)
     cov = _sandwich(filter_series(theta, y), QMLE, w, 0.5, 1.9, 2.7)
     ref = brute_force_sw_covariance(theta, y, w, g0=0.5, eta2=1.9, eta_sq_dev=2.7)
@@ -218,7 +218,7 @@ def test_gaussian_covariance_matches_brute_force_oracle():
 
 def test_covariance_eta2_one_drops_volatility_score_term():
     theta = make_theta([0.0, 0.5, 0.12, 0.2, 0.35])
-    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 250, seed=10).values
+    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 250, seed=10)
     w = compute_weights(y)
     from qmele import filter_series
     from qmele.estimation import _cross, _sym_inv
@@ -235,7 +235,7 @@ def test_covariance_eta2_one_drops_volatility_score_term():
 
 def test_covariance_local_equals_unit_weight_self_weighted():
     theta = make_theta([0.0, 0.5, 0.12, 0.2, 0.35])
-    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 250, seed=12).values
+    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 250, seed=12)
     a = covariance_local(theta, y, g0=0.5, eta2=1.8)
     b = covariance_self_weighted(theta, y, np.ones(y.size), g0=0.5, eta2=1.8)
     np.testing.assert_array_equal(a, b)
@@ -245,7 +245,7 @@ def test_covariance_local_equals_unit_weight_self_weighted():
 
 def test_covariance_validates_inputs():
     theta = make_theta([0.0, 0.5, 0.12, 0.2, 0.35])
-    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 120, seed=13).values
+    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 120, seed=13)
     with pytest.raises(DomainError):
         covariance_self_weighted(theta, y, np.ones(y.size), g0=-1.0, eta2=2.0)
     with pytest.raises(DomainError):
@@ -300,7 +300,7 @@ def test_fit_recovers_truth_single_path():
     assert np.all(np.abs(fit.theta_hat.theta - theta0.theta) <= 5.0 * fit.std_errors)
     assert np.all(fit.std_errors > 0.0)
     # identification: mean absolute standardized residual near one
-    eps, h = _eps_h(fit.theta_hat, data.values)
+    eps, h = _eps_h(fit.theta_hat, data)
     assert abs(np.mean(np.abs(eps / np.sqrt(h))) - 1.0) < 0.05
 
 
@@ -371,8 +371,7 @@ def weighted_lad_objective(gamma, y, w):
 def test_reduces_to_weighted_lad_when_variance_constant():
     orders = ModelOrders(1, 0, 0, 0)
     theta0 = ParamVector.from_parts(orders, mu=0.1, phi=[0.5], alpha0=1.0)
-    data = simulate(theta0, InnovationDist("laplace"), 400, seed=15)
-    y = data.values
+    y = simulate(theta0, InnovationDist("laplace"), 400, seed=15)
     w = compute_weights(y, WeightSpec())
 
     opts = dict(maxiter=4000, xatol=1e-10, fatol=1e-12)
@@ -385,7 +384,7 @@ def test_reduces_to_weighted_lad_when_variance_constant():
     prof = minimize(profiled, [0.0, 0.3], args=(), method="Nelder-Mead", options=opts)
     np.testing.assert_allclose(prof.x, lad.x, atol=1e-6)
 
-    fit = fit_self_weighted(data, orders, FitConfig(seed=2), criterion="qmele")
+    fit = fit_self_weighted(y, orders, FitConfig(seed=2), criterion="qmele")
     assert fit.converged
     np.testing.assert_allclose(fit.theta_hat.gamma, lad.x, atol=1e-4)
 
@@ -444,9 +443,9 @@ def test_converged_describes_the_returned_point(monkeypatch):
 def test_fit_gradient_matches_finite_differences(orders, truth, point, criterion, objective):
     data = simulate(make_theta(truth, orders), InnovationDist("laplace"), 400, seed=16)
     theta = make_theta(point, orders)
-    eps, h = _eps_h(theta, data.values)
+    eps, h = _eps_h(theta, data)
     assert np.min(np.abs(eps / np.sqrt(h))) > 1e-4  # kink-free for this seed
-    w = np.random.default_rng(17).uniform(0.5, 2.0, data.n)
+    w = np.random.default_rng(17).uniform(0.5, 2.0, data.size)
     x = theta.theta
     value, grad = Evaluator(orders, data, w, CRITERIA[criterion])(x)
     assert value == pytest.approx(objective(theta, data, w), rel=1e-12)
@@ -467,7 +466,7 @@ def test_smoothed_gradient_matches_finite_differences(mu):
     orders = ModelOrders(1, 1, 1, 2)
     data = simulate(make_theta([0.0, 0.5, 0.3, 0.1, 0.18, 0.2, 0.2], orders), InnovationDist("laplace"), 400, seed=16)
     x = make_theta([0.03, 0.42, 0.25, 0.14, 0.12, 0.3, 0.15], orders).theta
-    w = np.random.default_rng(17).uniform(0.5, 2.0, data.n)
+    w = np.random.default_rng(17).uniform(0.5, 2.0, data.size)
 
     evaluate = Evaluator(orders, data, w, QMELE)
 
@@ -514,7 +513,7 @@ def test_fit_value_is_nan_where_the_filter_overflows():
             np.testing.assert_array_equal(grad, 0.0)
 
 
-SERIES_T3 = simulate(make_theta([0.0, 0.3, 0.2, 0.2, 0.5]), InnovationDist("student_t3"), 300, seed=4).values
+SERIES_T3 = simulate(make_theta([0.0, 0.3, 0.2, 0.2, 0.5]), InnovationDist("student_t3"), 300, seed=4)
 
 
 @st.composite
@@ -620,7 +619,7 @@ def recomputed_certificate(fit, data):
     rebuilt from filter_series' derivative matrices at theta_hat."""
     theta, cert = fit.theta_hat, fit.certificate
     active = list(cert.active)
-    k, n = theta.gamma.size, data.n
+    k, n = theta.gamma.size, data.size
     out = filter_series(theta, data)
     _, a, b = QMELE.terms(out.eps, out.eps * out.eps, out.h, 0.0)
     a[active] = 0.0
@@ -788,7 +787,7 @@ def test_minimize_replays_scipys_lbfgsb(case, monkeypatch):
     truth, crit, seed = (THETA_IGARCH, QMLE, 20260635) if case == "abnormal_stop" else (THETA_FINITE, QMELE, 50000)
     data = simulate(make_theta(truth), LAPLACE, 1000, burn_in=500, seed=seed)
     ev = Evaluator(AR1_GARCH11, data, compute_weights(data, WeightSpec(), AR1_GARCH11), crit)
-    x, box, k = _initial_params(data.values, AR1_GARCH11).theta, _box(AR1_GARCH11), ev.k
+    x, box, k = _initial_params(data, AR1_GARCH11).theta, _box(AR1_GARCH11), ev.k
 
     def replay(fun, x0, bounds, args=(), **tolerances):
         options = dict(maxiter=qmele.estimation.MAX_ITER, maxfun=10 * qmele.estimation.MAX_ITER, **tolerances)
@@ -864,7 +863,7 @@ def test_certificate_describes_the_point_the_fit_keeps():
     assert fit.objective_value == pytest.approx(0.2252705, abs=1e-7)
     cert = fit.certificate
     if cert is not None:  # then theta_hat lies on the face it certifies
-        eps, _ = _eps_h(fit.theta_hat, data.values)
+        eps, _ = _eps_h(fit.theta_hat, data)
         assert np.abs(eps[list(cert.active)]).max() <= 1e-8
 
 

@@ -4,21 +4,25 @@ from scipy.signal import lfilter, lfiltic
 
 from qmele import (
     DomainError,
+    FitConfig,
     InnovationDist,
     ModelOrders,
     NumericOverflowError,
     ParamVector,
-    SeriesData,
+    compute_weights,
+    covariance_self_weighted,
     filter_series,
     filter_vjp,
+    fit_self_weighted,
     log_return_transform,
+    qmele_objective,
     simulate,
     simulate_with_innovations,
 )
 
-from qmele.model import _iir, _reversed_iir, eps_gamma_derivs
+from qmele.model import _iir, _reversed_iir, as_series, eps_gamma_derivs
 
-from conftest import AR1_GARCH11, make_theta
+from conftest import AR1_GARCH11, THETA_FINITE, make_theta
 
 
 def test_filter_constant_model():
@@ -71,7 +75,7 @@ def test_filter_derivatives_match_finite_differences(point_seed):
         beta=[rng.uniform(0.05, 0.8)],
     )
     dist = InnovationDist("laplace")
-    y = simulate(make_theta([0.0, 0.5, 0.1, 0.18, 0.4]), dist, 200, seed=point_seed).values
+    y = simulate(make_theta([0.0, 0.5, 0.1, 0.18, 0.4]), dist, 200, seed=point_seed)
     base = filter_series(theta, y)
     fd_deps = np.zeros_like(base.deps)
     fd_dh = np.zeros_like(base.dh)
@@ -121,7 +125,7 @@ def test_filter_derivatives_are_c_contiguous(orders, theta):
 
 def test_filter_delta_columns_of_deps_are_zero():
     theta = make_theta([0.1, 0.4, 0.3, 0.2, 0.3])
-    y = simulate(theta, InnovationDist("laplace"), 100, seed=1).values
+    y = simulate(theta, InnovationDist("laplace"), 100, seed=1)
     out = filter_series(theta, y)
     np.testing.assert_array_equal(out.deps[:, 2:], 0.0)
     assert np.all(out.h >= theta.alpha0)
@@ -147,10 +151,10 @@ def test_filter_overflow_names_index():
 def test_simulate_deterministic():
     theta = make_theta([0.0, 0.5, 0.1, 0.18, 0.4])
     dist = InnovationDist("laplace")
-    a = simulate(theta, dist, 500, seed=7).values
-    b = simulate(theta, dist, 500, seed=7).values
+    a = simulate(theta, dist, 500, seed=7)
+    b = simulate(theta, dist, 500, seed=7)
     np.testing.assert_array_equal(a, b)
-    c = simulate(theta, dist, 500, seed=8).values
+    c = simulate(theta, dist, 500, seed=8)
     assert not np.array_equal(a, c)
 
 
@@ -196,10 +200,10 @@ def test_simulate_filter_roundtrip_recovers_innovations():
 
 
 def test_log_return_transform():
-    np.testing.assert_allclose(log_return_transform([1.0, np.e]).values, [100.0])
-    np.testing.assert_allclose(log_return_transform(np.full(10, 3.3)).values, 0.0)
+    np.testing.assert_allclose(log_return_transform([1.0, np.e]), [100.0])
+    np.testing.assert_allclose(log_return_transform(np.full(10, 3.3)), 0.0)
     np.testing.assert_allclose(
-        log_return_transform([100.0, 110.0]).values, [100.0 * np.log(1.1)], rtol=1e-12
+        log_return_transform([100.0, 110.0]), [100.0 * np.log(1.1)], rtol=1e-12
     )
     with pytest.raises(DomainError):
         log_return_transform([1.0, -2.0])
@@ -209,9 +213,49 @@ def test_log_return_transform():
 
 def test_series_data_validation():
     with pytest.raises(DomainError):
-        SeriesData(np.array([1.0, np.nan]))
+        as_series(np.array([1.0, np.nan]))
     with pytest.raises(DomainError):
-        SeriesData(np.empty(0))
+        as_series(np.empty(0))
+
+
+# each entry point that takes a series, mapped to an array of its result
+SERIES_TAKERS = {
+    "compute_weights": lambda y: compute_weights(y),
+    "fit_self_weighted": lambda y: fit_self_weighted(y, AR1_GARCH11, FitConfig(restarts=0)).theta_hat.theta,
+    "qmele_objective": lambda y: np.array(qmele_objective(make_theta(THETA_FINITE), y, np.ones(np.size(y)))),
+    "filter_series": lambda y: filter_series(make_theta(THETA_FINITE), y).h,
+    "covariance_self_weighted": lambda y: covariance_self_weighted(
+        make_theta(THETA_FINITE), y, np.ones(np.size(y)), 0.5, 2.0
+    ),
+}
+
+
+@pytest.mark.parametrize("take", SERIES_TAKERS.values(), ids=SERIES_TAKERS.keys())
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([1.0, np.nan, 2.0], "series values must be finite"),
+        ([], "series must be a nonempty 1-d vector"),
+        (np.ones((60, 2)), "series must be a nonempty 1-d vector"),
+    ],
+    ids=["nan", "empty", "2-d"],
+)
+def test_every_series_taker_checks_the_series(take, bad, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        take(bad)
+
+
+@pytest.mark.parametrize("take", SERIES_TAKERS.values(), ids=SERIES_TAKERS.keys())
+def test_every_series_taker_accepts_a_list(take):
+    y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 300, seed=5)
+    np.testing.assert_array_equal(take(y.tolist()), take(y))
+
+
+def test_simulate_returns_the_path_of_simulate_with_innovations():
+    theta, dist = make_theta(THETA_FINITE), InnovationDist("student_t3")
+    y = simulate(theta, dist, 400, burn_in=100, seed=6)
+    assert isinstance(y, np.ndarray) and y.dtype == np.float64
+    np.testing.assert_array_equal(y, simulate_with_innovations(theta, dist, 400, burn_in=100, seed=6)[0])
 
 
 def test_param_vector_accessors():
@@ -242,7 +286,7 @@ def test_param_vector_accessors():
 def test_filter_vjp_matches_jacobian_product(orders):
     o = ModelOrders(*orders)
     rng = np.random.default_rng(sum(orders) + 10 * orders[0])
-    y = simulate(make_theta([0.0, 0.3, 0.2, 0.2, 0.5]), InnovationDist("student_t3"), 300, seed=4).values
+    y = simulate(make_theta([0.0, 0.3, 0.2, 0.2, 0.5]), InnovationDist("student_t3"), 300, seed=4)
     for _ in range(5):
         beta = rng.dirichlet(np.ones(o.s + 1))[: o.s] * 0.95
         theta = ParamVector.from_parts(
@@ -304,7 +348,7 @@ def test_gamma_derivatives_are_the_mean_block_of_filter_series(order_tuple):
     gamma = [0.1] + [0.3 / (i + 1) for i in range(orders.p)] + [0.2 / (j + 1) for j in range(orders.q)]
     delta = [0.2] + [0.1] * orders.r + [0.4 / orders.s] * orders.s
     theta = ParamVector.from_theta(orders, np.array(gamma + delta))
-    y = simulate(theta, InnovationDist("laplace"), 300, seed=21).values
+    y = simulate(theta, InnovationDist("laplace"), 300, seed=21)
     out = filter_series(theta, y)
     k = orders.p + orders.q + 1
     assert np.array_equal(eps_gamma_derivs(orders, y, theta.gamma, out.eps), out.deps[:, :k])

@@ -1,10 +1,13 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import qmele
 from qmele import (
     DataIngestError,
+    DomainError,
+    FitConfig,
     G0Mode,
     InnovationDist,
     LOCAL_QMELE,
@@ -75,6 +78,8 @@ def test_parse_scenario_roundtrip():
     assert config.g0_mode == G0Mode.known(0.5)
     assert config.restarts == 1
     assert config.n == 300 and config.replications == 4 and config.seed == 314
+    # no % interpolation: a value is read as written
+    assert parse_scenario(TINY_INI.replace("seed = 314\n", "seed = 314\nname = 50%\n")).name == "50%"
 
 
 def test_parse_scenario_takes_every_omitted_key_from_the_dataclasses():
@@ -123,6 +128,31 @@ def test_parse_scenario_named_errors():
         parse_scenario(TINY_INI + "max_iter = 10\n")
     with pytest.raises(DataIngestError, match="restarts must be >= 0"):
         parse_scenario(TINY_INI.replace("restarts = 1", "restarts = -1"))
+
+
+def test_scenario_is_the_fit_config_of_its_replications(monkeypatch):
+    config = tiny_config(replications=1, estimators=(SW_QMELE,))
+    assert isinstance(config, FitConfig)
+    seen = []
+
+    def capture(data, orders, fit_config, criterion):
+        seen.append(fit_config)
+        raise DomainError("captured")
+
+    monkeypatch.setattr(qmele.montecarlo, "fit_self_weighted", capture)
+    run_replication(config, 0)
+    assert seen[0] is config
+    run_replication(replace(config, restarts=2), 0)
+    assert seen[1].restarts == 2 and seen[1].seed == config.seed
+
+
+def test_scenario_checks_its_fit_settings():
+    kwargs = {f.name: getattr(tiny_config(), f.name) for f in fields(ScenarioConfig)}
+    del kwargs["seed"]
+    with pytest.raises(TypeError, match="seed"):
+        ScenarioConfig(**kwargs)
+    with pytest.raises(DomainError, match="restarts must be >= 0"):
+        replace(tiny_config(), restarts=-1)
 
 
 def test_replication_determinism():

@@ -168,7 +168,7 @@ def test_weights_truncated_kernel_matches_full_convolution(spec):
 
 def test_weights_prehistory_effect_decays():
     theta = make_theta([0.0, 0.5, 0.1, 0.3, 0.4])
-    path = simulate(theta, InnovationDist("laplace"), 2300, burn_in=500, seed=77).values
+    path = simulate(theta, InnovationDist("laplace"), 2300, burn_in=500, seed=77)
     window, pre = path[300:], path[:300]
     w_true = compute_weights(window, WeightSpec(), prehistory=pre)
     w_zero = compute_weights(window, WeightSpec())

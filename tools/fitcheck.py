@@ -130,7 +130,7 @@ def digest():
         orders, theta = _truth(order_tuple, theta_tuple)
         for path in range(4):
             data, ones = simulate(theta, dist, 600, seed=seed + path), np.ones(600)
-            d.add(name, path, data.values)
+            d.add(name, path, data)
             d.call("t_star", t_star, theta, data)
             d.call("sigma_star", sigma_star, theta, data, 0.5)
             d.call("cov_sw", covariance_self_weighted, theta, data, 0.5 + ones, 0.5, 1.3)
