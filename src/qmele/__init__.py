@@ -53,6 +53,7 @@ from .montecarlo import (
     McTable,
     ReplicationRecord,
     ScenarioConfig,
+    load_fit_config,
     load_scenario,
     parse_scenario,
     run_replication,

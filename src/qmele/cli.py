@@ -6,7 +6,9 @@ period decimal point; a header row is assumed unless --no-header is given.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 
 An omitted setting takes the default of the dataclass or function it is
-passed to, and choices are the tuples those validate against.
+passed to, and choices are the tuples those validate against. fit hands
+--config and its settings flags to load_fit_config, which reads the file
+and lets the flags win; reports writes every output file.
 
 Every command's output is a pure function of its flags, config and input
 files; repeated runs are byte-identical.
@@ -18,13 +20,14 @@ import io
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from . import reports
 from .diagnostics import acf, efficiency_compare, pacf, standardized_residuals
 from .estimation import FitConfig, fit_self_weighted, local_qmele_step
-from .exceptions import DataIngestError, DomainError
+from .exceptions import DataIngestError
 from .model import (
     INNOVATION_KINDS,
     STANDARDIZATIONS,
@@ -34,7 +37,7 @@ from .model import (
     log_return_transform,
     simulate,
 )
-from .montecarlo import _fit_settings, _read_config, _read_text, load_scenario, run_scenario
+from .montecarlo import load_fit_config, load_scenario, run_scenario
 from .weights import DEFAULT_MC_DRAWS, THRESHOLDS, WEIGHT_VARIANTS, hill_sweep, moment_condition_check
 
 
@@ -139,9 +142,11 @@ def _dist_from_args(args):
     return InnovationDist(args.dist, **_given(args, "standardization", "epsilon", "tau"))
 
 
-def _ensure_out_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
+def _write_acf_pair(out, values, max_lag, suffix=""):
+    """acf{suffix}.csv and pacf{suffix}.csv of values in out."""
+    for label, corr in (("acf", acf), ("pacf", pacf)):
+        rows = reports.acf_csv_rows(corr(values, max_lag))
+        reports.write_csv(os.path.join(out, f"{label}{suffix}.csv"), *rows)
 
 
 def cmd_fit(args):
@@ -150,40 +155,23 @@ def cmd_fit(args):
         data = log_return_transform(data)
     orders = _parse_orders(args.orders)
 
-    # the optional config file holds the fit settings shared with scenario files
-    text = _read_text(args.config, "config") if args.config else ""
-    cp = _read_config(text, ("weights", "g0", "optimizer"), f"config {args.config}")
-    # explicit flags win over the config file
-    flags = {
-        "weights": {
-            "variant": args.weight_variant,
-            "iota": args.iota,
-            "c_quantile": args.c_quantile,
-            "threshold": args.weight_threshold,
-        },
-        "g0": {"mode": None if args.g0_known is None else "known", "value": args.g0_known},
-        "optimizer": {"restarts": args.restarts},
-    }
-    cp.read_dict({sec: {k: str(v) for k, v in kv.items() if v is not None} for sec, kv in flags.items()})
-    config = FitConfig(seed=args.seed, **_fit_settings(cp))
+    # explicit flags win over the optional config file
+    config = load_fit_config(
+        args.config,
+        weights=_given(args, "variant", "iota", "c_quantile", "threshold"),
+        g0=None if args.g0_known is None else {"kind": "known", "value": args.g0_known},
+        **_given(args, "seed", "restarts"),
+    )
     sw = fit_self_weighted(data, orders, config, criterion="qmele")
-    out = _ensure_out_dir(args.out_dir)
-    n_obs = data.size
+    out = args.out_dir
 
     fits = [("sw", sw)]
     if sw.converged:
         fits.append(("local", local_qmele_step(sw, data)))
-
-    text_parts, json_parts = [], []
-    for label, fit in fits:
+    for _, fit in fits:
         if fit.status != "ok":
             print(f"{fit.estimator_kind} fit: status {fit.status}", file=sys.stderr)
-        text_parts.append(fit_label_header(label) + reports.fit_report_text(fit, n_obs))
-        json_parts.append(reports.fit_report_json(fit, n_obs))
-    with open(os.path.join(out, "fit_report.txt"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(text_parts))
-    with open(os.path.join(out, "fit_report.json"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("[\n" + ",\n".join(p.rstrip("\n") for p in json_parts) + "\n]\n")
+    reports.write_fit_reports(out, fits, data.size)
 
     # diagnostics of the last converged fit: the one-step unless it was not taken
     converged = [fit for _, fit in fits if fit.converged]
@@ -192,10 +180,8 @@ def cmd_fit(args):
         reports.write_csv(os.path.join(out, "residuals.csv"), *reports.series_csv_rows(eta, "eta"))
         max_lag = min(args.max_lag, eta.size - 1)
         eta_sq = eta * eta
-        for name, series in (("eta", eta), ("eta_sq", eta_sq)):
-            for label, corr in (("acf", acf), ("pacf", pacf)):
-                rows = reports.acf_csv_rows(corr(series, max_lag))
-                reports.write_csv(os.path.join(out, f"{label}_{name}.csv"), *rows)
+        _write_acf_pair(out, eta, max_lag, "_eta")
+        _write_acf_pair(out, eta_sq, max_lag, "_eta_sq")
         k_max = args.hill_k_max or min(eta.size // 3, 180)
         reports.write_csv(
             os.path.join(out, "hill_eta_sq.csv"),
@@ -205,33 +191,23 @@ def cmd_fit(args):
     return 0
 
 
-def fit_label_header(label):
-    return f"== {label} ==\n"
-
-
 def cmd_simulate(args):
     orders = _parse_orders(args.orders)
     theta = _parse_theta(args.theta, orders)
     dist = _dist_from_args(args)
     data = simulate(theta, dist, args.n, seed=args.seed, **_given(args, "burn_in"))
-    out = _ensure_out_dir(args.out_dir)
-    path = os.path.join(out, args.out)
+    path = os.path.join(args.out_dir, args.out)
     reports.write_csv(path, *reports.series_csv_rows(data, "y"))
     print(f"simulated series written to {path}")
     return 0
 
 
 def cmd_mc_table(args):
-    config = load_scenario(args.config)
-    if args.replications is not None:
-        from dataclasses import replace
-
-        config = replace(config, replications=args.replications)
+    config = replace(load_scenario(args.config), **_given(args, "replications"))
     table = run_scenario(config, jobs=args.jobs)
-    out = _ensure_out_dir(args.out_dir)
+    out = args.out_dir
     reports.write_csv(os.path.join(out, "mc_table.csv"), *reports.mc_table_csv_rows(table))
-    with open(os.path.join(out, "mc_table.txt"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(reports.mc_table_text(table))
+    reports.write_text(os.path.join(out, "mc_table.txt"), reports.mc_table_text(table))
     reports.write_csv(
         os.path.join(out, "mc_replications.csv"), *reports.mc_replications_csv_rows(table)
     )
@@ -241,12 +217,8 @@ def cmd_mc_table(args):
 
 def cmd_hill(args):
     values = read_series_csv(args.input, column=args.column, no_header=args.no_header)
-    n_pos = int(np.sum(values > 0.0))
-    if args.k_max >= n_pos:
-        raise DomainError(f"--k-max must be below the number of positive values ({n_pos})")
     report = hill_sweep(values, args.k_max)
-    out = _ensure_out_dir(args.out_dir)
-    path = os.path.join(out, "hill.csv")
+    path = os.path.join(args.out_dir, "hill.csv")
     reports.write_csv(path, *reports.hill_csv_rows(report))
     print(f"hill sweep written to {path}")
     return 0
@@ -277,8 +249,7 @@ def cmd_region_scan(args):
                 a1, b1, args.iota, dist, mc_draws=args.draws, seed=args.seed
             )
             rows.append([reports.fmt(a1), reports.fmt(b1), str(int(dec.holds))])
-    out = _ensure_out_dir(args.out_dir)
-    path = os.path.join(out, "region_scan.csv")
+    path = os.path.join(args.out_dir, "region_scan.csv")
     reports.write_csv(path, header, rows)
     print(f"region scan written to {path}")
     return 0
@@ -286,11 +257,7 @@ def cmd_region_scan(args):
 
 def cmd_acf(args):
     values = read_series_csv(args.input, column=args.column, no_header=args.no_header)
-    out = _ensure_out_dir(args.out_dir)
-    reports.write_csv(os.path.join(out, "acf.csv"), *reports.acf_csv_rows(acf(values, args.max_lag)))
-    reports.write_csv(
-        os.path.join(out, "pacf.csv"), *reports.acf_csv_rows(pacf(values, args.max_lag))
-    )
+    _write_acf_pair(args.out_dir, values, args.max_lag)
     print(f"acf/pacf written to {args.out_dir}")
     return 0
 
@@ -307,9 +274,7 @@ def cmd_efficiency(args):
         f"preferred   {rep.preferred}",
     ]
     text = "\n".join(lines) + "\n"
-    out = _ensure_out_dir(args.out_dir)
-    with open(os.path.join(out, "efficiency.txt"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    reports.write_text(os.path.join(args.out_dir, "efficiency.txt"), text)
     print(text, end="")
     return 0
 
@@ -344,10 +309,10 @@ def build_parser():
     p.add_argument("--log-returns-x100", action="store_true", help="transform prices to 100x log returns")
     p.add_argument("--config",
                    help="optional key=value file with [weights]/[g0]/[optimizer] sections; explicit flags win")
-    p.add_argument("--weight-variant", choices=WEIGHT_VARIANTS)
+    p.add_argument("--weight-variant", dest="variant", choices=WEIGHT_VARIANTS)
     p.add_argument("--iota", type=float)
     p.add_argument("--c-quantile", type=float)
-    p.add_argument("--weight-threshold", choices=THRESHOLDS)
+    p.add_argument("--weight-threshold", dest="threshold", choices=THRESHOLDS)
     p.add_argument("--g0-known", type=float,
                    help="inject a known innovation density at zero instead of the kernel estimate")
     p.add_argument("--restarts", type=int,

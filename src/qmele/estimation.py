@@ -49,6 +49,7 @@ from scipy.optimize._lbfgsb_py import status_messages, task_messages
 from .exceptions import (
     DomainError,
     InsufficientDataError,
+    NumericOverflowError,
     SingularInformationError,
 )
 from .model import (
@@ -435,7 +436,10 @@ def estimate_g0(residuals, mode=G0Mode.kernel()):
 
 
 def _sym_inv(mat):
-    """Inverse of a symmetric PSD matrix with a condition-number guard."""
+    """Inverse of a symmetric PSD matrix with a condition-number guard; a
+    matrix that is not finite raises NumericOverflowError."""
+    if not np.isfinite(mat).all():
+        raise NumericOverflowError("information matrix is not finite")
     sym = 0.5 * (mat + mat.T)
     vals, vecs = np.linalg.eigh(sym)
     if vals[-1] <= 0.0 or vals[0] <= 0.0 or vals[-1] / vals[0] > COND_LIMIT:
@@ -894,10 +898,12 @@ def local_qmele_step(theta_init, data, g0=None):
     self-weighted gaussian fit). T* takes sign(eta_t) = 0 on the kinks of a
     certified initializer's active set, where eps_t = 0 up to rounding, as
     t_star defines sign(0) = 0. A coordinate on its lower bound in _box at
-    the initializer that this step would push below it is held there, the
-    step solved over the other coordinates; a step still infeasible is
-    halved until feasible, at most MAX_STEP_HALVINGS times, and the number
-    of halvings is reported.
+    the initializer that the step would push below it is held there and the
+    step solved again over the other coordinates, until the solve pushes no
+    coordinate on its bound below it (holds are only added). A step still
+    infeasible (an interior coordinate crossing its bound, sum(beta)
+    reaching 1, or a step that is not finite) is halved until feasible, at
+    most MAX_STEP_HALVINGS times, and the number of halvings is reported.
 
     g0 defaults to the initializer's, which its sandwich used. A step taken
     is converged, its sandwich built as a fit's is. A step that cannot be
@@ -924,8 +930,9 @@ def local_qmele_step(theta_init, data, g0=None):
         score = _score(out, crit, cert.active if cert is not None and cert.certified else ())
         del out  # free the n x m pass at theta0 before _fit_result makes one at theta1
         step = -_sym_inv(info) @ score
-        held = (theta0.theta == _box(theta0.orders)[0]) & (step < 0.0)
-        if held.any():
+        on_bound, held = theta0.theta == _box(theta0.orders)[0], np.zeros(theta0.m, dtype=bool)
+        while (on_bound & (step < 0.0)).any():
+            held |= on_bound & (step < 0.0)
             free = ~held
             step = np.zeros(theta0.m)
             step[free] = -_sym_inv(info[np.ix_(free, free)]) @ score[free]

@@ -7,6 +7,7 @@ and counted separately.
 
 Scenario files are flat key = value sections read through one table,
 _KEYS; a key a file omits takes the default of the dataclass it sets.
+load_fit_config reads the fit-settings sections alone (qmele fit --config).
 """
 
 import configparser
@@ -202,13 +203,15 @@ def _keywords(cp, section):
             for key, (kw, parse) in _KEYS[section].items() if cp.has_option(section, key)}
 
 
-def _fit_settings(cp):
+def _fit_settings(cp, weights, g0, fit):
     """FitConfig keywords from the [weights], [g0] and [optimizer] sections
-    of a parsed config."""
+    of a parsed config, each updated by the given WeightSpec, G0Mode and
+    FitConfig keywords before anything is built."""
     return {
-        "weight_spec": WeightSpec(**_keywords(cp, "weights")),
-        "g0_mode": G0Mode(**_keywords(cp, "g0")),
+        "weight_spec": WeightSpec(**{**_keywords(cp, "weights"), **weights}),
+        "g0_mode": G0Mode(**{**_keywords(cp, "g0"), **g0}),
         **_keywords(cp, "optimizer"),
+        **fit,
     }
 
 
@@ -239,7 +242,7 @@ def parse_scenario(text, name=ScenarioConfig.name):
             theta0=ParamVector.from_parts(orders, **_keywords(cp, "truth")).validate(),
             dist=InnovationDist(**_keywords(cp, "innovations")),
             **{"name": name, **_keywords(cp, "study")},
-            **_fit_settings(cp),
+            **_fit_settings(cp, {}, {}, {}),
         )
     except DataIngestError:
         raise
@@ -257,3 +260,12 @@ def _read_text(path, what):
 
 def load_scenario(path):
     return parse_scenario(_read_text(path, "scenario config"), name=str(path))
+
+
+def load_fit_config(path=None, weights=None, g0=None, **fit):
+    """The FitConfig of an optional file of a scenario's [weights], [g0] and
+    [optimizer] sections, its keys updated by the WeightSpec, G0Mode and
+    FitConfig keywords weights, g0 and fit before anything is built."""
+    text = _read_text(path, "config") if path else ""
+    cp = _read_config(text, ("weights", "g0", "optimizer"), f"config {path}")
+    return FitConfig(**_fit_settings(cp, weights or {}, g0 or {}, fit))

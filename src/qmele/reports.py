@@ -1,4 +1,5 @@
-"""Deterministic text/CSV/JSON emission shared by the CLI and tests.
+"""Deterministic text/CSV/JSON emission shared by the CLI and tests; every
+output file is written by write_text.
 
 All numeric output is fixed at 6 significant digits so repeated runs with
 identical inputs produce byte-identical files.
@@ -6,6 +7,7 @@ identical inputs produce byte-identical files.
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -23,14 +25,21 @@ def round6(x):
     return float(fmt(x))
 
 
+def write_text(path, text):
+    """Write text as UTF-8 in one write, its newlines as given, making the
+    file's directory if it is missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def write_csv(path, header, rows):
     """Write a header and rows of already-formatted strings with a fixed
     newline, in one write. rows may also be the body as one string of
     newline-ended lines (series_csv_rows)."""
     if not isinstance(rows, str):
         rows = "".join(",".join(row) + "\n" for row in rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n" + rows)
+    write_text(path, ",".join(header) + "\n" + rows)
 
 
 def series_csv_rows(values, name="y"):
@@ -100,6 +109,16 @@ def fit_report_json(fit, n_obs):
         "std_errors": {nm: round6(v) for nm, v in zip(names, fit.std_errors)},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_fit_reports(out_dir, fits, n_obs):
+    """fit_report.txt and fit_report.json in out_dir for (label, FitResult)
+    pairs: a "== label ==" block of fit_report_text per fit, and a JSON
+    array of their fit_report_json objects."""
+    text = [f"== {label} ==\n" + fit_report_text(fit, n_obs) for label, fit in fits]
+    objects = [fit_report_json(fit, n_obs).rstrip("\n") for _, fit in fits]
+    write_text(os.path.join(out_dir, "fit_report.txt"), "\n".join(text))
+    write_text(os.path.join(out_dir, "fit_report.json"), "[\n" + ",\n".join(objects) + "\n]\n")
 
 
 def mc_table_csv_rows(table):

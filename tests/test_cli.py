@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -311,7 +312,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_cli_hill_on_pareto_quantiles(tmp_path):
+def test_cli_hill_on_pareto_quantiles(tmp_path, capsys):
     n = 10_000
     i = np.arange(1, n + 1)
     v = (i / (n + 1.0)) ** (-1.0 / 1.5)
@@ -323,6 +324,7 @@ def test_cli_hill_on_pareto_quantiles(tmp_path):
     mid = [table[k] for k in range(800, 1201) if k in table]
     assert all(1.35 <= a <= 1.65 for a in mid)
     assert run_cli("hill", path, "--k-max", str(n), "--out-dir", tmp_path) == 3
+    assert capsys.readouterr().err == f"error: k_max must be < number of positive values ({n})\n"
 
 
 def test_cli_acf_outputs(tmp_path):
@@ -435,8 +437,8 @@ def test_cli_fit_accepts_config_file(tmp_path):
     assert run_cli("fit", data, "--orders", "1,0,1,1", "--config", bad, "--out-dir", out) == 3
 
 
-def test_cli_fit_flags_build_the_fit_config(tmp_path, monkeypatch):
-    # no settings flag: FitConfig's own defaults; each flag sets one field
+def capture_fit_configs(monkeypatch):
+    """The FitConfigs cmd_fit builds; each run then stops with exit code 3."""
     seen = []
 
     def capture(data, orders, config, criterion):
@@ -444,6 +446,12 @@ def test_cli_fit_flags_build_the_fit_config(tmp_path, monkeypatch):
         raise qmele.DomainError("captured")
 
     monkeypatch.setattr(cli, "fit_self_weighted", capture)
+    return seen
+
+
+def test_cli_fit_flags_build_the_fit_config(tmp_path, monkeypatch):
+    # no settings flag: FitConfig's own defaults; each flag sets one field
+    seen = capture_fit_configs(monkeypatch)
     data = tmp_path / "y.csv"
     data.write_text("y\n1\n2\n3\n")
     fit = ("fit", data, "--orders", "1,0,1,1", "--out-dir", tmp_path)
@@ -455,6 +463,66 @@ def test_cli_fit_flags_build_the_fit_config(tmp_path, monkeypatch):
         qmele.FitConfig(seed=0),
         qmele.FitConfig(qmele.WeightSpec("infinite_iota_scaled", 0.5, 0.8, "absolute"), 2, qmele.G0Mode.known(0.5), 3),
     ]
+
+
+def test_cli_fit_flags_win_over_the_config_file(tmp_path, monkeypatch):
+    seen = capture_fit_configs(monkeypatch)
+    data = tmp_path / "y.csv"
+    data.write_text("y\n1\n2\n3\n")
+    cfg = tmp_path / "fit.ini"
+    cfg.write_text("[weights]\nvariant = infinite_iota_scaled\niota = 2\nc_quantile = 0.85\nthreshold = absolute\n\n"
+                   "[g0]\nmode = known\nvalue = 0.3\n\n[optimizer]\nrestarts = 4\n")
+    fit = ("fit", data, "--orders", "1,0,1,1", "--config", cfg, "--out-dir", tmp_path)
+    spec = qmele.WeightSpec("infinite_iota_scaled", 2.0, 0.85, "absolute")
+    base = qmele.FitConfig(spec, 4, qmele.G0Mode.known(0.3))
+
+    def weights(**kw):
+        return dataclasses.replace(base, weight_spec=dataclasses.replace(spec, **kw))
+
+    cases = [
+        ((), base),
+        (("--weight-variant", "finite_lag"), weights(variant="finite_lag")),
+        (("--iota", "0.5"), weights(iota=0.5)),
+        (("--c-quantile", "0.7"), weights(c_quantile=0.7)),
+        (("--weight-threshold", "signed"), weights(threshold="signed")),
+        (("--g0-known", "0.6"), dataclasses.replace(base, g0_mode=qmele.G0Mode.known(0.6))),
+        (("--restarts", "0"), dataclasses.replace(base, restarts=0)),
+    ]
+    for flags, expected in cases:
+        assert run_cli(*fit, *flags) == 3
+        assert seen.pop() == expected, flags
+    # flags merge into the file's sections before they are built: a file
+    # section valid only with its flag loads, and [g0] mode = kernel gives way
+    half_sections = [
+        ("[g0]\nmode = kernel\n", ("--g0-known", "0.6"), qmele.FitConfig(g0_mode=qmele.G0Mode.known(0.6))),
+        ("[g0]\nmode = known\n", ("--g0-known", "0.5"), qmele.FitConfig(g0_mode=qmele.G0Mode.known(0.5))),
+        ("[weights]\nvariant = infinite_iota_scaled\n", ("--iota", "2"),
+         qmele.FitConfig(qmele.WeightSpec("infinite_iota_scaled", 2.0))),
+    ]
+    for text, flags, expected in half_sections:
+        cfg.write_text(text)
+        assert run_cli(*fit, *flags) == 3
+        assert seen.pop() == expected, text
+
+
+def test_cli_fit_flag_and_file_give_one_message_for_a_bad_value(tmp_path, capsys):
+    data = tmp_path / "y.csv"
+    data.write_text("y\n1\n2\n3\n")
+    cfg = tmp_path / "fit.ini"
+    fit = ("fit", data, "--orders", "1,0,1,1", "--out-dir", tmp_path)
+    cases = [
+        (("--c-quantile", "1.5"), "[weights]\nc_quantile = 1.5\n", "c_quantile must be in (0, 1)"),
+        (("--weight-variant", "infinite_iota_scaled", "--iota", "-1"),
+         "[weights]\nvariant = infinite_iota_scaled\niota = -1\n", "infinite_iota_scaled requires iota > 0"),
+        (("--g0-known", "0"), "[g0]\nmode = known\nvalue = 0\n", "known g0 requires a positive value"),
+        (("--restarts", "-1"), "[optimizer]\nrestarts = -1\n", "restarts must be >= 0"),
+    ]
+    for flags, text, message in cases:
+        assert run_cli(*fit, *flags) == 3
+        from_flags = capsys.readouterr().err
+        cfg.write_text(text)
+        assert run_cli(*fit, "--config", cfg) == 3
+        assert capsys.readouterr().err == from_flags == f"error: {message}\n"
 
 
 def test_cli_fit_config_rejects_simplex_tolerance(tmp_path, capsys):

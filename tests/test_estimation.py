@@ -969,18 +969,43 @@ def test_evaluator_is_nan_where_only_the_gradient_overflows():
     assert np.isnan(value) and not grad.any()
 
 
-def test_local_step_reports_an_infeasible_step():
-    # the fit ends on beta1 = beta2 = 0; the re-solve over the other
-    # coordinates frees a beta that the step then pushes below 0
+def test_local_step_holds_every_bound_its_re_solve_crosses():
+    # the fit ends on beta1 = beta2 = 0; the re-solve over the coordinates
+    # the full step keeps above their bounds frees a beta that it then
+    # pushes below 0, so that beta is held too and the step solved again
     data, fit = unit_weight_gaussian_fit(7)
     assert fit.converged and fit.status == "ok"
     assert np.all(fit.theta_hat.beta == 0.0)
     stepped = local_qmele_step(fit, data)
-    assert stepped.converged is False
-    assert stepped.status == "infeasible_step"
-    assert stepped.shrink_count == 30
-    np.testing.assert_array_equal(stepped.theta_hat.theta, fit.theta_hat.theta)
-    assert np.all(np.isnan(stepped.covariance))
+    assert stepped.converged and stepped.status == "ok"
+    assert stepped.shrink_count == 0
+    assert np.all(stepped.theta_hat.beta == 0.0)
+    assert not np.array_equal(stepped.theta_hat.theta, fit.theta_hat.theta)
+    assert np.all(np.isfinite(stepped.covariance))
+
+
+def test_a_non_finite_information_matrix_is_an_overflow(monkeypatch):
+    import qmele.estimation
+    from qmele import NumericOverflowError
+    from qmele.estimation import _sym_inv
+
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericOverflowError, match="information matrix is not finite"):
+            _sym_inv(np.array([[bad, 0.0], [0.0, 1.0]]))
+    # a finite matrix takes the eigen-inverse as before, bit for bit
+    finite = np.array([[2.0, 0.5], [0.5, 1.0]])
+    vals, vecs = np.linalg.eigh(finite)
+    np.testing.assert_array_equal(_sym_inv(finite), (vecs / vals) @ vecs.T)
+    y = simulate(make_theta(THETA_FINITE), LAPLACE, 400, seed=21)
+    fit = fit_self_weighted(y, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5), restarts=1))
+    assert fit.status == "ok"
+    # every information-type matrix is a _cross sum: a NaN one is reported, not inverted
+    monkeypatch.setattr(qmele.estimation, "_cross", lambda out, scales: np.full((out.deps.shape[1],) * 2, np.nan))
+    for result in (fit_self_weighted(y, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5), restarts=1)),
+                   local_qmele_step(fit, y)):
+        assert result.status == "overflow"
+        assert np.all(np.isnan(result.covariance)) and np.all(np.isnan(result.std_errors))
+    assert local_qmele_step(fit, y).shrink_count == 0
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
