@@ -1,14 +1,16 @@
 """Batch command-line front end.
 
 Verbs: fit, simulate, mc-table, hill, region-scan, acf, efficiency.
-Common flags: --seed, --out-dir, --config. Input CSVs are UTF-8 with a
-period decimal point; a header row is assumed unless --no-header is given.
+Every verb takes --out-dir; --seed belongs to fit, simulate and
+region-scan, the verbs that read it. Input CSVs are UTF-8 with a period
+decimal point; a header row is assumed unless --no-header is given.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 
-An omitted setting takes the default of the dataclass or function it is
-passed to, and choices are the tuples those validate against. fit hands
---config and its settings flags to load_fit_config, which reads the file
-and lets the flags win; reports writes every output file.
+An omitted setting (--seed, --draws and --jobs too) takes the default of
+the dataclass or function it is passed to, and choices are the tuples
+those validate against. fit hands --config and its settings flags to
+load_fit_config, which reads the file and lets the flags win; reports
+writes every output file.
 
 Every command's output is a pure function of its flags, config and input
 files; repeated runs are byte-identical.
@@ -38,7 +40,7 @@ from .model import (
     simulate,
 )
 from .montecarlo import load_fit_config, load_scenario, run_scenario
-from .weights import DEFAULT_MC_DRAWS, THRESHOLDS, WEIGHT_VARIANTS, hill_sweep, moment_condition_check
+from .weights import THRESHOLDS, WEIGHT_VARIANTS, hill_sweep, moment_condition_check
 
 
 # whitespace to str.strip() and numpy's float parser, but not to float()
@@ -195,7 +197,7 @@ def cmd_simulate(args):
     orders = _parse_orders(args.orders)
     theta = _parse_theta(args.theta, orders)
     dist = _dist_from_args(args)
-    data = simulate(theta, dist, args.n, seed=args.seed, **_given(args, "burn_in"))
+    data = simulate(theta, dist, args.n, **_given(args, "seed", "burn_in"))
     path = os.path.join(args.out_dir, args.out)
     reports.write_csv(path, *reports.series_csv_rows(data, "y"))
     print(f"simulated series written to {path}")
@@ -204,7 +206,7 @@ def cmd_simulate(args):
 
 def cmd_mc_table(args):
     config = replace(load_scenario(args.config), **_given(args, "replications"))
-    table = run_scenario(config, jobs=args.jobs)
+    table = run_scenario(config, **_given(args, "jobs"))
     out = args.out_dir
     reports.write_csv(os.path.join(out, "mc_table.csv"), *reports.mc_table_csv_rows(table))
     reports.write_text(os.path.join(out, "mc_table.txt"), reports.mc_table_text(table))
@@ -245,9 +247,7 @@ def cmd_region_scan(args):
     rows = []
     for a1 in a_grid:
         for b1 in b_grid:
-            dec = moment_condition_check(
-                a1, b1, args.iota, dist, mc_draws=args.draws, seed=args.seed
-            )
+            dec = moment_condition_check(a1, b1, args.iota, dist, **_given(args, "mc_draws", "seed"))
             rows.append([reports.fmt(a1), reports.fmt(b1), str(int(dec.holds))])
     path = os.path.join(args.out_dir, "region_scan.csv")
     reports.write_csv(path, header, rows)
@@ -286,9 +286,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed=False):
         p.add_argument("--out-dir", default=".", help="directory for output files")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int)
 
     def add_dist(p, standardization=True):
         p.add_argument("--dist", required=True, choices=INNOVATION_KINDS)
@@ -304,7 +305,7 @@ def build_parser():
 
     p = sub.add_parser("fit", help="fit the model and emit diagnostics")
     add_input(p)
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--orders", required=True, help="model orders p,q,r,s")
     p.add_argument("--log-returns-x100", action="store_true", help="transform prices to 100x log returns")
     p.add_argument("--config",
@@ -323,7 +324,7 @@ def build_parser():
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="simulate a seeded path to CSV")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--orders", required=True)
     p.add_argument("--theta", required=True, help="comma-separated parameter vector")
     add_dist(p)
@@ -335,7 +336,7 @@ def build_parser():
     p = sub.add_parser("mc-table", help="run a replication study from a config file")
     add_common(p)
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = serial)")
+    p.add_argument("--jobs", type=int, help="worker processes (default 1 = serial)")
     p.add_argument("--replications", type=int, help="override the config value")
     p.set_defaults(func=cmd_mc_table)
 
@@ -346,12 +347,12 @@ def build_parser():
     p.set_defaults(func=cmd_hill)
 
     p = sub.add_parser("region-scan", help="fractional-moment region over an (alpha1, beta1) grid")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--alpha1", required=True, help="grid min:max:steps")
     p.add_argument("--beta1", required=True, help="grid min:max:steps")
     p.add_argument("--iota", type=float, required=True)
     add_dist(p)
-    p.add_argument("--draws", type=int, default=DEFAULT_MC_DRAWS)
+    p.add_argument("--draws", dest="mc_draws", type=int)
     p.set_defaults(func=cmd_region_scan)
 
     p = sub.add_parser("acf", help="ACF/PACF with white-noise bands")

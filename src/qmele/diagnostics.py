@@ -116,23 +116,20 @@ def _mixture_moments(epsilon, tau):
 def efficiency_compare(dist):
     """Closed-form kappa1/kappa2 comparison for a standardized innovation law.
 
-    Requires dist.standardization == "abs_mean_one". For t3 innovations the
-    fourth moment is infinite: kappa1 is reported as math.inf with
-    eta4_finite=False and the exponential criterion is preferred.
+    Requires dist.standardization == "abs_mean_one". The moments are the
+    law's own (dist.eta2(), dist.eta4()), except a mixture's, which come
+    from _mixture_moments. For t3 innovations the fourth moment is
+    infinite: kappa1 is reported as math.inf with eta4_finite=False and
+    the exponential criterion is preferred.
     """
     if dist.standardization != "abs_mean_one":
         raise DomainError("efficiency comparison is defined under E|eta| = 1")
-    if dist.kind == "laplace":
-        eta2, eta4, finite = 2.0, 24.0, True
-    elif dist.kind == "normal":
-        eta2, eta4, finite = math.pi / 2.0, 3.0 * math.pi**2 / 4.0, True
-    elif dist.kind == "student_t3":
-        eta2, eta4, finite = math.pi**2 / 4.0, math.inf, False
-    else:
+    if dist.kind == "mixture":
         eta2, eta4 = _mixture_moments(dist.epsilon, dist.tau)
-        finite = True
+    else:
+        eta2, eta4 = dist.eta2(), dist.eta4()
     kappa2 = 4.0 * (eta2 - 1.0)
-    kappa1 = eta4 / eta2**2 - 1.0 if finite else math.inf
+    kappa1 = eta4 / eta2**2 - 1.0
     if kappa1 < kappa2:
         preferred = PREFER_QMLE
     elif kappa2 < kappa1:
@@ -144,6 +141,6 @@ def efficiency_compare(dist):
         kappa2=kappa2,
         eta2=eta2,
         eta4=eta4,
-        eta4_finite=finite,
+        eta4_finite=math.isfinite(eta4),
         preferred=preferred,
     )

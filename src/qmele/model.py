@@ -31,20 +31,18 @@ from .exceptions import DomainError, NumericOverflowError
 
 H_OVERFLOW_LIMIT = 1e300
 BURN_IN = 500  # simulated observations dropped before the retained path
-INNOVATION_KINDS = ("laplace", "normal", "student_t3", "mixture")
-STANDARDIZATIONS = ("abs_mean_one", "var_one", "raw")
 
-# closed-form absolute first moments of the unscaled innovation laws
-_ABS_MEAN = {
-    "laplace": 1.0,
-    "normal": np.sqrt(2.0 / np.pi),
-    "student_t3": 2.0 * np.sqrt(3.0) / np.pi,
+# (E|X|, E X^2, E X^4) of each unscaled innovation law, in closed form; the
+# mixture's from its weight epsilon and scale tau
+_MOMENTS = {
+    "laplace": lambda e, t: (1.0, 2.0, 24.0),
+    "normal": lambda e, t: (np.sqrt(2.0 / np.pi), 1.0, 3.0),
+    "student_t3": lambda e, t: (2.0 * np.sqrt(3.0) / np.pi, 3.0, np.inf),
+    "mixture": lambda e, t: (np.sqrt(2.0 / np.pi) * (1.0 - e + e * t), 1.0 - e + e * t**2,
+                             3.0 * (1.0 - e + e * t**4)),
 }
-_SECOND_MOMENT = {
-    "laplace": 2.0,
-    "normal": 1.0,
-    "student_t3": 3.0,
-}
+INNOVATION_KINDS = tuple(_MOMENTS)
+STANDARDIZATIONS = ("abs_mean_one", "var_one")
 
 
 @dataclass(frozen=True)
@@ -176,11 +174,12 @@ class ParamVector:
 class InnovationDist:
     """Innovation law plus the scaling applied before use.
 
-    kind is one of "laplace", "normal", "student_t3", "mixture"; a mixture
-    draws N(0,1) with probability 1-epsilon and N(0,tau^2) with probability
-    epsilon. standardization selects the identification convention:
-    "abs_mean_one" rescales so E|eta| = 1, "var_one" so E eta^2 = 1, and
-    "raw" leaves the law untouched. The rescaling constants are closed form.
+    kind is one of INNOVATION_KINDS; a mixture draws N(0,1) with probability
+    1-epsilon and N(0,tau^2) with probability epsilon, and epsilon and tau
+    apply to it alone (DomainError if another kind is given values other
+    than the defaults 0 and 1). standardization selects the identification
+    convention: "abs_mean_one" rescales so E|eta| = 1, "var_one" so
+    E eta^2 = 1. The rescaling constants and moments are closed form.
     """
 
     kind: str
@@ -198,32 +197,25 @@ class InnovationDist:
                 raise DomainError("mixture weight epsilon must be in [0, 1]")
             if self.tau <= 0.0:
                 raise DomainError("mixture scale tau must be > 0")
+        elif (self.epsilon, self.tau) != (0.0, 1.0):
+            raise DomainError(f"epsilon and tau apply to the mixture only, got epsilon={self.epsilon}, "
+                              f"tau={self.tau} for {self.kind}")
 
-    def _raw_abs_mean(self):
-        if self.kind == "mixture":
-            return np.sqrt(2.0 / np.pi) * (1.0 - self.epsilon + self.epsilon * self.tau)
-        return _ABS_MEAN[self.kind]
-
-    def _raw_second_moment(self):
-        if self.kind == "mixture":
-            return 1.0 - self.epsilon + self.epsilon * self.tau**2
-        return _SECOND_MOMENT[self.kind]
+    def _moments(self):
+        return _MOMENTS[self.kind](self.epsilon, self.tau)
 
     def scale_factor(self):
         """Multiplier applied to raw draws to enforce the standardization."""
-        if self.standardization == "abs_mean_one":
-            return 1.0 / self._raw_abs_mean()
-        if self.standardization == "var_one":
-            return 1.0 / np.sqrt(self._raw_second_moment())
-        return 1.0
-
-    def abs_mean(self):
-        """E|eta| under the chosen standardization."""
-        return self._raw_abs_mean() * self.scale_factor()
+        abs_mean, second, _ = self._moments()
+        return 1.0 / (abs_mean if self.standardization == "abs_mean_one" else np.sqrt(second))
 
     def eta2(self):
         """E eta^2 under the chosen standardization."""
-        return self._raw_second_moment() * self.scale_factor() ** 2
+        return self._moments()[1] * self.scale_factor() ** 2
+
+    def eta4(self):
+        """E eta^4 under the chosen standardization (inf for student_t3)."""
+        return self._moments()[2] * self.scale_factor() ** 4
 
     def sample(self, rng, size):
         """Draw `size` standardized innovations from `rng`."""

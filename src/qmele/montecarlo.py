@@ -34,10 +34,11 @@ from .weights import WeightSpec
 class ScenarioConfig(FitConfig):
     """Everything needed to reproduce one replication study: the fit
     settings of every replication (a FitConfig, seed required) and the
-    design they are fitted on."""
+    design they are fitted on. orders defaults to theta0.orders; a given
+    value that differs is a DomainError."""
 
     seed: int = field()  # no default: a scenario names its seed
-    orders: ModelOrders
+    orders: ModelOrders | None = None
     theta0: ParamVector
     dist: InnovationDist
     n: int
@@ -48,6 +49,10 @@ class ScenarioConfig(FitConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.orders is None:
+            object.__setattr__(self, "orders", self.theta0.orders)
+        elif self.orders != self.theta0.orders:
+            raise DomainError(f"orders {self.orders} differ from theta0's orders {self.theta0.orders}")
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
         if not self.estimators:
@@ -238,7 +243,6 @@ def parse_scenario(text, name=ScenarioConfig.name):
     try:
         orders = ModelOrders(**_keywords(cp, "model"))
         return ScenarioConfig(
-            orders=orders,
             theta0=ParamVector.from_parts(orders, **_keywords(cp, "truth")).validate(),
             dist=InnovationDist(**_keywords(cp, "innovations")),
             **{"name": name, **_keywords(cp, "study")},

@@ -8,6 +8,7 @@ identical inputs produce byte-identical files.
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -60,6 +61,18 @@ def hill_csv_rows(report):
     return ["k", "alpha_hat"], rows
 
 
+def _fit_fields(fit, n_obs):
+    """The fields both fit reports give below the estimates, in the text
+    report's order."""
+    return dict(objective=float(fit.objective_value), g0=float(fit.g0), eta2=float(fit.eta2),
+                converged=bool(fit.converged), status=fit.status, iterations=int(fit.iterations),
+                n=int(n_obs))
+
+
+def _json_value(v):
+    return round6(v) if isinstance(v, float) else v
+
+
 def fit_report_text(fit, n_obs):
     """Aligned fit report with standard errors in parentheses."""
     names = fit.orders.param_names()
@@ -71,40 +84,19 @@ def fit_report_text(fit, n_obs):
     lines.append(" " * label_w + hdr_line)
     lines.append(f"{'estimate':<{label_w}}" + est_line)
     lines.append(f"{'std err':<{label_w}}" + se_line)
-    lines.append(f"objective  {fmt(fit.objective_value)}")
-    lines.append(f"g0         {fmt(fit.g0)}")
-    lines.append(f"eta2       {fmt(fit.eta2)}")
-    lines.append(f"converged  {str(fit.converged).lower()}")
-    lines.append(f"status     {fit.status}")
-    lines.append(f"iterations {fit.iterations}")
-    lines.append(f"n          {n_obs}")
+    for name, v in _fit_fields(fit, n_obs).items():
+        text = str(v).lower() if isinstance(v, bool) else fmt(v) if isinstance(v, float) else str(v)
+        lines.append(f"{name:<{label_w}}{text}")
     return "\n".join(lines) + "\n"
-
-
-def _certificate_json(cert):
-    if cert is None:
-        return None
-    return {
-        "active": list(cert.active),
-        "max_s": round6(cert.max_s),
-        "kkt": round6(cert.kkt),
-        "pivots": int(cert.pivots),
-        "certified": bool(cert.certified),
-    }
 
 
 def fit_report_json(fit, n_obs):
     names = fit.orders.param_names()
+    cert = fit.certificate
     payload = {
         "estimator": fit.estimator_kind,
-        "n": int(n_obs),
-        "converged": bool(fit.converged),
-        "status": fit.status,
-        "certificate": _certificate_json(fit.certificate),
-        "iterations": int(fit.iterations),
-        "objective": round6(fit.objective_value),
-        "g0": round6(fit.g0),
-        "eta2": round6(fit.eta2),
+        **{name: _json_value(v) for name, v in _fit_fields(fit, n_obs).items()},
+        "certificate": None if cert is None else {k: _json_value(v) for k, v in asdict(cert).items()},
         "estimates": {nm: round6(v) for nm, v in zip(names, fit.theta_hat.theta)},
         "std_errors": {nm: round6(v) for nm, v in zip(names, fit.std_errors)},
     }

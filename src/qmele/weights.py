@@ -91,8 +91,9 @@ def compute_weights(data, spec=WeightSpec(), orders=None, prehistory=None):
     orders : ModelOrders, optional
         Required by the "finite_lag" variant (lags 1..p+r).
     prehistory : array_like, optional
-        Values assumed to precede y_1 (most recent last). By default the
-        pre-sample is zero, so lag sums truncate at k = t-1.
+        Values assumed to precede y_1 (most recent last), checked by
+        model.as_series unless empty. By default the pre-sample is zero, so
+        lag sums truncate at k = t-1.
 
     Returns
     -------
@@ -114,9 +115,7 @@ def compute_weights(data, spec=WeightSpec(), orders=None, prehistory=None):
     if spec.variant == "finite_lag" and orders is None:
         raise DomainError("finite_lag weights need model orders for p+r")
 
-    if prehistory is None:
-        prehistory = np.empty(0)
-    pre = np.asarray(prehistory, dtype=float)
+    pre = as_series(prehistory) if prehistory is not None and np.size(prehistory) else np.empty(0)
     ext = np.concatenate([pre, y])
     z = np.where(np.abs(ext) > C, np.abs(ext), 0.0)
     if C <= 0.0:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qmele
-from qmele import InnovationDist, cli, reports, simulate
+from qmele import InnovationDist, cli, moment_condition_check, reports, simulate
 from qmele.cli import main, read_series_csv
 
 from conftest import THETA_FINITE, THETA_IGARCH, make_theta
@@ -59,14 +59,18 @@ def run_cli(*argv):
 def test_simulate_is_byte_deterministic(tmp_path):
     args = [
         "simulate", "--orders", "1,0,1,1", "--theta", "0,0.5,0.1,0.18,0.4",
-        "--dist", "laplace", "--n", "1000", "--seed", "4", "--burn-in", "500",
+        "--dist", "laplace", "--n", "1000", "--burn-in", "500",
     ]
-    assert run_cli(*args, "--out-dir", tmp_path / "a") == 0
-    assert run_cli(*args, "--out-dir", tmp_path / "b") == 0
+    assert run_cli(*args, "--seed", "4", "--out-dir", tmp_path / "a") == 0
+    assert run_cli(*args, "--seed", "4", "--out-dir", tmp_path / "b") == 0
     assert digest(tmp_path / "a" / "simulated.csv") == digest(tmp_path / "b" / "simulated.csv")
     lines = (tmp_path / "a" / "simulated.csv").read_text().splitlines()
     assert lines[0] == "y"
     assert len(lines) == 1001
+    # an omitted --seed is simulate's default, 0
+    assert run_cli(*args, "--out-dir", tmp_path / "c") == 0
+    assert run_cli(*args, "--seed", "0", "--out-dir", tmp_path / "d") == 0
+    assert digest(tmp_path / "c" / "simulated.csv") == digest(tmp_path / "d" / "simulated.csv")
 
 
 def test_simulate_igarch_paths_heavier_tailed():
@@ -303,13 +307,26 @@ def test_cli_exit_codes(tmp_path, capsys):
         # an omitted flag takes InnovationDist's default; a given zero is checked, not replaced
         (("efficiency", "--dist", "mixture", "--epsilon", "0.5", "--tau", "0", "--out-dir", tmp_path),
          "mixture scale tau must be > 0"),
+        # epsilon and tau are read by the mixture alone, so another law rejects them
+        (simulate + ("--orders", "0,0,0,0", "--theta", "0,1", "--epsilon", "0.5", "--tau", "3"),
+         "epsilon and tau apply to the mixture only, got epsilon=0.5, tau=3.0 for laplace"),
     ]
     for argv, message in bad_flags:
         assert run_cli(*argv) == 3
         assert message in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        run_cli("frobnicate")
-    assert exc.value.code == 2
+    # usage errors: a verb takes --seed only where it reads it
+    usage_errors = [
+        ("frobnicate",),
+        ("mc-table", "--config", "scenario.ini", "--seed", "1"),
+        ("hill", "y.csv", "--k-max", "5", "--seed", "1"),
+        ("acf", "y.csv", "--seed", "1"),
+        ("efficiency", "--dist", "laplace", "--seed", "1"),
+        simulate + ("--orders", "0,0,0,0", "--theta", "0,1", "--standardization", "raw"),
+    ]
+    for argv in usage_errors:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2, argv
 
 
 def test_cli_hill_on_pareto_quantiles(tmp_path, capsys):
@@ -375,6 +392,21 @@ def test_cli_region_scan_boundary(tmp_path):
             assert 2.0 * a + b2 > 1.0 - 0.06
             seen_boundary += 1
     assert seen_boundary >= 5
+
+
+def test_cli_region_scan_default_seed_is_moment_condition_checks(tmp_path):
+    grid = ("--alpha1", "0.1:0.3:3", "--beta1", "0.3:0.6:16", "--iota", "1", "--dist", "laplace",
+            "--draws", "500")
+    assert run_cli("region-scan", *grid, "--out-dir", tmp_path) == 0
+    got = [int(row.split(",")[2]) for row in (tmp_path / "region_scan.csv").read_text().splitlines()[1:]]
+
+    def decisions(**seed):
+        dist = InnovationDist("laplace")
+        return [int(moment_condition_check(a, b, 1.0, dist, mc_draws=500, **seed).holds)
+                for a in np.linspace(0.1, 0.3, 3) for b in np.linspace(0.3, 0.6, 16)]
+
+    assert got == decisions()
+    assert got != decisions(seed=0)  # the grid is near enough the boundary for the seed to show
 
 
 def test_cli_mc_table_files(tmp_path):
@@ -561,8 +593,15 @@ def test_cli_fit_holds_beta_face_in_local_step(tmp_path):
     assert [r["estimates"]["beta1"] for r in report] == [0.0, 0.0]
     assert [r["status"] for r in report] == ["ok", "ok"]
     cert = report[0]["certificate"]
+    assert set(cert) == {f.name for f in dataclasses.fields(qmele.estimation.Certificate)}
     assert cert["certified"] is True and cert["max_s"] <= 1.0 and len(cert["active"]) == 2
     assert report[1]["certificate"] is None
+    # an omitted --seed is FitConfig's default, 0
+    seeded = tmp_path / "seeded"
+    data = tmp_path / "simulated.csv"
+    assert run_cli("fit", data, "--orders", "1,0,1,1", "--seed", "0", "--out-dir", seeded) == 0
+    for name in ("fit_report.txt", "fit_report.json", "residuals.csv"):
+        assert digest(out / name) == digest(seeded / name), name
 
 
 def test_cli_fit_reports_sw_fit_when_local_step_fails(tmp_path, capsys, monkeypatch):

@@ -183,6 +183,16 @@ def test_var_one_standardization():
     assert InnovationDist("laplace", "abs_mean_one").eta2() == pytest.approx(2.0)
 
 
+def test_innovation_dist_reads_every_setting():
+    # epsilon and tau belong to the mixture: another kind takes only their defaults
+    assert InnovationDist("laplace", epsilon=0.0, tau=1.0) == InnovationDist("laplace")
+    for kwargs in ({"tau": 3.0}, {"epsilon": 0.5}, {"epsilon": 0.5, "tau": 3.0}):
+        with pytest.raises(DomainError, match="^epsilon and tau apply to the mixture only"):
+            InnovationDist("normal", **kwargs)
+    with pytest.raises(DomainError, match="^unknown standardization 'raw'$"):
+        InnovationDist("laplace", "raw")
+
+
 def test_mixture_sampler_moments():
     dist = InnovationDist("mixture", "abs_mean_one", epsilon=0.3, tau=2.0)
     rng = np.random.default_rng(9)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -128,6 +129,8 @@ def test_parse_scenario_named_errors():
         parse_scenario(TINY_INI + "max_iter = 10\n")
     with pytest.raises(DataIngestError, match="restarts must be >= 0"):
         parse_scenario(TINY_INI.replace("restarts = 1", "restarts = -1"))
+    with pytest.raises(DataIngestError, match="epsilon and tau apply to the mixture only"):
+        parse_scenario(TINY_INI.replace("kind = laplace", "kind = laplace\ntau = 3"))
 
 
 def test_scenario_is_the_fit_config_of_its_replications(monkeypatch):
@@ -153,6 +156,24 @@ def test_scenario_checks_its_fit_settings():
         ScenarioConfig(**kwargs)
     with pytest.raises(DomainError, match="restarts must be >= 0"):
         replace(tiny_config(), restarts=-1)
+
+
+def test_scenario_orders_are_its_truths_orders():
+    config = tiny_config()
+    kwargs = {f.name: getattr(config, f.name) for f in fields(ScenarioConfig)}
+    del kwargs["orders"]
+    assert ScenarioConfig(**kwargs) == config
+    garch12 = ParamVector.from_parts(ModelOrders(1, 0, 1, 2), phi=[0.5], alpha0=0.1, alpha=[0.1],
+                                     beta=[0.2, 0.2])
+    for orders in (ModelOrders(0, 1, 1, 1), ModelOrders(1, 0, 1, 2)):  # the same m, a different m
+        message = f"orders {orders} differ from theta0's orders {config.orders}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            replace(config, orders=orders)
+    # replace carries the old orders along, so a new truth of other orders names its own
+    message = f"orders {config.orders} differ from theta0's orders {garch12.orders}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        replace(config, theta0=garch12)
+    assert replace(config, theta0=garch12, orders=None).orders == garch12.orders
 
 
 def test_load_fit_config_reads_the_fit_sections_and_merges_overrides(tmp_path):

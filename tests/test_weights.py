@@ -177,6 +177,17 @@ def test_weights_prehistory_effect_decays():
     assert diff[499:].max() <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "pre, message",
+    [([np.inf], "series values must be finite"), ([np.nan], "series values must be finite"),
+     (np.ones((2, 2)), "series must be a nonempty 1-d vector")],
+    ids=["inf", "nan", "2-d"],
+)
+def test_weights_prehistory_is_checked_as_a_series(pre, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        compute_weights(np.arange(1.0, 30.0), prehistory=pre)
+
+
 def test_weights_iota_validation():
     with pytest.raises(DomainError):
         WeightSpec("infinite_iota_scaled")
