@@ -14,18 +14,26 @@ L-BFGS-B on the exact weighted score, in theta under _box, which holds the
 faces alpha_i = 0 and beta_j = 0. Every run is one call of minimize, which
 drives scipy's compiled setulb with the steps and results of
 scipy.optimize.minimize but without its per-run and per-evaluation
-wrappers. Every evaluation, and the
-reported objective, goes through the fit's one Evaluator: a check of
-theta without a ParamVector, one residual and one volatility pass, the
-loss and score factors (a_t, b_t) from one eta, sqrt(h) and eps^2, and the
-score sum_t w_t (a_t deps_t + b_t dh_t) from the adjoint passes that
-model.filter_vjp runs, with no n x m derivatives. Its held-gamma mode,
-for fits over delta alone at a vertex, keeps eps for the held gamma and
-runs only the volatility pass, the loss, b_t and the lambda pass. The
-exponential fit descends three smoothed criteria; then every fit finishes
-on a face {eps_t = 0, t in A} of its criterion, A empty for the gaussian
-one, and certifies its end, and a descent that does not converge is
-followed by seeded jittered ones in turn until one does (fit_self_weighted).
+wrappers. Every evaluation, and the reported objective, goes through the
+fit's one Evaluator: a check of theta without a ParamVector, one residual
+and one volatility pass, the loss and score factors (a_t, b_t) from one
+eta, sqrt(h) and eps^2, and the score sum_t w_t (a_t deps_t + b_t dh_t)
+from the adjoint passes that model.filter_vjp runs, with no n x m
+derivatives. The Evaluator owns one model.Workspace, made once per fit:
+every pass writes its n-length arrays into it through out=, by the same
+ufuncs in the same order as the allocating calls of the other callers,
+and each recursion's lag polynomial, (1, psi..) for the residuals and
+kappa and (1, -beta..) for the volatility and lambda, is built once per
+evaluation and shared by the forward pass and its adjoint. So an
+evaluation allocates no n-length array but the compiled filter's
+outputs, one per recursion. Its held-gamma mode, for fits over delta
+alone at a vertex, keeps eps and eps^2 for the held gamma in arrays of
+its own and runs only the volatility pass, the loss, b_t and the lambda
+pass. The exponential fit descends three smoothed criteria; then every
+fit finishes on a face {eps_t = 0, t in A} of its criterion, A empty for
+the gaussian one, and certifies its end, and a descent that does not
+converge is followed by seeded jittered ones in turn until one does
+(fit_self_weighted).
 The "local" estimator takes a single Newton-type step from the self-weighted
 fit,
 
@@ -56,6 +64,7 @@ from .model import (
     H_OVERFLOW_LIMIT,
     ModelOrders,
     ParamVector,
+    Workspace,
     _eps_h,
     adjoint,
     as_series,
@@ -203,37 +212,55 @@ class FitResult:
 # criteria
 
 
-def _exponential_terms(eps, e2, h, mu, with_a=True):
+def _exponential_terms(eps, e2, h, mu, with_a=True, ws=None):
     """l = log sqrt(h) + |eta|, a = sign(eta)/sqrt(h), b = (1 - |eta|)/(2h);
     smoothed, l = log sqrt(h) + sqrt(e2/h + mu^2), a = eta/(sqrt(h) r) and
     b = (1 - eta^2/r)/(2h) with r = sqrt(eta^2 + mu^2)."""
-    sqrt_h = np.sqrt(h)
-    eta = eps / sqrt_h
+    ws = Workspace(h.size) if ws is None else ws
+    sqrt_h, tmp = np.sqrt(h, out=ws.sqrt_h), ws.tmp
+    eta = np.divide(eps, sqrt_h, out=ws.eta)
+    loss = np.log(h, out=ws.loss)
+    loss *= 0.5
     if mu:
-        eta2 = eta * eta
-        r = np.sqrt(eta2 + mu * mu)
-        a = eta / (sqrt_h * r) if with_a else None
-        return 0.5 * np.log(h) + np.sqrt(e2 / h + mu * mu), a, (1.0 - eta2 / r) / (2.0 * h)
-    abs_eta = np.abs(eta)
-    a = np.sign(eta) / sqrt_h if with_a else None
-    return 0.5 * np.log(h) + abs_eta, a, (1.0 - abs_eta) / (2.0 * h)
+        eta2 = np.multiply(eta, eta, out=ws.eta2)
+        r = np.add(eta2, mu * mu, out=ws.r)
+        np.sqrt(r, out=r)
+        a = np.divide(eta, np.multiply(sqrt_h, r, out=ws.a), out=ws.a) if with_a else None
+        q = np.divide(e2, h, out=tmp)
+        q += mu * mu
+        loss += np.sqrt(q, out=q)
+        b = np.divide(eta2, r, out=ws.b)
+    else:
+        b = np.abs(eta, out=ws.b)
+        a = np.divide(np.sign(eta, out=ws.a), sqrt_h, out=ws.a) if with_a else None
+        loss += b
+    b = np.subtract(1.0, b, out=b)
+    b /= np.multiply(2.0, h, out=tmp)
+    return loss, a, b
 
 
-def _gaussian_terms(eps, e2, h, mu, with_a=True):
+def _gaussian_terms(eps, e2, h, mu, with_a=True, ws=None):
     """l = log h + e2/h, a = 2 eps/h, b = (1 - e2/h)/h; mu is ignored."""
-    q = e2 / h
-    return np.log(h) + q, 2.0 * eps / h if with_a else None, (1.0 - q) / h
+    ws = Workspace(h.size) if ws is None else ws
+    q = np.divide(e2, h, out=ws.q)
+    loss = np.log(h, out=ws.loss)
+    loss += q
+    a = np.divide(np.multiply(2.0, eps, out=ws.a), h, out=ws.a) if with_a else None
+    b = np.subtract(1.0, q, out=ws.b)
+    b /= h
+    return loss, a, b
 
 
 @dataclass(frozen=True)
 class Criterion:
     """Everything that differs between the exponential and gaussian criteria.
 
-    terms(eps, e2, h, mu, with_a=True) gives (l_t, a_t, b_t) from one eta,
-    sqrt(h) and e2 = eps^2: the per-observation criterion l_t, with |eta|
-    smoothed to sqrt(eta^2 + mu^2) when mu > 0 (the gaussian criterion
+    terms(eps, e2, h, mu, with_a=True, ws=None) gives (l_t, a_t, b_t) from
+    one eta, sqrt(h) and e2 = eps^2: the per-observation criterion l_t, with
+    |eta| smoothed to sqrt(eta^2 + mu^2) when mu > 0 (the gaussian criterion
     ignores mu), and the score factors with score_t = a_t deps_t + b_t dh_t
-    (a_t is None unless with_a). sigma(w, h, g0) and
+    (a_t is None unless with_a), written into the workspace ws (a
+    model.Workspace, a new one unless given). sigma(w, h, g0) and
     omega(w, h, eta2, eta_sq_dev) give the per-observation scales of the
     deps and dh cross products in Sigma and Omega, where eta_sq_dev is the
     plug-in for E(1 - eta^2)^2. ladder lists the mu of the stages on the
@@ -273,9 +300,10 @@ CRITERIA = {"qmele": QMELE, "qmle": QMLE}
 
 
 def _weighted_mean(w, loss):
-    """(1/n) sum_t w_t l_t, by np.mean's arithmetic without its call overhead."""
-    terms = w * loss
-    return float(terms.sum() / terms.size)
+    """(1/n) sum_t w_t l_t, by np.mean's arithmetic without its call
+    overhead; the products w_t l_t overwrite loss."""
+    loss *= w
+    return float(np.add.reduce(loss) / loss.size)
 
 
 def _criterion_mean(eps, h, w, crit, mu=0.0):
@@ -302,13 +330,16 @@ class Evaluator:
     value the L-BFGS-B line search can accept a near-zero step and report
     convergence, while NaN ends the descent as a failure, which the fit
     then handles. held(gamma) is the same map over delta alone, the
-    residual pass, a_t and the gamma adjoint skipped."""
+    residual pass, a_t and the gamma adjoint skipped. Every call writes
+    into the evaluator's one Workspace, so calls may not overlap; the
+    gradient returned is the caller's."""
 
     def __init__(self, orders, data, w, crit):
         self.orders, self.y = orders, as_series(data)
         self.w = w
         self.crit = crit
         self.k = orders.p + orders.q + 1
+        self.ws = Workspace(self.y.size)
 
     def __call__(self, x, mu=0.0, kinks=None):
         """(value, gradient) at theta = x; a_t = 0 (sign(eta_t) = 0) on kinks."""
@@ -319,30 +350,35 @@ class Evaluator:
             mean = self._mean_pass(gamma)
         return lambda delta, mu=0.0: self._evaluate(gamma, delta, mu, mean)
 
-    def _mean_pass(self, gamma):
-        eps = residuals(self.orders, self.y, gamma)
-        return eps, eps * eps
+    def _mean_pass(self, gamma, ws=None):
+        eps = residuals(self.orders, self.y, gamma, ws)
+        return eps, np.multiply(eps, eps, out=None if ws is None else ws.e2)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _evaluate(self, gamma, delta, mu, mean, kinks=None):
         size = delta.size if mean else gamma.size + delta.size
         try:
             omb = check_coefficients(self.orders, gamma, delta)
         except DomainError:
             return np.nan, np.zeros(size)
-        w = self.w
-        with np.errstate(over="ignore", invalid="ignore"):
-            eps, e2 = mean or self._mean_pass(gamma)
-            h = volatility(self.orders, e2, delta, omb)
-            loss, a, b = self.crit.terms(eps, e2, h, mu, with_a=mean is None)
-            value = _weighted_mean(w, loss)
+        w, ws = self.w, self.ws
+        eps, e2 = mean or self._mean_pass(gamma, ws)
+        h = volatility(self.orders, e2, delta, omb, ws)
+        loss, a, b = self.crit.terms(eps, e2, h, mu, mean is None, ws)
+        value = _weighted_mean(w, loss)
+        if a is not None:
             if kinks is not None:
                 a[kinks] = 0.0
-            grad = adjoint(self.orders, self.y, eps, e2, h, gamma, delta, omb, None if mean else w * a, w * b)
+            a *= w
+        b *= w
+        grad = adjoint(self.orders, self.y, eps, e2, h, gamma, delta, omb, a, b, ws)
         # h >= alpha0 > 0, so its max is above the limit or NaN iff any entry is;
         # a non-finite eps, or an eps^2 overflowing under a finite h, gives a non-finite value
-        if not (math.isfinite(value) and h.max() <= H_OVERFLOW_LIMIT and np.isfinite(grad).all()):
+        if not (math.isfinite(value) and np.maximum.reduce(h) <= H_OVERFLOW_LIMIT
+                and all(map(math.isfinite, grad.tolist()))):
             return np.nan, np.zeros(size)
-        return value, grad / w.size
+        grad /= w.size
+        return value, grad
 
 
 def qmele_objective(theta, data, weights):
@@ -569,7 +605,7 @@ def minimize(fun, x0, box, runs, args=(), ftol=2.2204460492503131e-09, gtol=1e-5
     results are the same bit for bit, without that call's wrappers: memory
     10, 20 line-search steps, factr = ftol / eps, fun evaluated at x0
     clipped to the box and then only where setulb asks at an x not equal
-    to the last one, and setulb handed a float64 copy of the gradient, so
+    to the last one, and setulb handed a float64 copy of each gradient, so
     that it never writes into fun's. The run stops after MAX_ITER
     iterations (read at the call) or once more than 10 * MAX_ITER
     evaluations are made."""
@@ -590,14 +626,13 @@ def minimize(fun, x0, box, runs, args=(), ftol=2.2204460492503131e-09, gtol=1e-5
     nfev, nit = 1, 0
     f, g = np.array(0.0), np.zeros(n)
     while True:
-        g = g.astype(np.float64)
         _lbfgsb.setulb(memory, x, low, up, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
         if task[0] == 3:  # FG: the value and gradient at x
-            if not np.array_equal(x, last):
+            if (x != last).any():
                 last = x.copy()
                 value, grad = fun(last, *args)
                 nfev += 1
-            f, g = value, grad
+            f, g = value, np.array(grad, dtype=np.float64)
         elif task[0] == 1:  # NEW_X: an iteration is done
             nit += 1
             if nit >= max_iter:

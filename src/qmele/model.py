@@ -14,7 +14,10 @@ Every caller runs the same recursions, each written once over the orders,
 the series y and plain coefficient arrays gamma = (mu, phi.., psi..),
 delta = (alpha0, alpha.., beta..): residuals, volatility and the backward
 passes of adjoint, which gives ga @ deps + gb @ dh without the n x m
-derivatives that filter_series alone forms.
+derivatives that filter_series alone forms. residuals, volatility and
+adjoint write their n-length arrays into a Workspace, the caller's or a
+new one, and the adjoint reuses the lag polynomials its forward passes
+left there.
 
 A series is a float ndarray. as_series is its one check (1-d, nonempty,
 finite), made by every public function that takes a series; simulate and
@@ -266,6 +269,9 @@ def _shift(v, k, fill=0.0):
     return out
 
 
+_sum = np.add.reduce  # ndarray.sum without its Python-level wrapper
+
+
 def check_coefficients(orders, gamma, delta):
     """1 - sum(beta) if the constraints hold, else DomainError naming the first
     one broken; Python floats keep the checks cheap, the sum is numpy's."""
@@ -274,11 +280,10 @@ def check_coefficients(orders, gamma, delta):
         raise DomainError("parameters must be finite")
     if d[0] <= 0.0:
         raise DomainError(f"alpha0 must be > 0, got {d[0]}")
-    if min(d[1 : orders.r + 1], default=0.0) < 0.0:
-        raise DomainError("alpha coefficients must be >= 0")
-    if min(d[orders.r + 1 :], default=0.0) < 0.0:
-        raise DomainError("beta coefficients must be >= 0")
-    bsum = delta[orders.r + 1 :].sum()
+    if min(d[1:], default=0.0) < 0.0:
+        which = "alpha" if min(d[1 : orders.r + 1], default=0.0) < 0.0 else "beta"
+        raise DomainError(f"{which} coefficients must be >= 0")
+    bsum = _sum(delta[orders.r + 1 :])
     if bsum >= 1.0:
         raise DomainError(f"sum of beta coefficients must be < 1, got {bsum}")
     return 1.0 - bsum
@@ -287,15 +292,45 @@ def check_coefficients(orders, gamma, delta):
 _ONE = np.ones(1)
 
 
-def _iir(forcing, lag_coeffs, presample_value):
+class Workspace:
+    """One fit's work arrays. Each n-length float array is made on the first
+    use of its name and written over by every later one, so the evaluations
+    of a fit allocate none (nor, on a long series, fault in their pages).
+    residuals and volatility keep the lag polynomials of their recursions
+    in it, ma = (1, psi..) and garch = (1, -beta..), and the adjoint's kappa
+    and lambda passes run on them. The passes of this module and the
+    criterion terms take one as ws and make their own when given none, so
+    what they return then is the caller's; given one, they return arrays
+    its next use writes over."""
+
+    def __init__(self, n):
+        self.n, self.ma, self.garch = n, None, None
+
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        array = self.__dict__[name] = np.empty(self.n)
+        return array
+
+
+def _poly(lag_coeffs):
+    """a = (1, -lag_coeffs), the filter denominator of
+    x_t = forcing_t + sum_j lag_coeffs[j] * x_{t-j}."""
+    a = np.empty(lag_coeffs.size + 1)
+    a[0] = 1.0
+    np.negative(lag_coeffs, out=a[1:])
+    return a
+
+
+def _iir(forcing, lag_coeffs, presample_value, a=None):
     """Run x_t = forcing_t + sum_j lag_coeffs[j] * x_{t-j} with constant
     pre-sample outputs x_k = c for k <= 0, c = presample_value.
 
     The run is scipy's compiled direct-form filter, the kernel that
     lfilter([1], a, forcing[, zi]) calls after its argument checks, with
-    a = (1, -lag_coeffs); the pre-sample sits in its state zi. That state is
-    zi[m] = 0 - sum_{j>m} a_j c, built here from the same products and sums
-    as scipy's lfiltic, so the output equals
+    a = _poly(lag_coeffs) unless given; the pre-sample sits in its state zi.
+    That state is zi[m] = 0 - sum_{j>m} a_j c, built here from the same
+    products and sums as scipy's lfiltic, so the output equals
     lfilter([1], a, forcing, zi=lfiltic([1], a, full(s, c)))[0] bit for bit
     without the calls' overhead. For c = 0 the filter starts from its own
     zero state. With no lags, forcing itself is returned.
@@ -303,9 +338,7 @@ def _iir(forcing, lag_coeffs, presample_value):
     s = lag_coeffs.size
     if s == 0:
         return forcing
-    a = np.empty(s + 1)
-    a[0] = 1.0
-    np.negative(lag_coeffs, out=a[1:])
+    a = _poly(lag_coeffs) if a is None else a
     if presample_value == 0.0:
         return _linear_filter(_ONE, a, forcing, -1)
     prods = a[1:] * presample_value
@@ -315,34 +348,45 @@ def _iir(forcing, lag_coeffs, presample_value):
     return _linear_filter(_ONE, a, forcing, -1, zi)[0]
 
 
-def _reversed_iir(forcing, lag_coeffs):
-    """x_t = forcing_t + sum_j lag_coeffs[j] x_{t+j}, zero past the end; one
-    contiguous copy out keeps later dot products and sums on BLAS."""
+def _reversed_iir(forcing, lag_coeffs, a=None, out=None):
+    """x_t = forcing_t + sum_j lag_coeffs[j] x_{t+j}, zero past the end,
+    copied into out (a new array unless given): contiguous, it keeps later
+    dot products and sums on BLAS."""
     if lag_coeffs.size == 0:
         return forcing
-    return np.ascontiguousarray(_iir(forcing[::-1], lag_coeffs, 0.0)[::-1])
+    out = np.empty(forcing.size) if out is None else out
+    out[:] = _iir(forcing[::-1], lag_coeffs, 0.0, a)[::-1]
+    return out
 
 
-def residuals(orders, y, gamma):
+def residuals(orders, y, gamma, ws=None):
     """eps_t = y_t - mu - sum_i phi_i y_{t-i} - sum_j psi_j eps_{t-j}."""
-    p = orders.p
-    u = y - gamma[0]
+    p, ws = orders.p, Workspace(y.size) if ws is None else ws
+    u, tmp = np.subtract(y, gamma[0], out=ws.u), ws.tmp
     for i in range(1, p + 1):
-        u[i:] -= gamma[i] * y[:-i]
-    return _iir(u, -gamma[p + 1 :], 0.0) if orders.q else u
+        lagged = u[i:]
+        lagged -= np.multiply(gamma[i], y[:-i], out=tmp[i:])
+    if orders.q == 0:
+        return u
+    ma = -gamma[p + 1 :]
+    ws.ma = _poly(ma)
+    return _iir(u, ma, 0.0, ws.ma)
 
 
-def volatility(orders, e2, delta, omb):
+def volatility(orders, e2, delta, omb, ws=None):
     """h_t = alpha0 + sum_i alpha_i e2_{t-i} + sum_j beta_j h_{t-j}, with
     h_t = alpha0 / omb for t <= 0 (omb = 1 - sum beta); unchecked."""
-    r = orders.r
-    forcing = np.full(e2.size, delta[0])
+    r, ws = orders.r, Workspace(e2.size) if ws is None else ws
+    forcing, tmp = ws.forcing, ws.tmp
+    forcing.fill(delta[0])
     for i in range(1, r + 1):
-        forcing[i:] += delta[i] * e2[:-i]
-    return _iir(forcing, delta[r + 1 :], delta[0] / omb)
+        lagged = forcing[i:]
+        lagged += np.multiply(delta[i], e2[:-i], out=tmp[i:])
+    ws.garch = _poly(delta[r + 1 :])
+    return _iir(forcing, delta[r + 1 :], delta[0] / omb, ws.garch)
 
 
-def adjoint(orders, y, eps, e2, h, gamma, delta, omb, ga, gb):
+def adjoint(orders, y, eps, e2, h, gamma, delta, omb, ga, gb, ws=None):
     """ga @ deps + gb @ dh by the backward passes (zero past n)
     lambda_t = gb_t + sum_j beta_j lambda_{t+j} and
     kappa_t = ga_t + 2 eps_t sum_i alpha_i lambda_{t+i} - sum_j psi_j kappa_{t+j}:
@@ -350,32 +394,43 @@ def adjoint(orders, y, eps, e2, h, gamma, delta, omb, ga, gb):
     (psi_j), sum lambda + P/omb (alpha0), sum lambda_t e2_{t-i} (alpha_i) and
     sum lambda_t h_{t-j} + h_0 sum_{t<=j} lambda_t + P alpha0/omb^2 (beta_j),
     with omb = 1 - sum beta, h_0 = alpha0/omb, P = sum_j beta_j sum_{t<=j}
-    lambda_t. With ga None only the delta block, and no kappa pass."""
+    lambda_t. With ga None only the delta block, and no kappa pass. Given
+    the workspace the forward passes ran in, the passes run on its lag
+    polynomials; ga and gb are only read."""
     beta, h0 = delta[orders.r + 1 :], delta[0] / omb
-    lam = _reversed_iir(gb, beta)
-    head = [lam[:j].sum() for j in range(1, orders.s + 1)]
+    if ws is None:
+        ws = Workspace(y.size)
+        ws.ma, ws.garch = _poly(-gamma[orders.p + 1 :]), _poly(beta)
+    lam = _reversed_iir(gb, beta, ws.garch, ws.lam)
+    head = [_sum(lam[:j]) for j in range(1, orders.s + 1)]
     pre = float(beta @ head) if orders.s > 0 else 0.0
-    delta_grad = np.empty(delta.size)
-    delta_grad[0] = lam.sum() + pre / omb
+    k = 0 if ga is None else gamma.size
+    grad = np.empty(k + delta.size)
+    gamma_grad, delta_grad = grad[:k], grad[k:]
+    delta_grad[0] = _sum(lam) + pre / omb
     for i in range(1, orders.r + 1):
         delta_grad[i] = lam[i:] @ e2[:-i]
     for j in range(1, orders.s + 1):
         delta_grad[orders.r + j] = lam[j:] @ h[:-j] + h0 * head[j - 1] + pre * delta[0] / omb**2
     if ga is None:
-        return delta_grad
+        return grad
     if orders.r > 0:
-        ahead = np.zeros(y.size)
+        ahead, tmp = ws.ahead, ws.tmp
+        ahead.fill(0.0)
         for i in range(1, orders.r + 1):
-            ahead[:-i] += delta[i] * lam[i:]
-        ga = ga + 2.0 * eps * ahead
-    kappa = _reversed_iir(ga, -gamma[orders.p + 1 :])
-    gamma_grad = np.empty(gamma.size)
-    gamma_grad[0] = -kappa.sum()
+            leading = ahead[:-i]
+            leading += np.multiply(delta[i], lam[i:], out=tmp[:-i])
+        # ga + 2 eps ahead, into ahead
+        tmp = np.multiply(2.0, eps, out=tmp)
+        tmp *= ahead
+        ga = np.add(ga, tmp, out=ahead)
+    kappa = _reversed_iir(ga, -gamma[orders.p + 1 :], ws.ma, ws.kappa) if orders.q else ga
+    gamma_grad[0] = -_sum(kappa)
     for i in range(1, orders.p + 1):
         gamma_grad[i] = -(kappa[i:] @ y[:-i])
     for j in range(1, orders.q + 1):
         gamma_grad[orders.p + j] = -(kappa[j:] @ eps[:-j])
-    return np.concatenate((gamma_grad, delta_grad))
+    return grad
 
 
 def eps_gamma_derivs(orders, y, gamma, eps):

@@ -3,7 +3,8 @@ aggregate bias / sample SD / mean asymptotic SD per parameter.
 
 Replication i uses seed base_seed + i, so parallel and serial execution
 produce identical tables; failed replications are excluded from the moments
-and counted separately.
+and counted separately. A study whose n is too short for its model fails
+as a whole, with the fit's InsufficientDataError.
 
 Scenario files are flat key = value sections read through one table,
 _KEYS; a key a file omits takes the default of the dataclass it sets.
@@ -25,7 +26,7 @@ from .estimation import (
     fit_self_weighted,
     local_qmele_step,
 )
-from .exceptions import DataIngestError, DomainError
+from .exceptions import DataIngestError, DomainError, InsufficientDataError
 from .model import BURN_IN, InnovationDist, ModelOrders, ParamVector, simulate
 from .weights import WeightSpec
 
@@ -85,7 +86,9 @@ class McTable:
 
 
 def run_replication(config, index):
-    """Simulate path `index`, fit the requested estimators on it."""
+    """Simulate path `index`, fit the requested estimators on it. A fit's
+    DomainError or ArithmeticError is recorded as that estimator's failure,
+    except InsufficientDataError, which is raised."""
     seed = config.seed + index
     data = simulate(config.theta0, config.dist, config.n, burn_in=config.burn_in, seed=seed)
     m = config.orders.m
@@ -111,6 +114,8 @@ def run_replication(config, index):
             continue
         try:
             sw = fit_self_weighted(data, config.orders, config, criterion=criterion)
+        except InsufficientDataError:
+            raise  # the study's n is too short for its model, whatever the path
         except (DomainError, ArithmeticError):
             sw = None
         record(crit.sw_kind, sw)

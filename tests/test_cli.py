@@ -427,6 +427,16 @@ def test_cli_mc_table_files(tmp_path):
     assert len((out2 / "mc_replications.csv").read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_mc_table_too_short_for_its_model_exits_3(tmp_path, capsys, jobs):
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(TINY_INI.replace("n = 300", "n = 40").replace("replications = 3", "replications = 2"))
+    out = tmp_path / "mc"
+    assert run_cli("mc-table", "--config", cfg, "--out-dir", out, "--jobs", jobs) == 3
+    assert capsys.readouterr().err == "error: need n >= 10*m = 50 observations, have 40\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_mc_table_aggregation_matches_persisted_file(tmp_path):
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(TINY_INI)

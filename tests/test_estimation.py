@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,8 +48,9 @@ from qmele.estimation import (
     _criterion_mean,
     _initial_params,
     _sandwich,
+    _weighted_mean,
 )
-from qmele.model import _eps_h, checked_eps_h
+from qmele.model import _eps_h, adjoint, checked_eps_h, residuals, volatility
 
 from conftest import AR1_GARCH11, LAPLACE, THETA_FINITE, THETA_IGARCH, estimates_matrix, make_theta
 
@@ -550,6 +552,90 @@ def test_evaluator_is_the_filter_path(point):
     held_value, held_grad = evaluate.held(theta.gamma)(theta.delta, mu)
     assert held_value == value
     assert np.array_equal(held_grad, grad[orders.p + orders.q + 1 :])
+
+
+# (orders, theta); the last two have s = 0, where h is the volatility forcing itself
+WORKSPACE_CASES = [
+    ((1, 0, 1, 1), [0.02, 0.45, 0.12, 0.2, 0.35]),
+    ((1, 1, 1, 1), [0.02, 0.45, 0.25, 0.12, 0.2, 0.35]),
+    ((2, 1, 2, 2), [0.02, 0.3, 0.1, 0.25, 0.1, 0.08, 0.05, 0.3, 0.2]),
+    ((0, 2, 0, 0), [0.02, 0.3, -0.1, 0.8]),
+    ((0, 0, 1, 0), [0.02, 0.5, 0.2]),
+]
+
+
+def _allocating_evaluation(orders, y, w, crit, gamma, delta, mu, kinks=None, held=False):
+    """The Evaluator's (value, gradient) from the passes each given no workspace."""
+    omb = 1.0 - delta[orders.r + 1 :].sum()
+    eps = residuals(orders, y, gamma)
+    e2 = eps * eps
+    h = volatility(orders, e2, delta, omb)
+    loss, a, b = crit.terms(eps, e2, h, mu, with_a=not held)
+    value = _weighted_mean(w, loss)
+    if kinks is not None:
+        a[kinks] = 0.0
+    ga, gb = None if held else w * a, w * b
+    forcings = [v for v in (ga, gb) if v is not None]
+    kept = [v.copy() for v in forcings]
+    grad = adjoint(orders, y, eps, e2, h, gamma, delta, omb, ga, gb)
+    assert all(map(np.array_equal, forcings, kept))  # the adjoint only reads its forcings
+    return value, grad / y.size
+
+
+def test_workspace_evaluator_equals_the_allocating_passes():
+    y, rng = SERIES_T3, np.random.default_rng(24)
+    w, kinks = rng.uniform(0.5, 2.0, y.size), np.array([5, 50, 120])
+    calls = []  # (evaluation, expected (value, gradient)) over five orders and both criteria
+    for orders, theta in WORKSPACE_CASES:
+        orders = ModelOrders(*orders)
+        k = orders.p + orders.q + 1
+        for crit in (QMELE, QMLE):
+            evaluate = Evaluator(orders, y, w, crit)
+            for x in (np.array(theta), np.array(theta) * rng.uniform(0.9, 1.1, len(theta))):
+                gamma, delta = x[:k], x[k:]
+                held = evaluate.held(gamma)
+                for mu in (0.0, 1e-2, 1e-4):
+                    reference = (orders, y, w, crit, gamma, delta, mu)
+                    calls += [
+                        (lambda e=evaluate, x=x, mu=mu: e(x, mu), _allocating_evaluation(*reference)),
+                        (lambda e=evaluate, x=x, mu=mu: e(x, mu, kinks),
+                         _allocating_evaluation(*reference, kinks=kinks)),
+                        (lambda h=held, d=delta, mu=mu: h(d, mu), _allocating_evaluation(*reference, held=True)),
+                    ]
+    # in shuffled order, twice over, so each call follows others on the same
+    # workspace; every result is checked after all calls are made
+    order = np.r_[rng.permutation(len(calls)), rng.permutation(len(calls))]
+    results = [calls[i][0]() for i in order]
+    for i, (value, grad) in zip(order, results):
+        expected_value, expected_grad = calls[i][1]
+        assert value == expected_value and np.isfinite(value)
+        assert np.array_equal(grad, expected_grad)
+
+
+@pytest.mark.parametrize("orders, truth, recursions", [
+    (AR1_GARCH11, THETA_FINITE, 2),  # volatility and lambda
+    (ModelOrders(1, 1, 1, 1), THETA_ARMA, 4),  # and residuals and kappa
+])
+def test_evaluation_allocates_only_its_filter_outputs(orders, truth, recursions):
+    # a warmed evaluation holds at once no more n-length arrays than the
+    # compiled filter's outputs, one per recursion, and one more
+    n = 20000
+    y = simulate(make_theta(truth, orders), LAPLACE, n, seed=24)
+    x = make_theta(truth, orders).theta * 0.95
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for crit, mu in ((QMELE, 1e-2), (QMELE, 0.0), (QMLE, 0.0)):
+            evaluate = Evaluator(orders, y, np.ones(n), crit)
+            evaluate(x, mu)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate(x, mu)
+            assert tracemalloc.get_traced_memory()[1] - before <= (recursions + 1) * 8 * n
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,10 @@ from qmele import (
     FitConfig,
     G0Mode,
     InnovationDist,
+    InsufficientDataError,
     LOCAL_QMELE,
     ModelOrders,
+    NumericOverflowError,
     ParamVector,
     SW_QMELE,
     ScenarioConfig,
@@ -258,11 +260,38 @@ def test_parse_scenario_mixture_and_threshold():
     assert config.weight_spec.c_quantile == 0.95
 
 
-def test_failures_counted_and_excluded():
-    # two observations per parameter is far below the identifiability floor,
-    # so every replication fails and the table must say so
-    config = tiny_config(n=40, replications=2)
+def test_failures_counted_and_excluded(monkeypatch):
+    # a fit failing on its path is that replication's failure: counted, and
+    # left out of the moments, here on replications 1 and 3 and then on all
+    config = tiny_config(replications=4)
+    fit, calls = qmele.montecarlo.fit_self_weighted, []
+
+    def failing_on(failing):
+        def fit_or_overflow(*args, **kwargs):
+            calls.append(None)
+            if len(calls) - 1 in failing:
+                raise NumericOverflowError("volatility recursion overflowed at t=7", t=7)
+            return fit(*args, **kwargs)
+        calls.clear()
+        return fit_or_overflow
+
+    monkeypatch.setattr(qmele.montecarlo, "fit_self_weighted", failing_on({1, 3}))
     table = run_scenario(config, jobs=1)
-    assert table.failures[SW_QMELE] == 2
-    assert table.successes[SW_QMELE] == 0
+    for kind in (SW_QMELE, LOCAL_QMELE):
+        assert (table.successes[kind], table.failures[kind]) == (2, 2)
+        assert [r.converged[kind] for r in table.records] == [True, False, True, False]
+        assert np.isnan(table.records[1].estimates[kind]).all()
+        good = np.array([table.records[i].estimates[kind] for i in (0, 2)])
+        assert np.array_equal(table.bias[kind], good.mean(axis=0) - config.theta0.theta)
+    monkeypatch.setattr(qmele.montecarlo, "fit_self_weighted", failing_on(range(4)))
+    table = run_scenario(config, jobs=1)
+    assert (table.successes[SW_QMELE], table.failures[SW_QMELE]) == (0, 4)
     assert np.all(np.isnan(table.bias[SW_QMELE]))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_study_too_short_for_its_model_raises(jobs):
+    # n = 40 is below 10 * m = 50 on every path, so no replication is a
+    # failure of its own: the study's settings are
+    with pytest.raises(InsufficientDataError, match=re.escape("need n >= 10*m = 50 observations, have 40")):
+        run_scenario(tiny_config(n=40, replications=2), jobs=jobs)
