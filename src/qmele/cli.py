@@ -27,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import reports
-from .diagnostics import acf, efficiency_compare, pacf, standardized_residuals
+from .diagnostics import acf, check_max_lag, efficiency_compare, pacf, standardized_residuals
 from .estimation import FitConfig, fit_self_weighted, local_qmele_step
 from .exceptions import DataIngestError
 from .model import (
@@ -40,7 +40,7 @@ from .model import (
     simulate,
 )
 from .montecarlo import load_fit_config, load_scenario, run_scenario
-from .weights import THRESHOLDS, WEIGHT_VARIANTS, hill_sweep, moment_condition_check
+from .weights import THRESHOLDS, WEIGHT_VARIANTS, check_k_max, hill_sweep, moment_condition_check
 
 
 # whitespace to str.strip() and numpy's float parser, but not to float()
@@ -152,6 +152,10 @@ def _write_acf_pair(out, values, max_lag, suffix=""):
 
 
 def cmd_fit(args):
+    # the diagnostics' flags, checked before the fit so that a bad one writes no file
+    check_max_lag(args.max_lag)
+    if args.hill_k_max is not None:
+        check_k_max(args.hill_k_max)
     data = read_series_csv(args.input, column=args.column, no_header=args.no_header)
     if args.log_returns_x100:
         data = log_return_transform(data)
@@ -184,7 +188,7 @@ def cmd_fit(args):
         eta_sq = eta * eta
         _write_acf_pair(out, eta, max_lag, "_eta")
         _write_acf_pair(out, eta_sq, max_lag, "_eta_sq")
-        k_max = args.hill_k_max or min(eta.size // 3, 180)
+        k_max = min(eta.size // 3, 180) if args.hill_k_max is None else args.hill_k_max
         reports.write_csv(
             os.path.join(out, "hill_eta_sq.csv"),
             *reports.hill_csv_rows(hill_sweep(eta_sq, k_max)),

@@ -44,22 +44,29 @@ class EfficiencyReport:
 
 
 def standardized_residuals(fit, data):
-    """Residuals eta_hat_t = eps_t(gamma_hat) / sqrt(h_t(theta_hat)).
+    """Residuals eta_hat_t = eps_t(gamma_hat) / sqrt(h_t(theta_hat)), from
+    the fit's kept filter pass where data is the series it ran on.
 
     Raises NumericOverflowError, as every filter caller does, if a
     recursion leaves the finite range or h exceeds H_OVERFLOW_LIMIT.
     """
     if not fit.converged:
         raise DomainError("fit did not converge; residuals would be meaningless")
-    _, eps, h = checked_eps_h(fit.theta_hat, data)
+    out = fit.kept_pass(data)
+    eps, h = checked_eps_h(fit.theta_hat, data)[1:] if out is None else (out.eps, out.h)
     return eps / np.sqrt(h)
+
+
+def check_max_lag(max_lag):
+    """DomainError unless max_lag >= 1, the least lag acf and pacf take."""
+    if max_lag < 1:
+        raise DomainError("max_lag must be >= 1")
 
 
 def _acf_values(x, max_lag):
     x = np.asarray(x, dtype=float)
     n = x.size
-    if max_lag < 1:
-        raise DomainError("max_lag must be >= 1")
+    check_max_lag(max_lag)
     if n <= max_lag:
         raise DomainError("series must be longer than max_lag")
     xc = x - x.mean()

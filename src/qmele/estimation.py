@@ -43,7 +43,9 @@ with T* and Sigma* evaluated without weights and g(0) taken from the fit
 (local_qmele_step). Both return the FitResult of one _fit_result: sandwich
 standard errors (1/4) Sigma^-1 Omega Sigma^-1 / n from one filter_series
 pass at the reported estimate, or NaN ones with a status naming the
-failure; a step that cannot be taken is reported, not raised.
+failure; a step that cannot be taken is reported, not raised. The
+FitResult keeps that pass, so the one-step from it and the diagnostics of
+its residuals filter the series at theta_hat no second time.
 """
 import bisect
 import math
@@ -65,7 +67,6 @@ from .model import (
     ModelOrders,
     ParamVector,
     Workspace,
-    _eps_h,
     adjoint,
     as_series,
     check_coefficients,
@@ -184,7 +185,10 @@ class FitResult:
     "overflow" or, for a step that no halving makes feasible,
     "infeasible_step". certificate is the face-finish certificate of
     theta_hat (None for a one-step update, or where theta_hat is not a face
-    end but the smoothed stages' end).
+    end but the smoothed stages' end). kept is (theta_hat, a copy of the
+    series, the filter_series pass at theta_hat on it) of the pass that
+    built the covariance, None where none ran; equality and repr leave it
+    out, and kept_pass(y) hands it to the one-step and the diagnostics.
     """
 
     theta_hat: ParamVector
@@ -202,10 +206,20 @@ class FitResult:
     starts: int = 0
     status: str = "ok"
     certificate: Certificate | None = None
+    kept: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def orders(self):
         return self.theta_hat.orders
+
+    def kept_pass(self, data):
+        """filter_series(theta_hat, data) as kept where data is, bit for bit,
+        the series the kept pass ran on at this theta_hat; else None."""
+        if self.kept is None or self.kept[0] is not self.theta_hat:
+            return None
+        (_, series, out), y = self.kept, as_series(data)
+        same = series.shape == y.shape and np.array_equal(series.view(np.uint64), y.view(np.uint64))
+        return out if same else None
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +346,8 @@ class Evaluator:
     then handles. held(gamma) is the same map over delta alone, the
     residual pass, a_t and the gamma adjoint skipped. Every call writes
     into the evaluator's one Workspace, so calls may not overlap; the
-    gradient returned is the caller's."""
+    gradient returned is the caller's. point(x, kinks) also hands back the
+    call's eps and h."""
 
     def __init__(self, orders, data, w, crit):
         self.orders, self.y = orders, as_series(data)
@@ -344,6 +359,17 @@ class Evaluator:
     def __call__(self, x, mu=0.0, kinks=None):
         """(value, gradient) at theta = x; a_t = 0 (sign(eta_t) = 0) on kinks."""
         return self._evaluate(x[: self.k], x[self.k :], mu, None, kinks)
+
+    def point(self, x, kinks=None):
+        """(value, gradient, eps, h) at theta = x, mu = 0: the call's own
+        residual and volatility passes, copied out of the workspace that the
+        next call writes over (h is its forcing array where s = 0); eps and h
+        are None where the value is not finite."""
+        value, grad = self(x, kinks=kinks)
+        if not math.isfinite(value):
+            return value, grad, None, None
+        eps, h = self._passes
+        return value, grad, eps.copy(), h.copy()
 
     def held(self, gamma):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -364,6 +390,7 @@ class Evaluator:
         w, ws = self.w, self.ws
         eps, e2 = mean or self._mean_pass(gamma, ws)
         h = volatility(self.orders, e2, delta, omb, ws)
+        self._passes = eps, h
         loss, a, b = self.crit.terms(eps, e2, h, mu, mean is None, ws)
         value = _weighted_mean(w, loss)
         if a is not None:
@@ -668,11 +695,12 @@ def _kink_gamma(ev, gamma, active, basis, z):
     return None
 
 
-def _certify(ev, theta, active, box, pivots):
+def _certify(ev, theta, active, box, pivots, grad, eps, h):
     """Certificate of theta on the face {eps_t = 0, t in active}, from the
-    fit's evaluator with sign(eta_t) = 0 on A and the gamma-derivative
-    recursion, and, for a criterion with kinks, the move that an end which
-    does not certify calls for: (next active set, gamma to start from).
+    fit's evaluator's gradient grad, eps and h at theta with sign(eta_t) = 0
+    on A (Evaluator.point) and the gamma-derivative recursion, and, for a
+    criterion with kinks, the move that an end which does not certify calls
+    for: (next active set, gamma to start from).
 
     s solves J_A' (w_A s_A / sqrt(h_A)) = -n g_gamma by least squares, which
     is exact at a vertex (p+q+1 kinks); below it the residual, the
@@ -689,9 +717,6 @@ def _certify(ev, theta, active, box, pivots):
     halfway to it; otherwise that crossing is swapped in for l.
     """
     k, w = ev.k, ev.w
-    with np.errstate(over="ignore", invalid="ignore"):
-        eps, h = _eps_h(theta, ev.y)
-    grad = ev(theta.theta, kinks=active)[1]
     jac = eps_gamma_derivs(ev.orders, ev.y, theta.gamma, eps)
     c = w / np.sqrt(h)
     lhs = (jac[active] * c[active, None]).T
@@ -739,8 +764,8 @@ def _certify(ev, theta, active, box, pivots):
 
 def _face_fit(ev, theta, active, box, runs):
     """One tight L-BFGS-B run on the face {eps_t = 0, t in active} from
-    theta: (theta, value, success) at its end, None where no gamma near
-    theta.gamma solves eps_A = 0.
+    theta: (theta, success, ev.point(theta, active)) at its end, None where
+    no gamma near theta.gamma solves eps_A = 0.
 
     With no kinks the run is over theta itself, and at a vertex (p+q+1
     kinks) over delta alone with gamma held at the vertex. In between,
@@ -755,7 +780,7 @@ def _face_fit(ev, theta, active, box, runs):
     if m == k:
         run = minimize(ev, theta.theta, box, runs, **_TIGHT)
         end = ParamVector.from_theta(orders, run.x)
-        return end, ev(end.theta)[0], run.success
+        return end, run.success, ev.point(end.theta, active)
     basis = np.empty((k, 0))
     if m:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -782,7 +807,17 @@ def _face_fit(ev, theta, active, box, runs):
     if solved is None:
         return None
     end = ParamVector(orders, solved[0], run.x[m:])
-    return end, ev(end.theta)[0], run.success
+    return end, run.success, ev.point(end.theta, active)
+
+
+def _smallest(values, k):
+    """Indices of the k smallest values, ascending with ties in index order:
+    np.argsort(values, kind="stable")[:k] of finite values, by selection
+    (only the candidates at or below the k-th smallest value are sorted)."""
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    candidates = np.flatnonzero(values <= np.partition(values, k - 1)[k - 1])
+    return candidates[np.argsort(values[candidates], kind="stable")[:k]]
 
 
 def _face_finish(ev, x, success, box, runs):
@@ -798,23 +833,22 @@ def _face_finish(ev, x, success, box, runs):
     ends and x is kept, converged if its run succeeded with a finite value,
     with the certificate of the face end kept (None for x).
     """
-    best = (x, ev(x)[0], bool(success), None)
-    if not np.isfinite(best[1]):
-        return x, best[1], False, None
+    value, _, eps, h = ev.point(x)
+    best = (x, value, bool(success), None)
+    if not np.isfinite(value):
+        return x, value, False, None
     theta = ParamVector.from_theta(ev.orders, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        eps, h = _eps_h(theta, ev.y)
     abs_eta = np.abs(eps / np.sqrt(h))
-    active = np.argsort(abs_eta, kind="stable")[: ev.k if ev.crit.ladder else 0]
+    active = _smallest(abs_eta, ev.k if ev.crit.ladder else 0)
     for pivots in range(MAX_PIVOTS + 1):
         face = _face_fit(ev, theta, active, box, runs)
-        if face is None or not np.isfinite(face[1]):
+        if face is None or not np.isfinite(face[2][0]):
             if not active.size:
                 break
             active = np.delete(active, np.argmax(abs_eta[active]))
             continue
-        theta, value, success = face
-        cert, move = _certify(ev, theta, active, box, pivots)
+        theta, success, (value, grad, eps, h) = face
+        cert, move = _certify(ev, theta, active, box, pivots, grad, eps, h)
         if cert.certified:
             return theta.theta, value, True, cert
         if value < best[1]:
@@ -839,11 +873,13 @@ def _fit_result(theta, data, crit, w, g0, status="ok", objective=None, **fields)
     criterion mean with weights w, unless given), E eta^2 floored at
     ETA2_FLOOR, g0 (estimated where given as a G0Mode) and the sandwich
     with weights w; a failure on the way leaves NaN covariance and status
-    naming it. Whatever is not computed is NaN."""
-    cov, eta2 = np.full((theta.m, theta.m), np.nan), np.nan
+    naming it. Whatever is not computed is NaN. The pass is kept on the
+    FitResult with a copy of data, the series it ran on."""
+    cov, eta2, kept = np.full((theta.m, theta.m), np.nan), np.nan, None
     if status == "ok":
         try:
             out = filter_series(theta, data)
+            kept = theta, data.copy(), out
             if objective is None:
                 objective = _criterion_mean(out.eps, out.h, w, crit)
             eta = out.eps / np.sqrt(out.h)
@@ -855,7 +891,7 @@ def _fit_result(theta, data, crit, w, g0, status="ok", objective=None, **fields)
     objective = math.nan if objective is None else objective
     g0 = math.nan if isinstance(g0, G0Mode) else float(g0)
     return FitResult(theta, objective, cov, np.sqrt(np.maximum(np.diag(cov), 0.0)),
-                     g0=g0, eta2=float(eta2), status=status, **fields)
+                     g0=g0, eta2=float(eta2), status=status, kept=kept, **fields)
 
 
 def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
@@ -960,10 +996,10 @@ def local_qmele_step(theta_init, data, g0=None):
     try:
         if not g0 > 0.0:
             raise DomainError("g0 must be > 0")
-        out = filter_series(theta0, data)
+        out = theta_init.kept_pass(data) or filter_series(theta0, data)
         info = 2.0 * _cross(out, crit.sigma(1.0, out.h, g0))
         score = _score(out, crit, cert.active if cert is not None and cert.certified else ())
-        del out  # free the n x m pass at theta0 before _fit_result makes one at theta1
+        del out  # free a new n x m pass at theta0 before _fit_result makes one at theta1
         step = -_sym_inv(info) @ score
         on_bound, held = theta0.theta == _box(theta0.orders)[0], np.zeros(theta0.m, dtype=bool)
         while (on_bound & (step < 0.0)).any():

@@ -518,13 +518,22 @@ def simulate_with_innovations(theta, dist, n, burn_in=BURN_IN, seed=0):
         raise DomainError("n must be >= 1")
     if burn_in < 0:
         raise DomainError("burn_in must be >= 0")
-    rng = np.random.default_rng(seed)
-    eta = dist.sample(rng, burn_in + n)
+    eta = dist.sample(np.random.default_rng(seed), burn_in + n)
+    o = theta.orders
+    path = _lag_one_path if (o.p, o.r, o.s) == (1, 1, 1) and o.q <= 1 else _path
+    return np.array(path(theta, eta.tolist())[burn_in:]), eta[burn_in:].copy()
 
-    # Python floats: the same IEEE arithmetic in the same order as numpy
-    # scalars (x ** 2 is libm pow for both), without their per-operation
-    # overhead. The lists grow by one entry a step, so lag i is index -i;
-    # e2 holds the squared residuals
+
+# Both paths run on Python floats: the same IEEE arithmetic in the same order
+# as numpy scalars (x ** 2 is libm pow for both), without their per-operation
+# overhead. Each returns the simulated y_1.. as a list and raises
+# NumericOverflowError at the first t whose h_t is not finite or exceeds
+# H_OVERFLOW_LIMIT.
+
+
+def _path(theta, eta):
+    """The path of any orders. The lists grow by one entry a step, so lag i
+    is index -i; e2 holds the squared residuals."""
     lag = theta.orders.max_lag
     y, e, e2, h = [0.0] * lag, [0.0] * lag, [0.0] * lag, [float(theta.h_presample)] * lag
     arch, garch, ar, ma = (
@@ -534,7 +543,7 @@ def simulate_with_innovations(theta, dist, n, burn_in=BURN_IN, seed=0):
     mu, a0 = theta.mu, theta.alpha0
     y_add, e_add, e2_add, h_add = y.append, e.append, e2.append, h.append
     sqrt, isfinite, limit = math.sqrt, math.isfinite, H_OVERFLOW_LIMIT
-    for eta_t in eta.tolist():
+    for eta_t in eta:
         ht = a0
         for c, i in arch:
             ht += c * e2[i]
@@ -556,8 +565,36 @@ def simulate_with_innovations(theta, dist, n, burn_in=BURN_IN, seed=0):
             e2_add(et**2)
         except OverflowError:  # numpy scalars overflow to inf, Python floats raise
             e2_add(math.inf)
+    return y[lag:]
 
-    return np.array(y[lag + burn_in :]), eta[burn_in:].copy()
+
+def _lag_one_path(theta, eta):
+    """The path of orders (1, q, 1, 1), q <= 1: _path's products and
+    left-to-right sums with each lag in a local variable."""
+    (phi,), (alpha,), (beta,) = theta.phi.tolist(), theta.alpha.tolist(), theta.beta.tolist()
+    ma = theta.orders.q == 1
+    psi = theta.psi.tolist()[0] if ma else 0.0
+    mu, a0 = theta.mu, theta.alpha0
+    y_prev = e_prev = e2_prev = 0.0
+    h_prev = float(theta.h_presample)
+    y = []
+    y_add = y.append
+    sqrt, isfinite, limit = math.sqrt, math.isfinite, H_OVERFLOW_LIMIT
+    for t, eta_t in enumerate(eta, 1):
+        ht = a0 + alpha * e2_prev + beta * h_prev
+        if not isfinite(ht) or ht > limit:
+            raise NumericOverflowError(f"simulated volatility overflowed at t={t}", t=t)
+        et = eta_t * sqrt(ht)
+        yt = mu + et + phi * y_prev
+        if ma:
+            yt += psi * e_prev
+        y_add(yt)
+        try:
+            e2_prev = et**2
+        except OverflowError:
+            e2_prev = math.inf
+        y_prev, e_prev, h_prev = yt, et, ht
+    return y
 
 
 def simulate(theta, dist, n, burn_in=BURN_IN, seed=0):

@@ -178,6 +178,12 @@ def hill_estimator(values, k):
     return est
 
 
+def check_k_max(k_max):
+    """DomainError unless k_max >= 1, the least a Hill sweep takes."""
+    if k_max < 1:
+        raise DomainError("k_max must be >= 1")
+
+
 def hill_sweep(values, k_max):
     """Hill estimates for k = 1..k_max, skipping degenerate k.
 
@@ -186,8 +192,7 @@ def hill_sweep(values, k_max):
     v = np.asarray(values, dtype=float)
     pos = v[v > 0.0]
     dropped = v.size - pos.size
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
+    check_k_max(k_max)
     if k_max >= pos.size:
         raise DomainError(f"k_max must be < number of positive values ({pos.size})")
     logs = np.log(np.sort(pos))

@@ -314,6 +314,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     for argv, message in bad_flags:
         assert run_cli(*argv) == 3
         assert message in capsys.readouterr().err
+    # fit's diagnostic flags are checked before the fit: a bad one writes no file
+    series = tmp_path / "series.csv"
+    reports.write_csv(series, *reports.series_csv_rows(
+        qmele.simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 300, seed=3), "y"))
+    fit_flags = [
+        (("--max-lag", "0"), "max_lag must be >= 1"),
+        (("--hill-k-max", "0"), "k_max must be >= 1"),
+        (("--hill-k-max", "-2"), "k_max must be >= 1"),
+    ]
+    for i, (flags, message) in enumerate(fit_flags):
+        out = tmp_path / f"fit-flags-{i}"
+        assert run_cli("fit", series, "--orders", "1,0,1,1", *flags, "--out-dir", out) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
     # usage errors: a verb takes --seed only where it reads it
     usage_errors = [
         ("frobnicate",),

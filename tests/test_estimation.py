@@ -48,6 +48,7 @@ from qmele.estimation import (
     _criterion_mean,
     _initial_params,
     _sandwich,
+    _smallest,
     _weighted_mean,
 )
 from qmele.model import _eps_h, adjoint, checked_eps_h, residuals, volatility
@@ -1028,6 +1029,72 @@ def test_fit_forms_the_derivative_matrices_at_most_twice(monkeypatch, criterion)
     fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5)), criterion=criterion)
     assert fit.converged and fit.nfev > 20
     assert len(calls) <= 2
+
+
+def test_vertex_selection_is_the_head_of_the_stable_argsort():
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 50, 1000):
+        # distinct values, many ties, all tied
+        for values in (np.abs(rng.laplace(size=n)), rng.integers(0, 4, n).astype(float), np.zeros(n)):
+            for k in range(min(n, 6) + 1):
+                assert np.array_equal(_smallest(values, k), np.argsort(values, kind="stable")[:k])
+
+
+def _fits_with_kept_passes():
+    data = simulate(make_theta(THETA_FINITE), LAPLACE, 600, seed=50001)
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5)))
+    assert fit.converged and fit.kept is not None
+    return data, fit
+
+
+def test_kept_pass_serves_its_own_series_alone(monkeypatch):
+    import qmele.estimation
+    from qmele.diagnostics import standardized_residuals
+
+    data, fit = _fits_with_kept_passes()
+    bare = dataclasses.replace(fit, kept=None)  # a FitResult built by hand keeps no pass
+    other = data.copy()
+    other[7] += 0.25
+    series = [data, data.copy(), other, data[::-1].copy()]
+    # the same series, bit for bit, is served from the kept pass
+    assert fit.kept_pass(data.copy()) is fit.kept[2]
+    assert fit.kept_pass(other) is None and bare.kept_pass(data) is None
+    # equal values are not enough: 0.0 and -0.0 filter to residuals of other signs
+    zero, negative_zero = data.copy(), data.copy()
+    zero[0], negative_zero[0] = 0.0, -0.0
+    assert np.array_equal(zero, negative_zero)
+    assert dataclasses.replace(fit, kept=(fit.theta_hat, zero, fit.kept[2])).kept_pass(negative_zero) is None
+    # a pass kept at another theta_hat is not served
+    assert dataclasses.replace(fit, theta_hat=make_theta(THETA_FINITE)).kept_pass(data) is None
+    for y in series:
+        for init in (fit, bare):
+            stepped, fresh = local_qmele_step(init, y), local_qmele_step(bare, y)
+            for a, b in ((stepped.theta_hat.theta, fresh.theta_hat.theta), (stepped.covariance, fresh.covariance)):
+                assert np.array_equal(a, b, equal_nan=True)
+            assert (stepped.status, stepped.objective_value, stepped.g0, stepped.eta2) == (
+                fresh.status, fresh.objective_value, fresh.g0, fresh.eta2)
+            _, eps, h = checked_eps_h(init.theta_hat, y)
+            assert np.array_equal(standardized_residuals(init, y), eps / np.sqrt(h))
+    # the one-step from a fit on its own series filters only at the step's end
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return filter_series(*args, **kwargs)
+
+    monkeypatch.setattr(qmele.estimation, "filter_series", counted)
+    local_qmele_step(fit, data)
+    assert len(calls) == 1
+    local_qmele_step(fit, other)
+    assert len(calls) == 3
+
+
+def test_fit_equality_and_repr_leave_the_kept_pass_out():
+    data, fit = _fits_with_kept_passes()
+    bare = dataclasses.replace(fit, kept=None)
+    assert fit == bare
+    assert repr(fit) == repr(bare)
+    assert "kept" not in repr(fit) and "FilterOutput" not in repr(fit)
 
 
 ARMA21_GARCH22 = ModelOrders(2, 1, 2, 2)

@@ -5,9 +5,9 @@ import pathlib
 import qmele
 from qmele import cli
 
-# (importing module, imported module, name): the one private name a module
-# may take from another, the criterion filter the optimizer's Evaluator runs
-ALLOWED_PRIVATE_IMPORTS = {("estimation", "model", "_eps_h")}
+# (importing module, imported module, name): the private names a module may
+# take from another; none, since the Evaluator hands the fit its eps and h
+ALLOWED_PRIVATE_IMPORTS = set()
 
 
 def test_no_module_imports_another_modules_private_name():

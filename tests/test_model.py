@@ -20,7 +20,7 @@ from qmele import (
     simulate_with_innovations,
 )
 
-from qmele.model import _iir, _reversed_iir, as_series, eps_gamma_derivs
+from qmele.model import _iir, _lag_one_path, _path, _reversed_iir, as_series, eps_gamma_derivs
 
 from conftest import AR1_GARCH11, THETA_FINITE, make_theta
 
@@ -337,6 +337,9 @@ def _simulate_numpy_scalars(theta, dist, n, burn_in, seed):
 @pytest.mark.parametrize(
     "orders, values",
     [
+        # orders (1, q, 1, 1), q <= 1, run the lag-one path, the others the general one
+        ((1, 0, 1, 1), [0.0, 0.5, 0.1, 0.18, 0.4]),
+        ((1, 0, 1, 1), [0.0, 0.5, 0.1, 0.3, 0.4]),  # IGARCH under E|eta| = 1
         ((1, 1, 1, 1), [0.1, 0.5, 0.3, 0.1, 0.18, 0.4]),
         ((2, 2, 2, 2), [0.01, 0.3, -0.1, 0.2, 0.1, 0.1, 0.1, 0.05, 0.3, 0.2]),
     ],
@@ -350,6 +353,29 @@ def test_simulate_equals_numpy_scalar_loop(orders, values, dist):
         y, eta = simulate_with_innovations(theta, dist, 2000, burn_in=100, seed=seed)
         y_ref, eta_ref = _simulate_numpy_scalars(theta, dist, 2000, 100, seed)
         assert np.array_equal(y, y_ref) and np.array_equal(eta, eta_ref)
+
+
+@pytest.mark.parametrize(
+    "orders, values, eta",
+    [
+        # an explosive ARCH coefficient: h passes H_OVERFLOW_LIMIT after some hundred steps
+        ((1, 0, 1, 1), [0.0, 0.5, 0.1, 5.0, 0.1], None),
+        ((1, 1, 1, 1), [0.0, 0.5, 0.3, 0.1, 5.0, 0.1], None),
+        # eps_1^2 overflows a Python float (OverflowError), so h_2 is inf
+        ((1, 0, 1, 1), [0.0, 0.5, 5e299, 0.1, 0.0], [1e5, 0.5, 0.5]),
+        ((1, 1, 1, 1), [0.0, 0.5, 0.3, 5e299, 0.1, 0.0], [1e5, 0.5, 0.5]),
+    ],
+)
+def test_lag_one_path_overflows_where_the_general_path_does(orders, values, eta):
+    theta = make_theta(values, ModelOrders(*orders))
+    if eta is None:
+        eta = InnovationDist("laplace").sample(np.random.default_rng(1), 4000).tolist()
+    with pytest.raises(NumericOverflowError) as general:
+        _path(theta, eta)
+    with pytest.raises(NumericOverflowError) as lag_one:
+        _lag_one_path(theta, eta)
+    assert (str(lag_one.value), lag_one.value.t) == (str(general.value), general.value.t)
+    assert general.value.t > (1 if len(eta) == 3 else 100)
 
 
 @pytest.mark.parametrize("order_tuple", [(0, 0, 1, 1), (1, 0, 1, 1), (1, 1, 1, 2), (2, 2, 1, 1)])

@@ -289,6 +289,34 @@ def test_failures_counted_and_excluded(monkeypatch):
     assert np.all(np.isnan(table.bias[SW_QMELE]))
 
 
+def test_replication_filters_each_reported_theta_once(monkeypatch):
+    # the fit's face ends hand their eps and h over from the Evaluator, and
+    # the one-step reuses the pass the fit kept at theta_hat: one n x m pass
+    # per reported theta, and the residual-volatility pass only inside them
+    import qmele.estimation
+    import qmele.model
+
+    filter_series, eps_h, calls, inside = qmele.model.filter_series, qmele.model._eps_h, [], []
+
+    def counted_filter(*args, **kwargs):
+        calls.append("filter_series")
+        inside.append(True)
+        try:
+            return filter_series(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_eps_h(*args, **kwargs):
+        calls.append("_eps_h" if inside else "_eps_h outside filter_series")
+        return eps_h(*args, **kwargs)
+
+    monkeypatch.setattr(qmele.estimation, "filter_series", counted_filter)
+    monkeypatch.setattr(qmele.model, "_eps_h", counted_eps_h)
+    record = run_replication(tiny_config(), 0)
+    assert record.converged == {SW_QMELE: True, LOCAL_QMELE: True}
+    assert calls == ["filter_series", "_eps_h"] * 2
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_study_too_short_for_its_model_raises(jobs):
     # n = 40 is below 10 * m = 50 on every path, so no replication is a
