@@ -267,17 +267,7 @@ def cmd_acf(args):
 
 
 def cmd_efficiency(args):
-    rep = efficiency_compare(_dist_from_args(args))
-    lines = [
-        f"kind        {args.dist}",
-        f"kappa1      {reports.fmt(rep.kappa1)}",
-        f"kappa2      {reports.fmt(rep.kappa2)}",
-        f"eta2        {reports.fmt(rep.eta2)}",
-        f"eta4        {reports.fmt(rep.eta4)}",
-        f"eta4_finite {str(rep.eta4_finite).lower()}",
-        f"preferred   {rep.preferred}",
-    ]
-    text = "\n".join(lines) + "\n"
+    text = reports.efficiency_text(args.dist, efficiency_compare(_dist_from_args(args)))
     reports.write_text(os.path.join(args.out_dir, "efficiency.txt"), text)
     print(text, end="")
     return 0

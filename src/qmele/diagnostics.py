@@ -109,32 +109,17 @@ def pacf(values, max_lag):
     return AcfReport(np.arange(max_lag + 1), out, band=2.0 / np.sqrt(n))
 
 
-def _mixture_moments(epsilon, tau):
-    """Second/fourth-moment constants of the rescaled two-component normal
-    mixture used in the efficiency maps."""
-    a = 1.0 - epsilon + epsilon * tau
-    b = 1.0 - epsilon + epsilon * tau**2
-    c = 1.0 - epsilon + epsilon * tau**4
-    eta2 = math.pi * b / (2.0 * a * a)
-    eta4 = 3.0 * math.pi * c / (2.0 * a * a * b)
-    return eta2, eta4
-
-
 def efficiency_compare(dist):
     """Closed-form kappa1/kappa2 comparison for a standardized innovation law.
 
     Requires dist.standardization == "abs_mean_one". The moments are the
-    law's own (dist.eta2(), dist.eta4()), except a mixture's, which come
-    from _mixture_moments. For t3 innovations the fourth moment is
-    infinite: kappa1 is reported as math.inf with eta4_finite=False and
-    the exponential criterion is preferred.
+    law's own, dist.eta2() and dist.eta4(). For t3 innovations the fourth
+    moment is infinite: kappa1 is reported as math.inf with
+    eta4_finite=False and the exponential criterion is preferred.
     """
     if dist.standardization != "abs_mean_one":
         raise DomainError("efficiency comparison is defined under E|eta| = 1")
-    if dist.kind == "mixture":
-        eta2, eta4 = _mixture_moments(dist.epsilon, dist.tau)
-    else:
-        eta2, eta4 = dist.eta2(), dist.eta4()
+    eta2, eta4 = dist.eta2(), dist.eta4()
     kappa2 = 4.0 * (eta2 - 1.0)
     kappa1 = eta4 / eta2**2 - 1.0
     if kappa1 < kappa2:

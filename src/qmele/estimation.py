@@ -119,7 +119,7 @@ class G0Mode:
     def __post_init__(self):
         if self.kind not in ("kernel", "known"):
             raise DomainError(f"unknown g0 mode {self.kind!r}")
-        if self.kind == "known" and (self.value is None or self.value <= 0.0):
+        if self.kind == "known" and (self.value is None or not self.value > 0.0):
             raise DomainError("known g0 requires a positive value")
 
     @classmethod
@@ -325,11 +325,24 @@ def _criterion_mean(eps, h, w, crit, mu=0.0):
     return _weighted_mean(w, crit.terms(eps, eps * eps, h, mu, with_a=False)[0])
 
 
-def _checked_objective(theta, data, weights, crit):
+def _series_and_weights(data, weights):
+    """The checked series and its weights as floats; DomainError unless the
+    weights match the series length."""
     data = as_series(data)
     w = np.asarray(weights, dtype=float)
     if w.shape != data.shape:
         raise DomainError("weights must match the series length")
+    return data, w
+
+
+def _check_g0(g0):
+    """DomainError unless g0 > 0 (NaN fails)."""
+    if not g0 > 0.0:
+        raise DomainError("g0 must be > 0")
+
+
+def _checked_objective(theta, data, weights, crit):
+    data, w = _series_and_weights(data, weights)
     # filter overflow propagates, as from filter_series
     _, eps, h = checked_eps_h(theta, data)
     return _criterion_mean(eps, h, w, crit)
@@ -453,8 +466,7 @@ def sigma_star(theta, data, g0):
     Sigma*(theta) = sum_t { g0/h_t (d eps/d theta)(d eps/d theta)'
                             + (8 h_t^2)^{-1} (d h/d theta)(d h/d theta)' }.
     """
-    if g0 <= 0.0:
-        raise DomainError("g0 must be > 0")
+    _check_g0(g0)
     out = filter_series(theta, data)
     return _cross(out, QMELE.sigma(1.0, out.h, g0))
 
@@ -534,14 +546,10 @@ def covariance_self_weighted(theta, data, weights, g0, eta2):
 
     and returns (1/4) Sigma_hat^{-1} Omega_hat Sigma_hat^{-1} / n.
     """
-    if g0 <= 0.0:
-        raise DomainError("g0 must be > 0")
-    if eta2 < 1.0:
+    _check_g0(g0)
+    if not eta2 >= 1.0:
         raise DomainError("eta2 must be >= 1 (E|eta| = 1 forces E eta^2 >= 1)")
-    data = as_series(data)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != data.shape:
-        raise DomainError("weights must match the series length")
+    data, w = _series_and_weights(data, weights)
     # the exponential Omega does not use E(1 - eta^2)^2
     return _sandwich(filter_series(theta, data), QMELE, w, g0, eta2, np.nan)
 
@@ -911,9 +919,14 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     not converged; then up to config.restarts seeded jittered starts are
     descended in turn until one converges, which recovers a descent stuck
     on a wrong face, such as beta = 0 where every trial step with
-    sum(beta) >= 1 is NaN. The converged end is kept, else the lowest. The
-    objective reported is the exact criterion, the fit's Evaluator at
-    theta_hat (inf where that is not finite).
+    sum(beta) >= 1 is NaN. The converged end is kept, else the lowest. A
+    converged end with some alpha_i or beta_j (i, j >= 1) at 0 gets one
+    more descent from a variance-targeted start (Francq, Horvath & Zakoian
+    2011): the initializer's gamma, 0.2 times its alpha0, alpha_i = 0.1/r
+    and beta_j = 0.8/s; its end is kept if converged and strictly lower.
+    Every descent counts in starts, nfev and iterations. The objective
+    reported is the exact criterion, the fit's Evaluator at theta_hat (inf
+    where that is not finite).
 
     Returns a FitResult; converged=False flags that the descent which
     produced theta_hat was neither certified nor ended in a successful run
@@ -938,14 +951,16 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     runs, ends = [], []
     ev = Evaluator(orders, y, w, crit)
     rng, start = np.random.default_rng(config.seed), x0
-    while True:
+
+    def descend(start):
         success = False
         for mu in crit.ladder:
             run = minimize(ev, start, box, runs, (mu,))
             start, success = run.x, run.success
         ends.append(_face_finish(ev, start, success, box, runs))
-        if ends[-1][2] or len(ends) > config.restarts:
-            break
+        return ends[-1]
+
+    while not descend(start)[2] and len(ends) <= config.restarts:
         # gamma + 0.3 z; alpha * e^(0.7 z); beta * e^(0.7 z) rescaled to keep sum(beta) < 1
         z = rng.normal(0.0, 1.0, orders.m)
         start = x0.copy()
@@ -953,6 +968,15 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
         start[k:] *= np.exp(0.7 * z[k:])
         start[j:] /= 1.0 - x0[j:].sum() + start[j:].sum()
     x_hat, value, converged, cert = min(ends, key=lambda end: (not end[2], np.nan_to_num(end[1], nan=np.inf)))
+    if converged and not x_hat[k + 1:].all():
+        # a GARCH face end: descend once more from a variance-targeted start
+        start = x0.copy()
+        start[k] *= 0.2
+        start[k + 1:j] = 0.1 / max(orders.r, 1)
+        start[j:] = 0.8 / max(orders.s, 1)
+        end = descend(start)
+        if end[2] and end[1] < value:
+            x_hat, value, converged, cert = end
     return _fit_result(
         ParamVector.from_theta(orders, x_hat), y, crit, w, config.g0_mode,
         "ok" if converged else "not_converged", objective=value if math.isfinite(value) else math.inf,
@@ -994,8 +1018,7 @@ def local_qmele_step(theta_init, data, g0=None):
     cert = theta_init.certificate
     shrink, status = 0, "ok"
     try:
-        if not g0 > 0.0:
-            raise DomainError("g0 must be > 0")
+        _check_g0(g0)
         out = theta_init.kept_pass(data) or filter_series(theta0, data)
         info = 2.0 * _cross(out, crit.sigma(1.0, out.h, g0))
         score = _score(out, crit, cert.active if cert is not None and cert.certified else ())

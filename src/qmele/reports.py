@@ -73,6 +73,14 @@ def _json_value(v):
     return round6(v) if isinstance(v, float) else v
 
 
+def _labelled(fields, width):
+    """One line per (label, value) of fields, the label left-aligned in
+    width: floats by fmt, bools as true/false, anything else by str."""
+    def text(v):
+        return fmt(v) if isinstance(v, float) else str(v).lower() if isinstance(v, bool) else str(v)
+    return [f"{label:<{width}}{text(v)}" for label, v in fields.items()]
+
+
 def fit_report_text(fit, n_obs):
     """Aligned fit report with standard errors in parentheses."""
     names = fit.orders.param_names()
@@ -84,9 +92,7 @@ def fit_report_text(fit, n_obs):
     lines.append(" " * label_w + hdr_line)
     lines.append(f"{'estimate':<{label_w}}" + est_line)
     lines.append(f"{'std err':<{label_w}}" + se_line)
-    for name, v in _fit_fields(fit, n_obs).items():
-        text = str(v).lower() if isinstance(v, bool) else fmt(v) if isinstance(v, float) else str(v)
-        lines.append(f"{name:<{label_w}}{text}")
+    lines += _labelled(_fit_fields(fit, n_obs), label_w)
     return "\n".join(lines) + "\n"
 
 
@@ -126,16 +132,9 @@ def mc_table_csv_rows(table):
 
 def mc_table_text(table):
     sc = table.scenario
-    lines = [
-        f"scenario   {sc.name}",
-        f"n          {sc.n}",
-        f"reps       {sc.replications}",
-        f"seed       {sc.seed}",
-        f"theta0     {' '.join(fmt(v) for v in sc.theta0.theta)}",
-        f"dist       {sc.dist.kind} ({sc.dist.standardization})",
-        "",
-    ]
-    name_w = max(len(nm) for nm in table.param_names) + 2
+    lines = _labelled(dict(scenario=sc.name, n=sc.n, reps=sc.replications, seed=sc.seed,
+                           theta0=" ".join(fmt(v) for v in sc.theta0.theta),
+                           dist=f"{sc.dist.kind} ({sc.dist.standardization})"), 11) + [""]
     for kind in sc.estimators:
         lines.append(f"[{kind}]  successes={table.successes[kind]} failures={table.failures[kind]}")
         hdr = " " * 6 + "".join(f"{nm:>12}" for nm in table.param_names)
@@ -144,6 +143,12 @@ def mc_table_text(table):
             lines.append(f"{label:<6}" + "".join(f"{fmt(v):>12}" for v in block[kind]))
         lines.append("")
     return "\n".join(lines)
+
+
+def efficiency_text(kind, report):
+    """The efficiency report of an innovation law of this kind: kind, then
+    the EfficiencyReport's fields in their order."""
+    return "\n".join(_labelled({"kind": kind, **asdict(report)}, 12)) + "\n"
 
 
 def mc_replications_csv_rows(table):

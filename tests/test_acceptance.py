@@ -93,10 +93,10 @@ def test_criterion_4_efficiency_calculator_exact():
     lap = efficiency_compare(InnovationDist("laplace"))
     ok = lap.kappa1 == 5.0 and lap.kappa2 == 4.0
     mix1 = efficiency_compare(InnovationDist("mixture", epsilon=1.0, tau=math.sqrt(math.pi / 2)))
-    ok &= abs(mix1.kappa1 - (6.0 - math.pi) / math.pi) <= 1e-12
+    ok &= abs(mix1.kappa1 - 2.0) <= 1e-12
     ok &= abs(mix1.kappa2 - (2.0 * math.pi - 4.0)) <= 1e-12
     mix2 = efficiency_compare(InnovationDist("mixture", epsilon=0.99, tau=0.1))
-    ok &= abs(mix2.kappa1 - 28.1) <= 0.1 and abs(mix2.kappa2 - 6.5) <= 0.1
+    ok &= abs(mix2.kappa1 - 75.51) <= 0.1 and abs(mix2.kappa2 - 6.5) <= 0.1
     detail = f"laplace=({lap.kappa1},{lap.kappa2}) mix1=({mix1.kappa1:.12f},{mix1.kappa2:.12f}) mix2=({mix2.kappa1:.4f},{mix2.kappa2:.4f})"
     report(4, "efficiency factors match the pinned closed forms", ok, detail)
 

@@ -376,6 +376,46 @@ def test_cli_efficiency_output(tmp_path, capsys):
     assert "kappa1      5" in text
     assert "kappa2      4" in text
     assert "preferred   qmele" in text
+    assert text == ("kind        laplace\nkappa1      5\nkappa2      4\neta2        2\neta4        24\n"
+                    "eta4_finite true\npreferred   qmele\n")
+    assert capsys.readouterr().out == text
+
+
+def test_cli_efficiency_mixture_takes_the_laws_fourth_moment(tmp_path):
+    # E eta^4 = 25.28 under E|eta| = 1 gives kappa1 = 6.65 > kappa2 = 3.27
+    assert run_cli("efficiency", "--dist", "mixture", "--epsilon", "0.05", "--tau", "3", "--out-dir", tmp_path) == 0
+    lines = (tmp_path / "efficiency.txt").read_text().splitlines()
+    assert lines[1] == "kappa1      6.65306" and lines[4] == "eta4        25.279"
+    assert lines[-1] == "preferred   qmele"
+
+
+def test_cli_text_reports_pinned_bytes(tmp_path):
+    # the labelled lines of fit_report.txt and mc_table.txt, byte for byte
+    assert run_cli("simulate", "--orders", "1,0,1,1", "--theta", "0,0.5,0.1,0.18,0.4", "--dist", "laplace",
+                   "--n", "1000", "--seed", "7", "--out-dir", tmp_path) == 0
+    assert run_cli("fit", tmp_path / "simulated.csv", "--orders", "1,0,1,1", "--out-dir", tmp_path / "fit") == 0
+    assert (tmp_path / "fit" / "fit_report.txt").read_text() == (
+        "== sw ==\n"
+        "estimator: sw_qmele\n"
+        "                      mu          phi1        alpha0        alpha1         beta1\n"
+        "estimate      -0.0155328      0.444314     0.0574864      0.156393      0.570148\n"
+        "std err      (0.0201327)   (0.0379314)   (0.0157587)   (0.0414393)   (0.0787508)\n"
+        "objective  0.280837\ng0         0.403143\neta2       1.91952\nconverged  true\nstatus     ok\n"
+        "iterations 40\nn          1000\n"
+        "\n== local ==\n"
+        "estimator: local_qmele\n"
+        "                      mu          phi1        alpha0        alpha1         beta1\n"
+        "estimate      -0.0192486      0.478779      0.056742      0.150075      0.577711\n"
+        "std err      (0.0196698)   (0.0304271)   (0.0150793)   (0.0316571)   (0.0714391)\n"
+        "objective  0.403121\ng0         0.403143\neta2       1.93362\nconverged  true\nstatus     ok\n"
+        "iterations 1\nn          1000\n"
+    )
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(TINY_INI)
+    assert run_cli("mc-table", "--config", cfg, "--out-dir", tmp_path / "mc", "--jobs", "1") == 0
+    head = (tmp_path / "mc" / "mc_table.txt").read_text().split("\n[")[0]
+    assert head == (f"scenario   {cfg}\nn          300\nreps       3\nseed       11\n"
+                    "theta0     0 0.5 0.1 0.18 0.4\ndist       laplace (abs_mean_one)\n")
 
 
 def test_cli_region_scan_boundary(tmp_path):

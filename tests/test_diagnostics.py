@@ -149,11 +149,11 @@ def test_efficiency_t3_infinite_fourth_moment():
 
 def test_efficiency_mixture_pinned_values():
     rep = efficiency_compare(InnovationDist("mixture", epsilon=1.0, tau=math.sqrt(math.pi / 2)))
-    assert rep.kappa1 == pytest.approx((6.0 - math.pi) / math.pi, abs=1e-12)
+    assert rep.kappa1 == pytest.approx(2.0, abs=1e-12)
     assert rep.kappa2 == pytest.approx(2.0 * math.pi - 4.0, abs=1e-12)
     assert rep.preferred == "qmle"
     rep2 = efficiency_compare(InnovationDist("mixture", epsilon=0.99, tau=0.1))
-    assert rep2.kappa1 == pytest.approx(28.1, abs=0.1)
+    assert rep2.kappa1 == pytest.approx(75.51, abs=0.1)
     assert rep2.kappa2 == pytest.approx(6.5, abs=0.1)
     assert rep2.preferred == "qmele"
 
@@ -164,6 +164,15 @@ def test_mixture_second_moment_reduces_to_pure_normal():
     rep0 = efficiency_compare(InnovationDist("mixture", epsilon=0.0, tau=3.0))
     assert rep0.eta2 == pytest.approx(math.pi / 2.0, rel=1e-14)
     assert rep0.kappa2 == pytest.approx(2.0 * math.pi - 4.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("epsilon, tau", [(0.0, 3.0), (1.0, 1.0), (1.0, math.sqrt(math.pi / 2))])
+def test_mixture_of_one_normal_reports_the_normal_law(epsilon, tau):
+    # with one component the mixture is the normal law, and its fourth
+    # moment, like its second, is the law's own
+    mixture = efficiency_compare(InnovationDist("mixture", epsilon=epsilon, tau=tau))
+    normal = efficiency_compare(InnovationDist("normal"))
+    assert (mixture.kappa1, mixture.eta4, mixture.preferred) == (normal.kappa1, normal.eta4, normal.preferred)
 
 
 def test_efficiency_requires_abs_mean_one():
@@ -192,5 +201,4 @@ def test_efficiency_second_moments_match_monte_carlo():
         q = draws**4
         se = q.std(ddof=1) / 1000.0
         assert abs(q.mean() - dist.eta4()) <= 3.0 * se, kind
-        if kind != "mixture":  # efficiency_compare takes the law's own moments
-            assert efficiency_compare(dist).eta4 == dist.eta4()
+        assert efficiency_compare(dist).eta4 == dist.eta4()

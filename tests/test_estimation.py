@@ -253,6 +253,17 @@ def test_covariance_validates_inputs():
         covariance_self_weighted(theta, y, np.ones(y.size), g0=-1.0, eta2=2.0)
     with pytest.raises(DomainError):
         covariance_self_weighted(theta, y, np.ones(y.size), g0=0.5, eta2=0.5)
+    # NaN breaks each rule, as it breaks g0 > 0 in local_qmele_step
+    with pytest.raises(DomainError, match="^g0 must be > 0$"):
+        covariance_self_weighted(theta, y, np.ones(y.size), g0=np.nan, eta2=2.0)
+    with pytest.raises(DomainError, match="^g0 must be > 0$"):
+        sigma_star(theta, y, np.nan)
+    for cov in (lambda eta2: covariance_self_weighted(theta, y, np.ones(y.size), g0=0.5, eta2=eta2),
+                lambda eta2: covariance_local(theta, y, g0=0.5, eta2=eta2)):
+        with pytest.raises(DomainError, match="^eta2 must be >= 1"):
+            cov(np.nan)
+    with pytest.raises(DomainError, match="^known g0 requires a positive value$"):
+        G0Mode.known(np.nan)
 
 
 def test_singular_information_raises():
@@ -683,6 +694,21 @@ def test_igarch_fit_needs_one_ladder():
     fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5), seed=20260602))
     assert fit.converged
     assert fit.starts == 1
+
+
+@pytest.mark.parametrize(
+    "truth, seed",
+    [(THETA_IGARCH, 94242286), (THETA_IGARCH, 2720433602), (THETA_FINITE, 1412026833),
+     (THETA_IGARCH, 2703932025)],
+)
+def test_a_face_end_above_the_truth_descends_again(truth, seed):
+    # the first descent certifies on the face alpha1 = 0 or beta1 = 0 above
+    # the criterion at the truth; the variance-targeted descent ends below it
+    data = simulate(make_theta(truth), LAPLACE, 1000, burn_in=500, seed=seed)
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5), seed=seed))
+    assert fit.converged and fit.certificate.certified
+    assert fit.starts == 2
+    assert fit.objective_value <= qmele_objective(make_theta(truth), data, fit.weights)
 
 
 def nelder_mead_polish(fit, data, orders):
