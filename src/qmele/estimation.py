@@ -86,7 +86,6 @@ ESTIMATOR_KINDS = (SW_QMELE, LOCAL_QMELE, SW_QMLE, LOCAL_QMLE)
 
 ETA2_FLOOR = 1.0 + 1e-6
 COND_LIMIT = 1e12
-MAX_STEP_HALVINGS = 30
 # mu of the exponential fit's smoothed stages: three at L-BFGS-B's default
 # tolerances bring the fit near its kinks, where the face finish takes over.
 # Every face run is tight, since the default stop divides the reduction by
@@ -182,13 +181,14 @@ class FitResult:
     all optimizer runs, starts the descents run. For a one-step update,
     converged says the step was taken. status says why the covariance is
     NaN: "ok", "not_converged", "singular_information", "domain",
-    "overflow" or, for a step that no halving makes feasible,
-    "infeasible_step". certificate is the face-finish certificate of
-    theta_hat (None for a one-step update, or where theta_hat is not a face
-    end but the smoothed stages' end). kept is (theta_hat, a copy of the
-    series, the filter_series pass at theta_hat on it) of the pass that
-    built the covariance, None where none ran; equality and repr leave it
-    out, and kept_pass(y) hands it to the one-step and the diagnostics.
+    "overflow" or, for a step that is not finite, "infeasible_step". held
+    names the coordinates a one-step update kept at the initializer's
+    values. certificate is the face-finish certificate of theta_hat (None
+    for a one-step update, or where theta_hat is not a face end but the
+    smoothed stages' end). kept is (theta_hat, a copy of the series, the
+    filter_series pass at theta_hat on it) of the pass that built the
+    covariance, None where none ran; equality and repr leave it out, and
+    kept_pass(y) hands it to the one-step and the diagnostics.
     """
 
     theta_hat: ParamVector
@@ -201,7 +201,7 @@ class FitResult:
     g0: float = np.nan
     eta2: float = np.nan
     weights: np.ndarray | None = None
-    shrink_count: int = 0
+    held: tuple = ()
     nfev: int = 0
     starts: int = 0
     status: str = "ok"
@@ -620,8 +620,9 @@ def _initial_params(y, orders):
 def _box(orders):
     """The parameter box's (lower, upper) rows: gamma free, alpha0 >= e^-60,
     alpha_i >= 0 and 0 <= beta_j <= 1 - 2^-40, which reach the faces
-    alpha_i = 0 and beta_j = 0. Every L-BFGS-B run, the certificate and the
-    one-step's held coordinates read it; sum(beta) >= 1 in it is NaN."""
+    alpha_i = 0 and beta_j = 0; sum(beta) >= 1 in it is NaN. Every L-BFGS-B
+    run, the certificate and the one-step's holds read it, the holds its
+    lower row and its finite upper entries, the beta block."""
     k = orders.p + orders.q + 1
     box = np.zeros((2, orders.m))
     box[0, :k], box[0, k], box[1] = -np.inf, math.exp(-60.0), np.inf
@@ -992,19 +993,18 @@ def local_qmele_step(theta_init, data, g0=None):
     criterion (or its gaussian analogue when the initializer is a
     self-weighted gaussian fit). T* takes sign(eta_t) = 0 on the kinks of a
     certified initializer's active set, where eps_t = 0 up to rounding, as
-    t_star defines sign(0) = 0. A coordinate on its lower bound in _box at
-    the initializer that the step would push below it is held there and the
-    step solved again over the other coordinates, until the solve pushes no
-    coordinate on its bound below it (holds are only added). A step still
-    infeasible (an interior coordinate crossing its bound, sum(beta)
-    reaching 1, or a step that is not finite) is halved until feasible, at
-    most MAX_STEP_HALVINGS times, and the number of halvings is reported.
+    t_star defines sign(0) = 0. The step is kept in the parameter space by
+    holds read from _box: a coordinate the step would take below its lower
+    bound, and the whole beta block (the finite upper entries) where
+    sum(beta) would reach 1, keep the initializer's value, and the system
+    is solved again over the rest, until nothing leaves (holds are only
+    added). held names the held coordinates of a step taken.
 
     g0 defaults to the initializer's, which its sandwich used. A step taken
     is converged, its sandwich built as a fit's is. A step that cannot be
     taken reports the initializer's theta, not converged, with NaN
     objective and covariance and a status naming why: "infeasible_step"
-    where no halving makes it feasible, or the failure of the information
+    for a step that is not finite, or the failure of the information
     matrix, g0 or the filter at the initializer.
     """
     if not isinstance(theta_init, FitResult):
@@ -1016,31 +1016,27 @@ def local_qmele_step(theta_init, data, g0=None):
     theta0 = theta_init.theta_hat
     g0 = theta_init.g0 if g0 is None else g0
     cert = theta_init.certificate
-    shrink, status = 0, "ok"
+    held, status = (), "ok"
     try:
         _check_g0(g0)
         out = theta_init.kept_pass(data) or filter_series(theta0, data)
         info = 2.0 * _cross(out, crit.sigma(1.0, out.h, g0))
         score = _score(out, crit, cert.active if cert is not None and cert.certified else ())
         del out  # free a new n x m pass at theta0 before _fit_result makes one at theta1
-        step = -_sym_inv(info) @ score
-        on_bound, held = theta0.theta == _box(theta0.orders)[0], np.zeros(theta0.m, dtype=bool)
-        while (on_bound & (step < 0.0)).any():
-            held |= on_bound & (step < 0.0)
-            free = ~held
-            step = np.zeros(theta0.m)
-            step[free] = -_sym_inv(info[np.ix_(free, free)]) @ score[free]
-        theta1 = ParamVector.from_theta(theta0.orders, theta0.theta + step)
-        while not theta1.is_valid():
-            if shrink == MAX_STEP_HALVINGS:
-                theta1, status = theta0, "infeasible_step"
-                break
-            shrink += 1
-            step = 0.5 * step
-            theta1 = ParamVector.from_theta(theta0.orders, theta0.theta + step)
+        box, hold = _box(theta0.orders), np.zeros(theta0.m, dtype=bool)
+        beta, theta = np.isfinite(box[1]), theta0.theta - _sym_inv(info) @ score
+        while (leaves := ((theta < box[0]) | beta & (theta[beta].sum() >= 1.0)) & ~hold).any():
+            hold |= leaves
+            theta = theta0.theta
+            theta[~hold] -= _sym_inv(info[np.ix_(~hold, ~hold)]) @ score[~hold]
+        theta1 = ParamVector.from_theta(theta0.orders, theta)
+        if theta1.is_valid():
+            held = tuple(name for name, h in zip(theta0.orders.param_names(), hold) if h)
+        else:
+            theta1, status = theta0, "infeasible_step"
     except (DomainError, ArithmeticError) as exc:
         theta1, status = theta0, _failure(exc)
     return _fit_result(
         theta1, data, crit, 1.0, g0, status, converged=status == "ok", iterations=1,
-        estimator_kind=crit.local_kind, weights=theta_init.weights, shrink_count=shrink,
+        estimator_kind=crit.local_kind, weights=theta_init.weights, held=held,
     )

@@ -198,8 +198,8 @@ class InnovationDist:
         if self.kind == "mixture":
             if not 0.0 <= self.epsilon <= 1.0:
                 raise DomainError("mixture weight epsilon must be in [0, 1]")
-            if self.tau <= 0.0:
-                raise DomainError("mixture scale tau must be > 0")
+            if not 0.0 < self.tau < math.inf:
+                raise DomainError("mixture scale tau must be > 0 and finite")
         elif (self.epsilon, self.tau) != (0.0, 1.0):
             raise DomainError(f"epsilon and tau apply to the mixture only, got epsilon={self.epsilon}, "
                               f"tau={self.tau} for {self.kind}")

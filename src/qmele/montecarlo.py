@@ -132,12 +132,14 @@ def _worker(args):
 def run_scenario(config, jobs=1):
     """Run all replications and aggregate them into an McTable.
 
-    jobs > 1 runs replications in a process pool; results are identical to
-    the serial run because each replication owns its derived seed and the
-    aggregation folds in replication order.
+    jobs must be >= 1; above 1 it runs replications in a process pool, with
+    results identical to the serial run because each replication owns its
+    derived seed and the aggregation folds in replication order.
     """
+    if not jobs >= 1:
+        raise DomainError("jobs must be >= 1")
     tasks = [(config, i) for i in range(config.replications)]
-    if jobs and jobs > 1:
+    if jobs > 1:
         with Pool(processes=min(jobs, config.replications)) as pool:
             records = pool.map(_worker, tasks)
     else:

@@ -52,7 +52,7 @@ class WeightSpec:
         if self.threshold not in THRESHOLDS:
             raise DomainError(f"unknown threshold convention {self.threshold!r}")
         if self.variant == "infinite_iota_scaled":
-            if self.iota is None or self.iota <= 0.0:
+            if self.iota is None or not 0.0 < self.iota < np.inf:
                 raise DomainError("infinite_iota_scaled requires iota > 0")
 
     def exponent(self):
@@ -270,8 +270,8 @@ def moment_condition_check(
     requires the estimate to clear 1 by three standard errors.
     """
     a1, b1 = _garch11_coeffs(alpha1, beta1)
-    if iota <= 0.0:
-        raise DomainError("iota must be > 0")
+    if not 0.0 < iota < np.inf:
+        raise DomainError("iota must be > 0 and finite")
     if a1 == 0.0:
         est = b1**iota
         return MomentDecision(float(est), 0.0, est < 1.0)

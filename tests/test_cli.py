@@ -491,6 +491,29 @@ def test_cli_mc_table_too_short_for_its_model_exits_3(tmp_path, capsys, jobs):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    *((("efficiency", "--dist", "mixture", "--epsilon", "0.1", "--tau", tau), "mixture scale tau must be > 0 and finite")
+      for tau in ("nan", "inf")),
+    (("simulate", "--orders", "1,0,1,1", "--theta", "0,0.5,0.1,0.18,0.4", "--n", "50", "--dist", "mixture",
+      "--epsilon", "0.1", "--tau", "nan"), "mixture scale tau must be > 0 and finite"),
+    *((("region-scan", "--alpha1", "0:0.5:3", "--beta1", "0:0.5:3", "--iota", iota, "--dist", "laplace"),
+       "iota must be > 0 and finite") for iota in ("nan", "inf")),
+    *((("fit", "{series}", "--orders", "1,0,1,1", "--weight-variant", "infinite_iota_scaled", "--iota", iota),
+       "infinite_iota_scaled requires iota > 0") for iota in ("nan", "inf")),
+    (("mc-table", "--config", "{config}", "--jobs", "-3"), "jobs must be >= 1"),
+])
+def test_cli_rejects_nan_inf_and_negative_settings(tmp_path, capsys, argv, message):
+    # each setting was once read as given: a NaN law or weight, or a serial run for jobs < 1
+    series, config = tmp_path / "y.csv", tmp_path / "tiny.ini"
+    series.write_text("y\n" + "\n".join(map(str, np.linspace(-1.0, 1.0, 60))) + "\n")
+    config.write_text(TINY_INI)
+    out = tmp_path / "out"
+    argv = [a.format(series=series, config=config) for a in argv]
+    assert run_cli(*argv, "--out-dir", out) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_mc_table_aggregation_matches_persisted_file(tmp_path):
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(TINY_INI)
@@ -671,7 +694,7 @@ def test_cli_fit_holds_beta_face_in_local_step(tmp_path):
 def test_cli_fit_reports_sw_fit_when_local_step_fails(tmp_path, capsys, monkeypatch):
     import qmele.estimation
 
-    # only the one-step forms the score vector; a NaN one leaves no halving of the step feasible
+    # only the one-step forms the score vector; a NaN one makes a step that is not finite
     monkeypatch.setattr(qmele.estimation, "_score", lambda out, crit, active=(): np.full(out.deps.shape[1], np.nan))
     out = tmp_path / "out"
     assert run_cli("fit", simulate_beta_face_path(tmp_path), "--orders", "1,0,1,1", "--out-dir", out) == 0

@@ -46,9 +46,12 @@ from qmele.estimation import (
     Evaluator,
     _box,
     _criterion_mean,
+    _cross,
     _initial_params,
     _sandwich,
+    _score,
     _smallest,
+    _sym_inv,
     _weighted_mean,
 )
 from qmele.model import _eps_h, adjoint, checked_eps_h, residuals, volatility
@@ -335,7 +338,7 @@ def test_local_step_fixed_point_at_zero_score():
     stepped = local_qmele_step(init, y, g0=0.5)
     np.testing.assert_allclose(stepped.theta_hat.theta, theta.theta, atol=1e-12)
     assert stepped.estimator_kind == LOCAL_QMELE
-    assert stepped.shrink_count == 0
+    assert stepped.held == ()
 
 
 def test_local_step_requires_converged_initializer():
@@ -1027,13 +1030,13 @@ def test_exponential_fit_reaches_the_beta_face():
     ],
 )
 def test_local_step_holds_face_coordinates(orders, truth, dist, seed):
-    # the full step pushes the last beta below 0, where halving cannot help
+    # the full step pushes the last beta below 0, so it is held there
     data = simulate(make_theta(truth, orders), dist, 1000, burn_in=500, seed=seed)
     fit = fit_self_weighted(data, orders, FitConfig(seed=seed))
     assert fit.converged
     assert fit.theta_hat.beta[-1] == 0.0
     stepped = local_qmele_step(fit, data)
-    assert stepped.shrink_count == 0
+    assert stepped.held == (f"beta{orders.s}",)
     assert stepped.theta_hat.beta[-1] == 0.0
     assert stepped.theta_hat.is_valid()
 
@@ -1157,10 +1160,62 @@ def test_local_step_holds_every_bound_its_re_solve_crosses():
     assert np.all(fit.theta_hat.beta == 0.0)
     stepped = local_qmele_step(fit, data)
     assert stepped.converged and stepped.status == "ok"
-    assert stepped.shrink_count == 0
+    assert stepped.held == ("beta1", "beta2")
     assert np.all(stepped.theta_hat.beta == 0.0)
     assert not np.array_equal(stepped.theta_hat.theta, fit.theta_hat.theta)
     assert np.all(np.isfinite(stepped.covariance))
+
+
+def test_local_step_holds_an_inside_coordinate_it_would_take_below_its_bound():
+    # a garch12_a018 design path: the fit ends at beta1 = 0.0023 inside the
+    # box, and the full step takes beta1 to -0.027. Halving the whole step
+    # four times, as the step once did, ended at a criterion of 0.409375
+    orders = ModelOrders(1, 0, 1, 2)
+    data = simulate(make_theta([0.0, 0.5, 0.1, 0.18, 0.2, 0.2], orders), LAPLACE, 1000, burn_in=500, seed=50013)
+    fit = fit_self_weighted(data, orders, FitConfig(g0_mode=G0Mode.known(0.5), seed=50013))
+    assert fit.converged and fit.theta_hat.beta[0] > 0.0
+    stepped = local_qmele_step(fit, data)
+    assert stepped.status == "ok" and stepped.held == ("beta1",)
+    assert stepped.theta_hat.beta[0] == fit.theta_hat.beta[0]
+    assert stepped.objective_value < 0.409375
+
+
+def test_local_step_holds_the_beta_block_at_the_sum_wall():
+    # an mc_arma_normal quota path (benchmark seed 829): the full gaussian step
+    # takes alpha0 to -0.11 and beta1 to 1.44, so both keep the fit's values.
+    # Halving the whole step once ended at alpha0 = 0.030, beta1 = 0.799 and
+    # a criterion of -0.436437
+    orders = ModelOrders(1, 1, 1, 1)
+    data = simulate(make_theta(THETA_ARMA, orders), NORMAL, 1000, burn_in=500, seed=191136209)
+    fit = fit_self_weighted(data, orders, FitConfig(restarts=1, seed=191136208), criterion="qmle")
+    assert fit.converged
+    stepped = local_qmele_step(fit, data)
+    assert stepped.status == "ok" and stepped.held == ("alpha0", "beta1")
+    assert stepped.theta_hat.alpha0 == fit.theta_hat.alpha0
+    assert np.array_equal(stepped.theta_hat.beta, fit.theta_hat.beta)
+    assert stepped.objective_value < -0.436437
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(arma_garch_designs(), st.sampled_from(sorted(CRITERIA)))
+def test_local_step_is_the_newton_step_over_what_it_does_not_hold(design, criterion):
+    # nothing held: theta0 - [2 Sigma*]^-1 T* bit for bit; a held coordinate keeps theta0's value
+    orders, theta, seed = design
+    data = simulate(theta, LAPLACE, 600, seed=seed)
+    config = FitConfig(WeightSpec(threshold="absolute"), g0_mode=G0Mode.known(0.5), seed=seed)
+    fit = fit_self_weighted(data, orders, config, criterion=criterion)
+    assume(fit.converged)
+    stepped = local_qmele_step(fit, data)
+    theta0, theta1 = fit.theta_hat.theta, stepped.theta_hat.theta
+    held = np.isin(orders.param_names(), stepped.held)
+    assert np.array_equal(theta1[held], theta0[held])
+    if stepped.status == "ok":
+        assert stepped.theta_hat.is_valid()
+        if not stepped.held:
+            crit, cert, out = CRITERIA[criterion], fit.certificate, filter_series(fit.theta_hat, data)
+            score = _score(out, crit, cert.active if cert is not None and cert.certified else ())
+            newton = theta0 - _sym_inv(2.0 * _cross(out, crit.sigma(1.0, out.h, fit.g0))) @ score
+            assert np.array_equal(theta1, newton)
 
 
 def test_a_non_finite_information_matrix_is_an_overflow(monkeypatch):
@@ -1184,7 +1239,7 @@ def test_a_non_finite_information_matrix_is_an_overflow(monkeypatch):
                    local_qmele_step(fit, y)):
         assert result.status == "overflow"
         assert np.all(np.isnan(result.covariance)) and np.all(np.isnan(result.std_errors))
-    assert local_qmele_step(fit, y).shrink_count == 0
+    assert local_qmele_step(fit, y).held == ()
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -1198,5 +1253,5 @@ def test_local_step_is_a_fixed_point_at_an_interior_optimum(design):
     assume(fit.certificate is not None and fit.certificate.certified and fit.status == "ok")
     assume(np.all(fit.theta_hat.delta[1:] > 0.0))
     stepped = local_qmele_step(fit, data)
-    assert stepped.converged and stepped.shrink_count == 0
+    assert stepped.converged and stepped.held == ()
     assert np.max(np.abs(stepped.theta_hat.theta - fit.theta_hat.theta) / fit.std_errors) <= 1e-5

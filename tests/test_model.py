@@ -191,6 +191,9 @@ def test_innovation_dist_reads_every_setting():
             InnovationDist("normal", **kwargs)
     with pytest.raises(DomainError, match="^unknown standardization 'raw'$"):
         InnovationDist("laplace", "raw")
+    for tau in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="^mixture scale tau must be > 0 and finite$"):
+            InnovationDist("mixture", epsilon=0.1, tau=tau)
 
 
 def test_mixture_sampler_moments():

@@ -158,6 +158,9 @@ def test_scenario_checks_its_fit_settings():
         ScenarioConfig(**kwargs)
     with pytest.raises(DomainError, match="restarts must be >= 0"):
         replace(tiny_config(), restarts=-1)
+    for jobs in (0, -3):
+        with pytest.raises(DomainError, match="^jobs must be >= 1$"):
+            run_scenario(tiny_config(), jobs=jobs)
 
 
 def test_scenario_orders_are_its_truths_orders():

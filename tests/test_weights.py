@@ -191,8 +191,9 @@ def test_weights_prehistory_is_checked_as_a_series(pre, message):
 def test_weights_iota_validation():
     with pytest.raises(DomainError):
         WeightSpec("infinite_iota_scaled")
-    with pytest.raises(DomainError):
-        WeightSpec("infinite_iota_scaled", iota=-1.0)
+    for iota in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="^infinite_iota_scaled requires iota > 0$"):
+            WeightSpec("infinite_iota_scaled", iota=iota)
     assert WeightSpec("infinite_iota_scaled", iota=0.5).exponent() == pytest.approx(17.0)
 
 
@@ -281,5 +282,6 @@ def test_moment_condition_degenerate_arch():
     dec = moment_condition_check(0.0, 0.5, 2.7, InnovationDist("normal"))
     assert dec.moment_estimate == pytest.approx(0.5**2.7)
     assert dec.holds
-    with pytest.raises(DomainError):
-        moment_condition_check(0.1, 0.2, 0.0, InnovationDist("normal"))
+    for iota in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="^iota must be > 0 and finite$"):
+            moment_condition_check(0.1, 0.2, iota, InnovationDist("normal"))

@@ -32,14 +32,16 @@ fit's weights, floats in repr (exact). SET is one of
 compare prints per design and estimator how the fits of NEW differ from
 those of OLD, two record files of one SET: the largest objective rise,
 theta moves in OLD's standard errors (median, largest), median and total
-criterion evaluations, certified fits, the fits with identical theta, SE
-and objective, and the failing one-steps. Under each self-weighted line
-come NEW's counts (fits, certified, certified on a face below a vertex, i.e.
-on fewer than p+q+1 kinks, pivoted, uncertified, restarted, and converged
-above truth by more than a relative 1e-9, as perfbench judges), the fits
-that certified at OLD with no pivot and how many of them changed theta,
-objective or nfev, and NEW's uncertified fits as benchmark seed:simulation
-seed. compare FILE FILE summarises one tree.
+criterion evaluations and certified fits (for a one-step, the steps that
+held a coordinate, or, in an older record, were halved), the fits with
+identical theta, SE and objective, and the failing one-steps. Under each
+self-weighted line come NEW's counts (fits, certified, certified on a face
+below a vertex, i.e. on fewer than p+q+1 kinks, pivoted, uncertified, run
+from more than one start (a jittered restart or a second descent from a
+face), and converged above truth by more than a relative 1e-9, as
+perfbench judges), the fits that certified at OLD with no pivot and how
+many of them changed theta, objective or nfev, and NEW's uncertified fits
+as benchmark seed:simulation seed. compare FILE FILE summarises one tree.
 
 The tool builds FitConfig(restarts=...) and calls local_qmele_step without
 a config, so a tree older than either (whose step takes its g0 mode from a
@@ -114,7 +116,7 @@ class Digest:
         if isinstance(result, FitResult):
             self.add(result.estimator_kind, result.theta_hat.theta, result.objective_value,
                      result.covariance, result.std_errors, result.g0, result.eta2, result.converged,
-                     result.iterations, result.nfev, result.starts, result.shrink_count,
+                     result.iterations, result.nfev, result.starts, repr(result.held),
                      result.status)
             cert = result.certificate
             self.add(*(("no certificate",) if cert is None else
@@ -215,7 +217,7 @@ def record(spec, path):
                             "pivots": c.pivots, "certified": c.certified}, "local": None}
                 if with_step and fit.converged:
                     step = local_qmele_step(fit, data)
-                    line["local"] = ({**_estimate(step), "shrink_count": step.shrink_count}
+                    line["local"] = ({**_estimate(step), "held": step.held}
                                      if step.status == "ok" else step.status)
                 fh.write(json.dumps(line) + "\n")
 
@@ -250,8 +252,19 @@ def _summary(label, pairs):
         cert = [sum(map(_certified, side)) for side in zip(*both)]
         line += (f"  nfev p50 {np.median(old):.0f}->{np.median(new):.0f} total {sum(old)}->{sum(new)}"
                  f"  certified {cert[1]}->{cert[0]}")
+    else:
+        line += f"  {_held(b for _, b in both)}->{_held(a for a, _ in both)}"
     same = sum(_same(a, b, ("theta", "se", "objective")) for a, b in both)
     print(f"{line}  identical {same}/{len(both)}  failed {fails[1]}->{fails[0]}")
+
+
+def _held(steps):
+    """How many one-steps held a coordinate, or, in a record from before the
+    holds replaced the step halving, were halved."""
+    steps = list(steps)
+    if steps and "held" not in steps[0]:
+        return f"halved {sum(r['shrink_count'] > 0 for r in steps)}"
+    return f"held {sum(bool(r['held']) for r in steps)}"
 
 
 def _counts(pairs):
@@ -264,7 +277,7 @@ def _counts(pairs):
     zero = [(a, b) for a, b in pairs if _certified(b) and b["certificate"]["pivots"] == 0]
     changed = sum(not _same(a, b, ("theta", "objective", "nfev")) for a, b in zero)
     print(f"{'':<15}fits {len(new)}  certified {len(new) - len(bad)}  face {face}  pivoted {pivoted}"
-          f"  uncertified {len(bad)}  restarts {sum(r['starts'] > 1 for r in new)}"
+          f"  uncertified {len(bad)}  starts>1 {sum(r['starts'] > 1 for r in new)}"
           f"  above truth {above_truth(new)}"
           f"  zero-pivot at OLD {len(zero)}, changed {changed}")
     if bad:
