@@ -26,7 +26,7 @@ theta0 = ParamVector.from_parts(orders, mu=0.0, phi=[0.5], alpha0=0.1, alpha=[0.
 data = simulate(theta0, InnovationDist("laplace"), n=1000, burn_in=500, seed=12)
 
 # in simulation the innovation density at zero is known: g(0) = 1/2
-config = FitConfig(g0_mode=G0Mode.known(0.5), seed=0)
+config = FitConfig(g0_mode=G0Mode.known(0.5))
 sw = fit_self_weighted(data, orders, config, criterion="qmele")
 local = local_qmele_step(sw, data, g0=0.5)
 

@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Verbs: fit, simulate, mc-table, hill, region-scan, acf, efficiency.
-Every verb takes --out-dir; --seed belongs to fit, simulate and
-region-scan, the verbs that read it. Input CSVs are UTF-8 with a period
-decimal point; a header row is assumed unless --no-header is given.
+Every verb takes --out-dir; --seed belongs to simulate and region-scan,
+the verbs that read it. Input CSVs are UTF-8 with a period decimal
+point; a header row is assumed unless --no-header is given.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 
 An omitted setting (--seed, --draws and --jobs too) takes the default of
@@ -166,7 +166,7 @@ def cmd_fit(args):
         args.config,
         weights=_given(args, "variant", "iota", "c_quantile", "threshold"),
         g0=None if args.g0_known is None else {"kind": "known", "value": args.g0_known},
-        **_given(args, "seed", "restarts"),
+        **_given(args, "restarts"),
     )
     sw = fit_self_weighted(data, orders, config, criterion="qmele")
     out = args.out_dir
@@ -179,10 +179,10 @@ def cmd_fit(args):
             print(f"{fit.estimator_kind} fit: status {fit.status}", file=sys.stderr)
     reports.write_fit_reports(out, fits, data.size)
 
-    # diagnostics of the last converged fit: the one-step unless it was not taken
-    converged = [fit for _, fit in fits if fit.converged]
-    if converged:
-        eta = standardized_residuals(converged[-1], data)
+    # diagnostics of the last fit with status ok: the one-step unless it failed
+    ok = [fit for _, fit in fits if fit.status == "ok"]
+    if ok:
+        eta = standardized_residuals(ok[-1], data)
         reports.write_csv(os.path.join(out, "residuals.csv"), *reports.series_csv_rows(eta, "eta"))
         max_lag = min(args.max_lag, eta.size - 1)
         eta_sq = eta * eta
@@ -238,6 +238,8 @@ def _parse_grid(text, flag):
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DataIngestError(f"{flag} expects min:max:steps, got {text!r}") from exc
+    if not np.isfinite([lo, hi]).all():
+        raise DataIngestError(f"{flag}: grid bounds must be finite, got {text!r}")
     if steps < 1 or hi < lo:
         raise DataIngestError(f"{flag}: empty grid {text!r}")
     return np.linspace(lo, hi, steps)
@@ -299,7 +301,7 @@ def build_parser():
 
     p = sub.add_parser("fit", help="fit the model and emit diagnostics")
     add_input(p)
-    add_common(p, seed=True)
+    add_common(p)
     p.add_argument("--orders", required=True, help="model orders p,q,r,s")
     p.add_argument("--log-returns-x100", action="store_true", help="transform prices to 100x log returns")
     p.add_argument("--config",
@@ -311,8 +313,8 @@ def build_parser():
     p.add_argument("--g0-known", type=float,
                    help="inject a known innovation density at zero instead of the kernel estimate")
     p.add_argument("--restarts", type=int,
-                   help="seeded jittered starts tried in turn until a descent converges "
-                        f"(default {FitConfig.restarts})")
+                   help="jittered starts after the initializer and the variance-targeted start, "
+                        f"each tried in turn until a descent converges (default {FitConfig.restarts})")
     p.add_argument("--max-lag", type=int, default=20, help="diagnostic ACF/PACF lags")
     p.add_argument("--hill-k-max", type=int)
     p.set_defaults(func=cmd_fit)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSampleError, DomainError
-from .model import checked_eps_h
+from .model import as_series, checked_eps_h
 
 PREFER_QMELE = "qmele"
 PREFER_QMLE = "qmle"
@@ -64,7 +64,7 @@ def check_max_lag(max_lag):
 
 
 def _acf_values(x, max_lag):
-    x = np.asarray(x, dtype=float)
+    x = as_series(x)
     n = x.size
     check_max_lag(max_lag)
     if n <= max_lag:
@@ -81,7 +81,7 @@ def _acf_values(x, max_lag):
 
 
 def acf(values, max_lag):
-    """Sample autocorrelations rho_hat(0..max_lag) with divisor n."""
+    """Sample autocorrelations rho_hat(0..max_lag), divisor n, of a model.as_series series."""
     rho, n = _acf_values(values, max_lag)
     return AcfReport(np.arange(max_lag + 1), rho, band=2.0 / np.sqrt(n))
 

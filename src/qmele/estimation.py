@@ -31,8 +31,8 @@ alone at a vertex, keeps eps and eps^2 for the held gamma in arrays of
 its own and runs only the volatility pass, the loss, b_t and the lambda
 pass. The exponential fit descends three smoothed criteria; then every
 fit finishes on a face {eps_t = 0, t in A} of its criterion, A empty for
-the gaussian one, and certifies its end, and a descent that does not
-converge is followed by seeded jittered ones in turn until one does
+the gaussian one, and certifies its end. The fit descends one fixed list
+of starts in turn, the initializer first, until its stopping rule holds
 (fit_self_weighted).
 The "local" estimator takes a single Newton-type step from the self-weighted
 fit,
@@ -132,13 +132,12 @@ class G0Mode:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fit settings; restarts caps the seeded jittered starts (drawn from
-    seed) tried in turn after a descent that does not converge."""
+    """Fit settings; restarts counts the jittered starts that end
+    fit_self_weighted's start list, after the variance-targeted one."""
 
     weight_spec: WeightSpec = field(default_factory=WeightSpec)
     restarts: int = 5
     g0_mode: G0Mode = field(default_factory=G0Mode.kernel)
-    seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 0:
@@ -804,7 +803,10 @@ def _face_fit(ev, theta, active, box, runs):
         if solved is None:
             return np.nan, np.zeros(x.size)
         value, grad = ev(np.r_[solved[0], x[m:]], kinks=active)
-        return value, np.r_[np.linalg.solve(solved[1].T, grad[:k])[k - m :], grad[k:]]
+        try:
+            return value, np.r_[np.linalg.solve(solved[1].T, grad[:k])[k - m :], grad[k:]]
+        except np.linalg.LinAlgError:
+            return np.nan, np.zeros(x.size)
 
     solved = on_face(basis.T @ theta.gamma)
     if solved is None:
@@ -917,17 +919,17 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     (with no kinks from the initializer for the gaussian criterion), until
     a certificate shows the end is Clarke-stationary. A descent that
     neither certifies nor ends in a successful run with a finite value is
-    not converged; then up to config.restarts seeded jittered starts are
-    descended in turn until one converges, which recovers a descent stuck
-    on a wrong face, such as beta = 0 where every trial step with
-    sum(beta) >= 1 is NaN. The converged end is kept, else the lowest. A
-    converged end with some alpha_i or beta_j (i, j >= 1) at 0 gets one
-    more descent from a variance-targeted start (Francq, Horvath & Zakoian
-    2011): the initializer's gamma, 0.2 times its alpha0, alpha_i = 0.1/r
-    and beta_j = 0.8/s; its end is kept if converged and strictly lower.
-    Every descent counts in starts, nfev and iterations. The objective
-    reported is the exact criterion, the fit's Evaluator at theta_hat (inf
-    where that is not finite).
+    not converged. One list of starts is descended in turn: the
+    initializer; a variance-targeted start (Francq, Horvath & Zakoian
+    2011), its gamma, 0.2 times its alpha0, alpha_i = 0.1/r and beta_j =
+    0.8/s; then config.restarts jittered starts from np.random.default_rng(0).
+    The fit stops once the best end so far (the lowest converged one, else
+    the lowest) is converged and either has no alpha_i or beta_j (i, j >= 1)
+    at 0 or is not the only end: a first end on a GARCH face gets a second
+    descent, and one that does not converge is followed by the next starts
+    until one does. Every descent counts in starts, nfev and iterations.
+    The objective reported is the exact criterion, the fit's Evaluator at
+    theta_hat (inf where that is not finite).
 
     Returns a FitResult; converged=False flags that the descent which
     produced theta_hat was neither certified nor ended in a successful run
@@ -949,35 +951,29 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     x0 = _initial_params(y, orders).theta
     k, j = orders.p + orders.q + 1, orders.p + orders.q + 2 + orders.r
     box = _box(orders)
-    runs, ends = [], []
     ev = Evaluator(orders, y, w, crit)
-    rng, start = np.random.default_rng(config.seed), x0
-
-    def descend(start):
+    # x0, the variance-targeted start, then the jittered ones (sum(beta) kept < 1)
+    target = x0.copy()
+    target[k] *= 0.2
+    target[k + 1:j] = 0.1 / max(orders.r, 1)
+    target[j:] = 0.8 / max(orders.s, 1)
+    starts = [x0, target]
+    for z in np.random.default_rng(0).normal(0.0, 1.0, (config.restarts, orders.m)):
+        start = x0.copy()
+        start[:k] += 0.3 * z[:k]
+        start[k:] *= np.exp(0.7 * z[k:])
+        start[j:] /= 1.0 - x0[j:].sum() + start[j:].sum()
+        starts.append(start)
+    runs, ends = [], []
+    for start in starts:
         success = False
         for mu in crit.ladder:
             run = minimize(ev, start, box, runs, (mu,))
             start, success = run.x, run.success
         ends.append(_face_finish(ev, start, success, box, runs))
-        return ends[-1]
-
-    while not descend(start)[2] and len(ends) <= config.restarts:
-        # gamma + 0.3 z; alpha * e^(0.7 z); beta * e^(0.7 z) rescaled to keep sum(beta) < 1
-        z = rng.normal(0.0, 1.0, orders.m)
-        start = x0.copy()
-        start[:k] += 0.3 * z[:k]
-        start[k:] *= np.exp(0.7 * z[k:])
-        start[j:] /= 1.0 - x0[j:].sum() + start[j:].sum()
-    x_hat, value, converged, cert = min(ends, key=lambda end: (not end[2], np.nan_to_num(end[1], nan=np.inf)))
-    if converged and not x_hat[k + 1:].all():
-        # a GARCH face end: descend once more from a variance-targeted start
-        start = x0.copy()
-        start[k] *= 0.2
-        start[k + 1:j] = 0.1 / max(orders.r, 1)
-        start[j:] = 0.8 / max(orders.s, 1)
-        end = descend(start)
-        if end[2] and end[1] < value:
-            x_hat, value, converged, cert = end
+        x_hat, value, converged, cert = min(ends, key=lambda end: (not end[2], np.nan_to_num(end[1], nan=np.inf)))
+        if converged and (len(ends) > 1 or x_hat[k + 1:].all()):
+            break
     return _fit_result(
         ParamVector.from_theta(orders, x_hat), y, crit, w, config.g0_mode,
         "ok" if converged else "not_converged", objective=value if math.isfinite(value) else math.inf,

@@ -12,7 +12,7 @@ load_fit_config reads the fit-settings sections alone (qmele fit --config).
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -34,11 +34,11 @@ from .weights import WeightSpec
 @dataclass(frozen=True, kw_only=True)
 class ScenarioConfig(FitConfig):
     """Everything needed to reproduce one replication study: the fit
-    settings of every replication (a FitConfig, seed required) and the
+    settings of every replication (a FitConfig), the study seed and the
     design they are fitted on. orders defaults to theta0.orders; a given
     value that differs is a DomainError."""
 
-    seed: int = field()  # no default: a scenario names its seed
+    seed: int  # replication i simulates its path with seed + i
     orders: ModelOrders | None = None
     theta0: ParamVector
     dist: InnovationDist

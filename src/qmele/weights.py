@@ -162,10 +162,10 @@ def hill_estimator(values, k):
 
         alpha_hat(k) = k / sum_{j=1..k} (log v_(n-j) - log v_(n-k)).
 
-    Nonpositive entries are dropped before ordering. The anchoring at
-    v_(n-k) makes k = 1 degenerate by construction.
+    Nonpositive entries of the series (model.as_series) are dropped before
+    ordering. The anchoring at v_(n-k) makes k = 1 degenerate.
     """
-    v = np.asarray(values, dtype=float)
+    v = as_series(values)
     v = v[v > 0.0]
     n = v.size
     if k < 1:
@@ -187,9 +187,9 @@ def check_k_max(k_max):
 def hill_sweep(values, k_max):
     """Hill estimates for k = 1..k_max, skipping degenerate k.
 
-    Returns a TailReport; n_dropped counts discarded nonpositive entries.
+    Returns a TailReport; n_dropped counts the series' nonpositive entries.
     """
-    v = np.asarray(values, dtype=float)
+    v = as_series(values)
     pos = v[v > 0.0]
     dropped = v.size - pos.size
     check_k_max(k_max)
@@ -230,8 +230,8 @@ def _garch11_coeffs(alpha, beta):
         raise UnsupportedOrderError("criterion is specific to GARCH(1,1)")
     a1 = float(a[0]) if a.size else 0.0
     b1 = float(b[0]) if b.size else 0.0
-    if a1 < 0.0 or b1 < 0.0:
-        raise DomainError("alpha1 and beta1 must be >= 0")
+    if not (0.0 <= a1 < np.inf and 0.0 <= b1 < np.inf):  # NaN fails
+        raise DomainError("alpha1 and beta1 must be >= 0 and finite")
     return a1, b1
 
 

@@ -265,7 +265,7 @@ def test_full_cli_pipeline_on_simulated_design(tmp_path):
     fit_dir = tmp_path / "fit"
     assert cli_main([
         "fit", str(sim_dir / "simulated.csv"), "--orders", "1,0,1,1",
-        "--g0-known", "0.5", "--out-dir", str(fit_dir), "--seed", "1",
+        "--g0-known", "0.5", "--out-dir", str(fit_dir),
     ]) == 0
     payload = json.loads((fit_dir / "fit_report.json").read_text())
     truth = dict(zip(["mu", "phi1", "alpha0", "alpha1", "beta1"], THETA_FINITE))

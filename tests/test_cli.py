@@ -331,6 +331,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     # usage errors: a verb takes --seed only where it reads it
     usage_errors = [
         ("frobnicate",),
+        ("fit", "y.csv", "--orders", "1,0,1,1", "--seed", "1"),
         ("mc-table", "--config", "scenario.ini", "--seed", "1"),
         ("hill", "y.csv", "--k-max", "5", "--seed", "1"),
         ("acf", "y.csv", "--seed", "1"),
@@ -575,12 +576,12 @@ def test_cli_fit_flags_build_the_fit_config(tmp_path, monkeypatch):
     data.write_text("y\n1\n2\n3\n")
     fit = ("fit", data, "--orders", "1,0,1,1", "--out-dir", tmp_path)
     assert run_cli(*fit) == 3
-    assert run_cli(*fit, "--seed", "3", "--weight-variant", "infinite_iota_scaled", "--iota", "0.5",
+    assert run_cli(*fit, "--weight-variant", "infinite_iota_scaled", "--iota", "0.5",
                    "--c-quantile", "0.8", "--weight-threshold", "absolute", "--g0-known", "0.5",
                    "--restarts", "2") == 3
     assert seen == [
-        qmele.FitConfig(seed=0),
-        qmele.FitConfig(qmele.WeightSpec("infinite_iota_scaled", 0.5, 0.8, "absolute"), 2, qmele.G0Mode.known(0.5), 3),
+        qmele.FitConfig(),
+        qmele.FitConfig(qmele.WeightSpec("infinite_iota_scaled", 0.5, 0.8, "absolute"), 2, qmele.G0Mode.known(0.5)),
     ]
 
 
@@ -683,12 +684,6 @@ def test_cli_fit_holds_beta_face_in_local_step(tmp_path):
     assert set(cert) == {f.name for f in dataclasses.fields(qmele.estimation.Certificate)}
     assert cert["certified"] is True and cert["max_s"] <= 1.0 and len(cert["active"]) == 2
     assert report[1]["certificate"] is None
-    # an omitted --seed is FitConfig's default, 0
-    seeded = tmp_path / "seeded"
-    data = tmp_path / "simulated.csv"
-    assert run_cli("fit", data, "--orders", "1,0,1,1", "--seed", "0", "--out-dir", seeded) == 0
-    for name in ("fit_report.txt", "fit_report.json", "residuals.csv"):
-        assert digest(out / name) == digest(seeded / name), name
 
 
 def test_cli_fit_reports_sw_fit_when_local_step_fails(tmp_path, capsys, monkeypatch):
@@ -710,6 +705,37 @@ def test_cli_fit_reports_sw_fit_when_local_step_fails(tmp_path, capsys, monkeypa
         assert (out / name).exists()
 
 
+def test_cli_fit_takes_its_diagnostics_from_the_last_ok_fit(tmp_path, capsys):
+    # on this path the one-step is taken (converged) to psi1 = 3.7, where the
+    # filter overflows (status overflow): the diagnostics are the self-weighted fit's
+    assert run_cli("simulate", "--orders", "2,1,2,2", "--theta", "0,0.3,0.2,0.3,0.1,0.1,0.08,0.3,0.2",
+                   "--dist", "laplace", "--n", "1000", "--seed", "7028", "--out-dir", tmp_path) == 0
+    data, out = tmp_path / "simulated.csv", tmp_path / "out"
+    assert run_cli("fit", data, "--orders", "2,1,2,2", "--g0-known", "0.5", "--out-dir", out) == 0
+    assert capsys.readouterr().err == "local_qmele fit: status overflow\n"
+    y = cli.read_series_csv(data)
+    sw = qmele.fit_self_weighted(y, qmele.ModelOrders(2, 1, 2, 2), qmele.FitConfig(g0_mode=qmele.G0Mode.known(0.5)))
+    expected = tmp_path / "expected.csv"
+    reports.write_csv(expected, *reports.series_csv_rows(qmele.standardized_residuals(sw, y), "eta"))
+    assert digest(out / "residuals.csv") == digest(expected)
+
+
+def test_cli_rejects_non_finite_values_in_tail_and_region_checks(tmp_path, capsys):
+    scan = ("region-scan", "--beta1", "0.3:0.5:2", "--iota", "1", "--dist", "laplace", "--draws", "1000",
+            "--out-dir", tmp_path)
+    for grid in ("nan:0.2:2", "0.1:inf:2"):
+        assert run_cli(*scan, "--alpha1", grid) == 3
+        assert capsys.readouterr().err == f"error: --alpha1: grid bounds must be finite, got {grid!r}\n"
+    for cell in ("nan", "inf"):
+        path = tmp_path / f"{cell}.csv"
+        path.write_text(f"y\n1\n2\n{cell}\n3\n4\n")
+        for argv in (("acf", path, "--max-lag", "2"), ("hill", path, "--k-max", "2")):
+            assert run_cli(*argv, "--out-dir", tmp_path) == 3
+            assert capsys.readouterr().err == "error: series values must be finite\n"
+    assert not any(tmp_path.glob("*acf.csv")) and not (tmp_path / "hill.csv").exists()
+    assert not (tmp_path / "region_scan.csv").exists()
+
+
 def test_cli_fit_log_returns_path(tmp_path):
     # prices built from a simulated return series: the fit sees the returns
     y = simulate(make_theta(THETA_FINITE), InnovationDist("laplace"), 601, seed=77)
@@ -720,7 +746,7 @@ def test_cli_fit_log_returns_path(tmp_path):
     assert (
         run_cli(
             "fit", path, "--orders", "1,0,1,1", "--log-returns-x100",
-            "--g0-known", "0.5", "--restarts", "1", "--out-dir", out, "--seed", "2",
+            "--g0-known", "0.5", "--restarts", "1", "--out-dir", out,
         )
         == 0
     )

@@ -120,6 +120,10 @@ def test_acf_errors():
         acf(np.arange(10.0), 10)
     with pytest.raises(DomainError):
         pacf(np.arange(10.0), 0)
+    for bad in (np.nan, np.inf):
+        for corr in (acf, pacf):
+            with pytest.raises(DomainError, match="^series values must be finite$"):
+                corr(np.r_[np.arange(10.0), bad], 3)
 
 
 def test_efficiency_laplace_exact():

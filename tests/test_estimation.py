@@ -310,7 +310,7 @@ def test_fit_recovers_truth_single_path():
     theta0 = make_theta(THETA_FINITE)
     data = simulate(theta0, InnovationDist("laplace"), 1000, seed=600)
     fit = fit_self_weighted(
-        data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5), seed=1)
+        data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5))
     )
     assert fit.converged
     assert fit.estimator_kind == SW_QMELE
@@ -401,7 +401,7 @@ def test_reduces_to_weighted_lad_when_variance_constant():
     prof = minimize(profiled, [0.0, 0.3], args=(), method="Nelder-Mead", options=opts)
     np.testing.assert_allclose(prof.x, lad.x, atol=1e-6)
 
-    fit = fit_self_weighted(y, orders, FitConfig(seed=2), criterion="qmele")
+    fit = fit_self_weighted(y, orders, FitConfig(), criterion="qmele")
     assert fit.converged
     np.testing.assert_allclose(fit.theta_hat.gamma, lad.x, atol=1e-4)
 
@@ -411,7 +411,7 @@ def test_fit_under_t3_innovations():
     # sandwich still behave
     theta0 = make_theta([0.0, 0.5, 0.1, 0.2, 0.4])
     data = simulate(theta0, InnovationDist("student_t3"), 1000, seed=777)
-    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(seed=4))
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig())
     assert fit.converged
     assert np.all(np.abs(fit.theta_hat.theta - theta0.theta) <= 5.0 * fit.std_errors)
     # the fit reports the public exponential sandwich at its own nuisance estimates
@@ -660,9 +660,11 @@ def test_evaluation_allocates_only_its_filter_outputs(orders, truth, recursions)
 def test_restarts_run_after_a_failed_descent(orders, truth, monkeypatch):
     data = simulate(make_theta(truth, orders), LAPLACE, 500, seed=604)
     monkeypatch.setattr("qmele.estimation.MAX_ITER", 1)
-    fit = fit_self_weighted(data, orders, FitConfig(restarts=3, seed=7))
+    config = FitConfig(restarts=3)
+    fit = fit_self_weighted(data, orders, config)
     assert fit.converged is False
-    assert fit.starts == 4
+    # the initializer, the variance-targeted start and every jittered one
+    assert fit.starts == config.restarts + 2
     assert fit.theta_hat.is_valid()
     assert np.isfinite(fit.objective_value)
 
@@ -671,7 +673,7 @@ def test_garch12_fit_not_above_criterion_at_truth():
     orders = ModelOrders(1, 0, 1, 2)
     theta0 = make_theta([0.0, 0.5, 0.1, 0.18, 0.2, 0.2], orders)
     data = simulate(theta0, InnovationDist("laplace"), 1000, seed=603)
-    fit = fit_self_weighted(data, orders, FitConfig(g0_mode=G0Mode.known(0.5), seed=5))
+    fit = fit_self_weighted(data, orders, FitConfig(g0_mode=G0Mode.known(0.5)))
     assert fit.converged
     assert fit.objective_value <= qmele_objective(theta0, data, fit.weights)
     assert fit.objective_value == pytest.approx(qmele_objective(fit.theta_hat, data, fit.weights), rel=1e-12)
@@ -679,14 +681,14 @@ def test_garch12_fit_not_above_criterion_at_truth():
 
 def test_restarts_stop_at_the_first_converged_descent():
     # the first descent ends uncertified on the beta1 = beta2 = 0 face; the
-    # first jittered start certifies, and no further start is descended
+    # variance-targeted start certifies, and no jittered start is descended
     orders = ModelOrders(1, 0, 1, 2)
     theta0 = make_theta([0.0, 0.5, 0.1, 0.3, 0.2, 0.2], orders)
     data = simulate(theta0, LAPLACE, 1000, burn_in=500, seed=50011)
-    fit = fit_self_weighted(data, orders, FitConfig(g0_mode=G0Mode.known(0.5), seed=50011))
+    fit = fit_self_weighted(data, orders, FitConfig(g0_mode=G0Mode.known(0.5)))
     assert fit.converged and fit.certificate.certified
     assert fit.starts == 2
-    assert fit.nfev < 150
+    assert fit.nfev < 85
     assert fit.objective_value <= qmele_objective(theta0, data, fit.weights)
 
 
@@ -694,7 +696,7 @@ def test_igarch_fit_needs_one_ladder():
     # on this path the exponential fit once ended in an abnormal line search
     # and ran every restart
     data = simulate(make_theta(THETA_IGARCH), LAPLACE, 1000, burn_in=500, seed=20260604)
-    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5), seed=20260602))
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5)))
     assert fit.converged
     assert fit.starts == 1
 
@@ -708,7 +710,7 @@ def test_a_face_end_above_the_truth_descends_again(truth, seed):
     # the first descent certifies on the face alpha1 = 0 or beta1 = 0 above
     # the criterion at the truth; the variance-targeted descent ends below it
     data = simulate(make_theta(truth), LAPLACE, 1000, burn_in=500, seed=seed)
-    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5), seed=seed))
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5)))
     assert fit.converged and fit.certificate.certified
     assert fit.starts == 2
     assert fit.objective_value <= qmele_objective(make_theta(truth), data, fit.weights)
@@ -764,7 +766,7 @@ def test_exponential_fit_is_a_local_minimum(orders, truth, dist, seed):
     theta0 = make_theta(truth, orders)
     for i in range(4):
         data = simulate(theta0, dist, 1000, burn_in=500, seed=seed + i)
-        fit = fit_self_weighted(data, orders, FitConfig(seed=seed))
+        fit = fit_self_weighted(data, orders, FitConfig())
         assert fit.converged
 
         def objective(theta):
@@ -803,7 +805,7 @@ def test_fit_keeps_an_uncertified_end_no_higher_than_the_ladder(monkeypatch):
     monkeypatch.setattr(qmele.estimation, "_certify", failing)
     monkeypatch.setattr(qmele.estimation, "minimize", recorded)
     data = simulate(make_theta(THETA_FINITE), LAPLACE, 1000, burn_in=500, seed=50000)
-    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(seed=50000))
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig())
     assert fit.certificate.certified is False
     # three smoothed stages and the vertex's delta-only run, then no move
     assert [run.x.size for run in runs] == [5, 5, 5, 3]
@@ -824,7 +826,7 @@ def test_exponential_fit_certifies_an_edge_minimizer():
     # the minimizer has a single zero residual (p+q = 1): one swap to a
     # second vertex, whose entering kink then drops before any crossing
     data = simulate(make_theta(THETA_FINITE), LAPLACE, 1000, burn_in=500, seed=50010)
-    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(seed=50010))
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig())
     assert fit.converged
     assert fit.certificate.certified and len(fit.certificate.active) == 1
     assert fit.certificate.pivots == 2
@@ -837,7 +839,7 @@ def test_exponential_fit_certifies_after_more_than_three_pivots():
     # the first active set has max|s| ~ 1e3; three swaps and a drop reach a
     # certified end on one kink
     data = simulate(make_theta(THETA_IGARCH), LAPLACE, 1000, burn_in=500, seed=20260614)
-    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5), seed=20260614))
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5)))
     assert fit.converged
     assert fit.certificate.certified and fit.certificate.pivots > 3
     value, polished = nelder_mead_polish(fit, data, AR1_GARCH11)
@@ -850,7 +852,7 @@ def test_exponential_fit_certifies_below_an_edge():
     # multiplier is 1.004; the minimizer has one zero residual
     orders = ModelOrders(1, 1, 1, 1)
     data = simulate(make_theta(THETA_ARMA, orders), NORMAL, 1000, burn_in=500, seed=3272157582)
-    fit = fit_self_weighted(data, orders, FitConfig(restarts=1, seed=3272157582))
+    fit = fit_self_weighted(data, orders, FitConfig(restarts=1))
     assert fit.converged
     assert fit.certificate.certified and len(fit.certificate.active) < 3
     value, polished = nelder_mead_polish(fit, data, orders)
@@ -863,7 +865,7 @@ def test_exponential_fit_certifies_an_edge_fitted_along_its_kinks():
     # the edge its end had kkt 1.9e-6, the gradient along the edge
     orders = ModelOrders(1, 1, 1, 1)
     data = simulate(make_theta(THETA_ARMA, orders), NORMAL, 1000, burn_in=500, seed=4000994098)
-    fit = fit_self_weighted(data, orders, FitConfig(restarts=1, seed=4000994096))
+    fit = fit_self_weighted(data, orders, FitConfig(restarts=1))
     assert fit.converged
     assert fit.certificate.certified and len(fit.certificate.active) == 2
     value, polished = nelder_mead_polish(fit, data, orders)
@@ -882,7 +884,7 @@ def test_gaussian_fit_certifies_an_abnormal_stop(monkeypatch):
 
     monkeypatch.setattr(qmele.estimation, "minimize", recorded)
     data = simulate(make_theta(THETA_IGARCH), LAPLACE, 1000, burn_in=500, seed=20260635)
-    config = FitConfig(g0_mode=G0Mode.known(0.5), seed=20260635)
+    config = FitConfig(g0_mode=G0Mode.known(0.5))
     fit = fit_self_weighted(data, AR1_GARCH11, config, criterion="qmle")
     # the lone tight run ends in an abnormal line search at a KKT point
     assert len(runs) == 1 and not runs[0].success
@@ -959,7 +961,7 @@ def test_certified_fit_is_not_improved_by_nelder_mead(design):
     data = simulate(theta, LAPLACE, 600, seed=seed)
     # a mean up to 0.5 leaves some series off centre, where the signed threshold does not apply
     weights = WeightSpec(threshold="absolute")
-    fit = fit_self_weighted(data, orders, FitConfig(weights, g0_mode=G0Mode.known(0.5), seed=seed))
+    fit = fit_self_weighted(data, orders, FitConfig(weights, g0_mode=G0Mode.known(0.5)))
     if fit.certificate is not None and fit.certificate.certified:
         value, polished = nelder_mead_polish(fit, data, orders)
         assert fit.objective_value == value
@@ -971,7 +973,7 @@ def test_certificate_describes_the_point_the_fit_keeps():
     # psi1 = 2.84, value 2.6e253) and keeps the smoothed stages' end
     orders = ModelOrders(2, 1, 0, 0)
     data = simulate(make_theta([-0.078125, 0.0419921875, 0.0, 0.0, 0.21875], orders), LAPLACE, 600, seed=504)
-    config = FitConfig(WeightSpec(threshold="absolute"), g0_mode=G0Mode.known(0.5), seed=504)
+    config = FitConfig(WeightSpec(threshold="absolute"), g0_mode=G0Mode.known(0.5))
     fit = fit_self_weighted(data, orders, config)
     assert fit.converged and fit.status == "ok"
     np.testing.assert_allclose(fit.theta_hat.theta, [-0.029211, 0.683322, -0.025604, -0.610897, 0.218626],
@@ -988,7 +990,7 @@ def test_fit_status_names_a_singular_information_matrix():
     orders = ModelOrders(1, 1, 1, 1)
     theta = make_theta([0.0, 0.5, 0.3, 0.1, 0.18, 0.4], orders)
     data = simulate(theta, NORMAL, 1000, burn_in=500, seed=3966384047)
-    config = FitConfig(restarts=1, seed=3966384047)
+    config = FitConfig(restarts=1)
     for criterion in ("qmele", "qmle"):
         fit = fit_self_weighted(data, orders, config, criterion=criterion)
         assert fit.converged
@@ -1014,7 +1016,7 @@ def test_fit_status_names_a_singular_information_matrix():
 
 def test_exponential_fit_reaches_the_beta_face():
     data = simulate(make_theta(THETA_FINITE), NORMAL, 1000, burn_in=500, seed=20260607)
-    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(seed=20260603))
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig())
     assert fit.converged
     assert fit.theta_hat.beta[0] == 0.0
 
@@ -1032,7 +1034,7 @@ def test_exponential_fit_reaches_the_beta_face():
 def test_local_step_holds_face_coordinates(orders, truth, dist, seed):
     # the full step pushes the last beta below 0, so it is held there
     data = simulate(make_theta(truth, orders), dist, 1000, burn_in=500, seed=seed)
-    fit = fit_self_weighted(data, orders, FitConfig(seed=seed))
+    fit = fit_self_weighted(data, orders, FitConfig())
     assert fit.converged
     assert fit.theta_hat.beta[-1] == 0.0
     stepped = local_qmele_step(fit, data)
@@ -1151,6 +1153,33 @@ def test_evaluator_is_nan_where_only_the_gradient_overflows():
     assert np.isnan(value) and not grad.any()
 
 
+def test_a_scenario_fits_as_its_fit_config():
+    # the study seed seeds the paths alone: on this path the first two
+    # descents end ABNORMAL and the first jittered start certifies
+    data, fit = unit_weight_gaussian_fit(4)
+    assert fit.converged and fit.starts == 3
+    scenario = ScenarioConfig(weight_spec=UNIT_WEIGHTS, theta0=make_theta(THETA_ARMA21_GARCH22, ARMA21_GARCH22),
+                              dist=NORMAL, n=600, replications=1, seed=20260621)
+    again = fit_self_weighted(data, ARMA21_GARCH22, scenario, criterion="qmle")
+    assert again.theta_hat.theta.tobytes() == fit.theta_hat.theta.tobytes()
+    assert again.std_errors.tobytes() == fit.std_errors.tobytes()
+    assert (again.objective_value, again.nfev, again.starts) == (fit.objective_value, fit.nfev, fit.starts)
+
+
+def test_a_singular_face_matrix_is_a_nan_trial_point():
+    # on this path a face run's M = [J_A; N'] is singular at a trial point,
+    # which once raised LinAlgError out of the fit and of its replication
+    theta = make_theta(THETA_ARMA21_GARCH22, ARMA21_GARCH22)
+    data = simulate(theta, LAPLACE, 1000, burn_in=500, seed=7028)
+    fit = fit_self_weighted(data, ARMA21_GARCH22, FitConfig(g0_mode=G0Mode.known(0.5)))
+    assert fit.converged and fit.status == "ok"
+    scenario = ScenarioConfig(theta0=theta, dist=LAPLACE, n=1000, replications=1, seed=7028,
+                              g0_mode=G0Mode.known(0.5))
+    record = run_replication(scenario, 0)
+    assert record.converged[SW_QMELE]
+    assert record.estimates[SW_QMELE].tobytes() == fit.theta_hat.theta.tobytes()
+
+
 def test_local_step_holds_every_bound_its_re_solve_crosses():
     # the fit ends on beta1 = beta2 = 0; the re-solve over the coordinates
     # the full step keeps above their bounds frees a beta that it then
@@ -1172,7 +1201,7 @@ def test_local_step_holds_an_inside_coordinate_it_would_take_below_its_bound():
     # four times, as the step once did, ended at a criterion of 0.409375
     orders = ModelOrders(1, 0, 1, 2)
     data = simulate(make_theta([0.0, 0.5, 0.1, 0.18, 0.2, 0.2], orders), LAPLACE, 1000, burn_in=500, seed=50013)
-    fit = fit_self_weighted(data, orders, FitConfig(g0_mode=G0Mode.known(0.5), seed=50013))
+    fit = fit_self_weighted(data, orders, FitConfig(g0_mode=G0Mode.known(0.5)))
     assert fit.converged and fit.theta_hat.beta[0] > 0.0
     stepped = local_qmele_step(fit, data)
     assert stepped.status == "ok" and stepped.held == ("beta1",)
@@ -1187,7 +1216,7 @@ def test_local_step_holds_the_beta_block_at_the_sum_wall():
     # a criterion of -0.436437
     orders = ModelOrders(1, 1, 1, 1)
     data = simulate(make_theta(THETA_ARMA, orders), NORMAL, 1000, burn_in=500, seed=191136209)
-    fit = fit_self_weighted(data, orders, FitConfig(restarts=1, seed=191136208), criterion="qmle")
+    fit = fit_self_weighted(data, orders, FitConfig(restarts=1), criterion="qmle")
     assert fit.converged
     stepped = local_qmele_step(fit, data)
     assert stepped.status == "ok" and stepped.held == ("alpha0", "beta1")
@@ -1202,7 +1231,7 @@ def test_local_step_is_the_newton_step_over_what_it_does_not_hold(design, criter
     # nothing held: theta0 - [2 Sigma*]^-1 T* bit for bit; a held coordinate keeps theta0's value
     orders, theta, seed = design
     data = simulate(theta, LAPLACE, 600, seed=seed)
-    config = FitConfig(WeightSpec(threshold="absolute"), g0_mode=G0Mode.known(0.5), seed=seed)
+    config = FitConfig(WeightSpec(threshold="absolute"), g0_mode=G0Mode.known(0.5))
     fit = fit_self_weighted(data, orders, config, criterion=criterion)
     assume(fit.converged)
     stepped = local_qmele_step(fit, data)
@@ -1249,7 +1278,7 @@ def test_local_step_is_a_fixed_point_at_an_interior_optimum(design):
     # takes its Newton step on, so where it is certified inside the box the step stays put
     orders, theta, seed = design
     data = simulate(theta, NORMAL, 600, seed=seed)
-    fit = fit_self_weighted(data, orders, FitConfig(UNIT_WEIGHTS, seed=seed), criterion="qmle")
+    fit = fit_self_weighted(data, orders, FitConfig(UNIT_WEIGHTS), criterion="qmle")
     assume(fit.certificate is not None and fit.certificate.certified and fit.status == "ok")
     assume(np.all(fit.theta_hat.delta[1:] > 0.0))
     stepped = local_qmele_step(fit, data)

@@ -6,6 +6,8 @@ import json
 import pathlib
 import re
 
+import numpy as np
+
 SPEC = importlib.util.spec_from_file_location(
     "fitcheck", pathlib.Path(__file__).resolve().parents[1] / "tools" / "fitcheck.py"
 )
@@ -54,6 +56,36 @@ def test_fitcheck_records_repeat_and_compare_to_themselves(tmp_path, capsys):
     worse.write_text("".join(json.dumps(r) + "\n" for r in [*records[:5], raised, *records[6:]]))
     fitcheck.main(["compare", str(worse), str(first)])
     assert sum(map(int, re.findall(r"above truth (\d+)", capsys.readouterr().out))) == 1
+
+
+def test_fitcheck_records_and_counts_a_fit_that_raises(tmp_path, capsys, monkeypatch):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    fitcheck.main(["record", "bench:700:701:2", str(good)])
+    real, calls = fitcheck.fit_self_weighted, []
+
+    def first_raises(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fitcheck, "fit_self_weighted", first_raises)
+    fitcheck.main(["record", "bench:700:701:2", str(bad)])
+    records = [json.loads(line) for line in bad.read_text().splitlines()]
+    assert records[0]["status"] == "raised LinAlgError: Singular matrix" and "theta" not in records[0]
+    assert good.read_text().splitlines()[1:] == bad.read_text().splitlines()[1:]
+    # the path that raised at OLD alone is counted as raised and left out of the rest
+    fitcheck.main(["compare", str(good), str(bad)])
+    out = capsys.readouterr().out
+    assert re.findall(r"raised (\d+)->(\d+)", out) == [("1", "0")] + [("0", "0")] * 3
+    assert re.findall(r"  fits (\d+)", out) == ["1", "2", "2", "2"]
+    # a design whose every fit raised is counted too
+    calls.clear()
+    fitcheck.main(["record", "bench:700:701:1", str(bad)])
+    fitcheck.main(["compare", str(bad), str(bad)])
+    out = capsys.readouterr().out
+    lines = out.split("\n")
+    assert lines[0] == "laplace_finite" and re.match(r" +fits 0 .* raised 1->1$", lines[1])
 
 
 def test_fitcheck_digest_prints_one_sha256(capsys):

@@ -185,8 +185,12 @@ def test_load_fit_config_reads_the_fit_sections_and_merges_overrides(tmp_path):
     assert qmele.load_fit_config() == FitConfig()
     path = tmp_path / "fit.ini"
     path.write_text("[weights]\nc_quantile = 0.8\n\n[g0]\nmode = known\n\n[optimizer]\nrestarts = 2\n")
-    config = qmele.load_fit_config(path, weights={"threshold": "absolute"}, g0={"value": 0.5}, seed=3)
-    assert config == FitConfig(qmele.WeightSpec(c_quantile=0.8, threshold="absolute"), 2, G0Mode.known(0.5), 3)
+    config = qmele.load_fit_config(path, weights={"threshold": "absolute"}, g0={"value": 0.5})
+    assert config == FitConfig(qmele.WeightSpec(c_quantile=0.8, threshold="absolute"), 2, G0Mode.known(0.5))
+    # a fit's settings are its weights, its restarts and its g0; it reads no seed
+    assert [f.name for f in fields(FitConfig)] == ["weight_spec", "restarts", "g0_mode"]
+    with pytest.raises(TypeError, match="seed"):
+        qmele.load_fit_config(seed=3)
     assert qmele.load_fit_config(path, g0={"kind": "kernel"}, restarts=0) == FitConfig(
         qmele.WeightSpec(c_quantile=0.8), 0)
     path.write_text("[study]\nn = 5\n")  # a scenario section outside the fit settings

@@ -230,6 +230,22 @@ def test_hill_errors():
         hill_estimator(np.arange(1.0, 6.0), 0)
 
 
+def test_tail_and_region_checks_reject_non_finite_values():
+    dist = InnovationDist("laplace")
+    for call in (lambda: strict_stationarity_check(np.nan, 0.5, dist),
+                 lambda: strict_stationarity_check([0.1], [np.inf], dist),
+                 lambda: moment_condition_check(0.0, np.nan, 1.0, dist),
+                 lambda: moment_condition_check(np.inf, 0.2, 1.0, dist)):
+        with pytest.raises(DomainError, match="^alpha1 and beta1 must be >= 0 and finite$"):
+            call()
+    for bad in (np.nan, np.inf):
+        v = np.r_[np.arange(1.0, 21.0), bad]
+        with pytest.raises(DomainError, match="^series values must be finite$"):
+            hill_sweep(v, 5)
+        with pytest.raises(DomainError, match="^series values must be finite$"):
+            hill_estimator(v, 5)
+
+
 def test_hill_sweep_drops_nonpositive_and_skips_degenerate():
     v = np.concatenate([[-1.0, 0.0], np.arange(1.0, 21.0)])
     rep = hill_sweep(v, 10)

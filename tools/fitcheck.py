@@ -17,17 +17,18 @@ bit on the same machine.
 record fits every path of SET (n = 1000 after a 500 burn-in) and writes one
 JSON line per self-weighted fit with its one-step update (the status of a
 step that fails), and truth, the criterion at the true parameters with the
-fit's weights, floats in repr (exact). SET is one of
-- designs: six designs x 40 paths, both criteria, each with its one-step;
+fit's weights, floats in repr (exact); a fit that raises ValueError or
+ArithmeticError is a line whose status names the exception. SET is one of
+- designs: seven designs x 40 paths, both criteria, each with its one-step;
 - bench:START:STOP[:R]: for each benchmark seed in [START, STOP), the first
   R (default 8, the quota) replications of each design of two perfbench
   workloads, fitted as they fit them. mc_laplace: each Laplace
   AR(1)-GARCH(1,1) design (finite variance, IGARCH), g0 known, sw_qmele
   and local_qmele. mc_arma_normal: ARMA(1,1)-GARCH(1,1) with normal
-  innovations, restarts = 1, in mc-table calls of 4: sw_qmele, sw_qmle
-  and local_qmle. A 30 s mc_laplace run holds 150 or more replications of
-  each design, so bench:1500:1600:150 holds the 30,000 mc_laplace units
-  of 100 such runs (and 15,000 ARMA paths).
+  innovations, restarts = 1: sw_qmele, sw_qmle and local_qmle. A 30 s
+  mc_laplace run holds 150 or more replications of each design, so
+  bench:1500:1600:150 holds the 30,000 mc_laplace units of 100 such runs
+  (and 15,000 ARMA paths).
 
 compare prints per design and estimator how the fits of NEW differ from
 those of OLD, two record files of one SET: the largest objective rise,
@@ -37,11 +38,12 @@ held a coordinate, or, in an older record, were halved), the fits with
 identical theta, SE and objective, and the failing one-steps. Under each
 self-weighted line come NEW's counts (fits, certified, certified on a face
 below a vertex, i.e. on fewer than p+q+1 kinks, pivoted, uncertified, run
-from more than one start (a jittered restart or a second descent from a
-face), and converged above truth by more than a relative 1e-9, as
-perfbench judges), the fits that certified at OLD with no pivot and how
-many of them changed theta, objective or nfev, and NEW's uncertified fits
-as benchmark seed:simulation seed. compare FILE FILE summarises one tree.
+from more than one start of the fit's start list, and converged above
+truth by more than a relative 1e-9, as perfbench judges), the fits that
+certified at OLD with no pivot and how many of them changed theta,
+objective or nfev, the fits that raised at OLD and at NEW (left out of
+every other count), and NEW's uncertified fits as benchmark
+seed:simulation seed. compare FILE FILE summarises one tree.
 
 The tool builds FitConfig(restarts=...) and calls local_qmele_step without
 a config, so a tree older than either (whose step takes its g0 mode from a
@@ -78,7 +80,7 @@ DIGEST_DESIGNS = (
     ("arma21_garch22_laplace", (2, 1, 2, 2), (0.0, 0.3, 0.2, 0.3, 0.1, 0.1, 0.08, 0.3, 0.2), LAPLACE, 7000),
 )
 # designs: (name, orders, theta, innovations, base seed, restarts); path i is
-# simulated and fitted with seed base + i, g0 known for Laplace innovations
+# simulated with seed base + i, g0 known for Laplace innovations
 DESIGNS = (
     ("laplace_finite", (1, 0, 1, 1), THETA_FINITE, LAPLACE, 50000, 5),
     ("laplace_igarch", (1, 0, 1, 1), THETA_IGARCH, LAPLACE, 20260602, 5),
@@ -86,6 +88,7 @@ DESIGNS = (
     ("arma11_normal", (1, 1, 1, 1), THETA_ARMA, NORMAL, 3272157582, 1),
     ("garch12_a018", (1, 0, 1, 2), (0.0, 0.5, 0.1, 0.18, 0.2, 0.2), LAPLACE, 50000, 5),
     ("garch12_a030", (1, 0, 1, 2), (0.0, 0.5, 0.1, 0.3, 0.2, 0.2), LAPLACE, 50000, 5),
+    ("arma21_garch22_laplace", *DIGEST_DESIGNS[4][1:], 5),
 )
 
 
@@ -140,7 +143,7 @@ def digest():
             d.call("qmele_objective", qmele_objective, theta, data, ones)
             d.call("qmle_objective", qmle_objective, theta, data, ones)
             for criterion in ("qmele", "qmle"):
-                fit = d.call("fit", fit_self_weighted, data, orders, FitConfig(seed=path),
+                fit = d.call("fit", fit_self_weighted, data, orders, FitConfig(),
                              criterion=criterion)
                 if fit is None or not fit.converged:
                     continue
@@ -173,7 +176,7 @@ def path_fits(spec):
         for name, orders, theta, dist, base, restarts in DESIGNS:
             g0_mode = KNOWN if dist is LAPLACE else G0Mode.kernel()
             for s in range(base, base + 40):
-                config = FitConfig(g0_mode=g0_mode, seed=s, restarts=restarts)
+                config = FitConfig(g0_mode=g0_mode, restarts=restarts)
                 yield name, None, orders, theta, dist, s, config, (("qmele", True), ("qmle", True))
         return
     kind, *bounds = spec.split(":")
@@ -185,11 +188,11 @@ def path_fits(spec):
         for name, theta, base in (("laplace_finite", THETA_FINITE, finite),
                                   ("laplace_igarch", THETA_IGARCH, igarch)):
             for s in range(base, base + reps):
-                config = FitConfig(g0_mode=KNOWN, seed=s)
+                config = FitConfig(g0_mode=KNOWN)
                 yield name, seed, (1, 0, 1, 1), theta, LAPLACE, s, config, (("qmele", True),)
         (base,) = derived_seeds(seed, "mc_arma_normal", 1)
-        for s in range(base, base + reps):  # mc-table calls of 4, each seeded with its first
-            config = FitConfig(restarts=1, seed=base + (s - base) // 4 * 4)
+        for s in range(base, base + reps):
+            config = FitConfig(restarts=1)
             yield ("arma11_normal", seed, (1, 1, 1, 1), THETA_ARMA, NORMAL, s, config,
                    (("qmele", False), ("qmle", True)))
 
@@ -206,11 +209,16 @@ def record(spec, path):
             orders, truth = _truth(order_tuple, theta)
             data = simulate(truth, dist, 1000, burn_in=500, seed=seed)
             for criterion, with_step in criteria:
-                fit = fit_self_weighted(data, orders, config, criterion=criterion)
+                key = {"design": design, "bench": bench, "seed": seed, "criterion": criterion,
+                       "orders": order_tuple}
+                try:
+                    fit = fit_self_weighted(data, orders, config, criterion=criterion)
+                except (ValueError, ArithmeticError) as exc:
+                    fh.write(json.dumps({**key, "status": f"raised {type(exc).__name__}: {exc}"}) + "\n")
+                    continue
                 at_truth = OBJECTIVES[criterion](truth, data, fit.weights)
                 c = fit.certificate
-                line = {"design": design, "bench": bench, "seed": seed, "criterion": criterion,
-                        "orders": order_tuple, **_estimate(fit), "truth": at_truth, "nfev": fit.nfev,
+                line = {**key, **_estimate(fit), "truth": at_truth, "nfev": fit.nfev,
                         "iterations": fit.iterations, "starts": fit.starts, "converged": fit.converged,
                         "status": fit.status, "certificate": None if c is None else {
                             "active": len(c.active), "max_s": c.max_s, "kkt": c.kkt,
@@ -231,6 +239,10 @@ def above_truth(records):
 
 def _same(a, b, keys):
     return all(repr(a[k]) == repr(b[k]) for k in keys)
+
+
+def _raised(r):
+    return r["status"].startswith("raised")
 
 
 def _certified(r):
@@ -267,8 +279,9 @@ def _held(steps):
     return f"held {sum(bool(r['held']) for r in steps)}"
 
 
-def _counts(pairs):
-    """NEW's certificate counts, OLD's zero-pivot certified fits, NEW's uncertified fits."""
+def _counts(pairs, raised):
+    """NEW's certificate counts, OLD's zero-pivot certified fits, the fits
+    raised (NEW, OLD), NEW's uncertified fits."""
     new = [a for a, _ in pairs]
     face = sum(_certified(r) and r["certificate"]["active"] < sum(r["orders"][:2]) + 1 for r in new)
     pivoted = sum(r["certificate"] is not None and r["certificate"]["pivots"] > 0 for r in new)
@@ -279,7 +292,7 @@ def _counts(pairs):
     print(f"{'':<15}fits {len(new)}  certified {len(new) - len(bad)}  face {face}  pivoted {pivoted}"
           f"  uncertified {len(bad)}  starts>1 {sum(r['starts'] > 1 for r in new)}"
           f"  above truth {above_truth(new)}"
-          f"  zero-pivot at OLD {len(zero)}, changed {changed}")
+          f"  zero-pivot at OLD {len(zero)}, changed {changed}  raised {raised[1]}->{raised[0]}")
     if bad:
         print(f"{'':<15}uncertified: " + " ".join(bad))
 
@@ -295,8 +308,11 @@ def compare(new_path, old_path):
         for criterion in ("qmele", "qmle"):
             pairs = [(a, b) for a, b in zip(new, old) if (a["design"], a["criterion"]) == (design, criterion)]
             if pairs:
-                _summary(f"sw_{criterion}", pairs)
-                _counts(pairs)
+                raised = [sum(map(_raised, side)) for side in zip(*pairs)]
+                pairs = [(a, b) for a, b in pairs if not (_raised(a) or _raised(b))]
+                if pairs:  # not every fit raised
+                    _summary(f"sw_{criterion}", pairs)
+                _counts(pairs, raised)
                 steps = [(a["local"], b["local"]) for a, b in pairs if None not in (a["local"], b["local"])]
                 if steps:
                     _summary(f"local_{criterion}", steps)
