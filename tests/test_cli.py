@@ -402,7 +402,7 @@ def test_cli_text_reports_pinned_bytes(tmp_path):
         "estimate      -0.0155328      0.444314     0.0574864      0.156393      0.570148\n"
         "std err      (0.0201327)   (0.0379314)   (0.0157587)   (0.0414393)   (0.0787508)\n"
         "objective  0.280837\ng0         0.403143\neta2       1.91952\nconverged  true\nstatus     ok\n"
-        "iterations 40\nn          1000\n"
+        "iterations 49\nn          1000\n"
         "\n== local ==\n"
         "estimator: local_qmele\n"
         "                      mu          phi1        alpha0        alpha1         beta1\n"
@@ -705,9 +705,12 @@ def test_cli_fit_reports_sw_fit_when_local_step_fails(tmp_path, capsys, monkeypa
         assert (out / name).exists()
 
 
-def test_cli_fit_takes_its_diagnostics_from_the_last_ok_fit(tmp_path, capsys):
-    # on this path the one-step is taken (converged) to psi1 = 3.7, where the
-    # filter overflows (status overflow): the diagnostics are the self-weighted fit's
+def test_cli_fit_takes_its_diagnostics_from_the_last_ok_fit(tmp_path, capsys, monkeypatch):
+    # the one-step is taken with g0 = 1e-3 in place of the known 0.5: it is taken
+    # (converged) to phi1 = 7.3, where the filter overflows (status overflow),
+    # so the diagnostics are the self-weighted fit's
+    step = cli.local_qmele_step
+    monkeypatch.setattr(cli, "local_qmele_step", lambda sw, data: step(sw, data, g0=1e-3))
     assert run_cli("simulate", "--orders", "2,1,2,2", "--theta", "0,0.3,0.2,0.3,0.1,0.1,0.08,0.3,0.2",
                    "--dist", "laplace", "--n", "1000", "--seed", "7028", "--out-dir", tmp_path) == 0
     data, out = tmp_path / "simulated.csv", tmp_path / "out"

@@ -795,8 +795,8 @@ def test_fit_keeps_an_uncertified_end_no_higher_than_the_ladder(monkeypatch):
     runs = []
 
     def failing(*args):
-        cert, _ = real_certify(*args)
-        return dataclasses.replace(cert, certified=False), None
+        cert, move = real_certify(*args)
+        return dataclasses.replace(cert, certified=False), move
 
     def recorded(fun, x0, *args, **kwargs):
         runs.append(real_minimize(fun, x0, *args, **kwargs))
@@ -807,13 +807,15 @@ def test_fit_keeps_an_uncertified_end_no_higher_than_the_ladder(monkeypatch):
     data = simulate(make_theta(THETA_FINITE), LAPLACE, 1000, burn_in=500, seed=50000)
     fit = fit_self_weighted(data, AR1_GARCH11, FitConfig())
     assert fit.certificate.certified is False
-    # three smoothed stages and the vertex's delta-only run, then no move
-    assert [run.x.size for run in runs] == [5, 5, 5, 3]
+    # two smoothed stages at n = 1000 (mu = 1e-3 reaches mu * n <= 4), the
+    # first vertex's delta-only run (max|s| 1.84), one swap and the second
+    # vertex's run, whose real certificate holds, so it calls for no move
+    assert [run.x.size for run in runs] == [5, 5, 3, 3]
     value, polished = nelder_mead_polish(fit, data, AR1_GARCH11)
     assert fit.objective_value == value
-    assert value <= qmele_objective(make_theta(runs[2].x), data, fit.weights)
+    assert value <= qmele_objective(make_theta(runs[1].x), data, fit.weights)
     # converged is the success of the run that ended at theta_hat
-    ended_there = runs[3] if np.array_equal(fit.theta_hat.delta, runs[3].x) else runs[2]
+    ended_there = next((run for run in runs[2:] if np.array_equal(fit.theta_hat.delta, run.x)), runs[1])
     assert fit.converged is bool(ended_there.success and np.isfinite(ended_there.fun))
     assert fit.converged is True and fit.status == "ok"
     assert np.all(np.isfinite(fit.std_errors))
@@ -871,6 +873,26 @@ def test_exponential_fit_certifies_an_edge_fitted_along_its_kinks():
     value, polished = nelder_mead_polish(fit, data, orders)
     assert fit.objective_value == value
     assert polished >= fit.objective_value - 1e-9
+
+
+@pytest.mark.parametrize("n, ladder", [(400, [1e-2]), (1000, [1e-2, 1e-3]), (4000, [1e-2, 1e-3]),
+                                        (4001, [1e-2, 1e-3, 1e-4]), (5000, [1e-2, 1e-3, 1e-4])])
+def test_smoothed_ladder_stops_at_the_first_mu_within_four_over_n(n, ladder, monkeypatch):
+    import qmele.estimation
+
+    real_minimize, smoothed = qmele.estimation.minimize, []
+
+    def recorded(fun, x0, box, runs, args=(), **tolerances):
+        smoothed.extend(args)
+        return real_minimize(fun, x0, box, runs, args, **tolerances)
+
+    monkeypatch.setattr(qmele.estimation, "minimize", recorded)
+    data = simulate(make_theta(THETA_FINITE), LAPLACE, n, burn_in=500, seed=50000)
+    fit = fit_self_weighted(data, AR1_GARCH11, FitConfig(g0_mode=G0Mode.known(0.5)))
+    assert smoothed == ladder * fit.starts
+    smoothed.clear()
+    fit_self_weighted(data, AR1_GARCH11, FitConfig(), criterion="qmle")
+    assert smoothed == []
 
 
 def test_gaussian_fit_certifies_an_abnormal_stop(monkeypatch):
@@ -953,8 +975,8 @@ def arma_garch_designs(draw):
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(arma_garch_designs())
-# the face finish's first Newton solve lands at psi1 = 2.84, where |eps| reaches
-# 2.4e255 and eps^2 overflows while the face value stays finite
+# the face finish's Newton steps from its first vertex leave the finite range
+# (psi1 = -10.9, then NaN), so no gamma solves eps_A = 0 there
 @example((ModelOrders(2, 1, 0, 0), make_theta([-0.078125, 0.0419921875, 0.0, 0.0, 0.21875], ModelOrders(2, 1, 0, 0)), 504))
 def test_certified_fit_is_not_improved_by_nelder_mead(design):
     orders, theta, seed = design
@@ -968,21 +990,40 @@ def test_certified_fit_is_not_improved_by_nelder_mead(design):
         assert polished >= fit.objective_value - 1e-9
 
 
-def test_certificate_describes_the_point_the_fit_keeps():
-    # the draw pinned above: the face finish rejects its face ends (the first at
-    # psi1 = 2.84, value 2.6e253) and keeps the smoothed stages' end
+def test_certificate_describes_the_point_the_fit_keeps(monkeypatch):
+    import qmele.estimation
+
+    # the draw pinned above: no gamma near the first vertex solves eps_A = 0, so
+    # a kink leaves, and the face of the three left certifies
     orders = ModelOrders(2, 1, 0, 0)
     data = simulate(make_theta([-0.078125, 0.0419921875, 0.0, 0.0, 0.21875], orders), LAPLACE, 600, seed=504)
     config = FitConfig(WeightSpec(threshold="absolute"), g0_mode=G0Mode.known(0.5))
     fit = fit_self_weighted(data, orders, config)
     assert fit.converged and fit.status == "ok"
-    np.testing.assert_allclose(fit.theta_hat.theta, [-0.029211, 0.683322, -0.025604, -0.610897, 0.218626],
+    np.testing.assert_allclose(fit.theta_hat.theta, [-0.029858, 0.674355, -0.024814, -0.601687, 0.218625],
                                atol=1e-6)
-    assert fit.objective_value == pytest.approx(0.2252705, abs=1e-7)
+    assert fit.objective_value == pytest.approx(0.2252699, abs=1e-7)
     cert = fit.certificate
-    if cert is not None:  # then theta_hat lies on the face it certifies
-        eps, _ = _eps_h(fit.theta_hat, data)
-        assert np.abs(eps[list(cert.active)]).max() <= 1e-8
+    assert cert.certified and len(cert.active) == 3
+    eps, _ = _eps_h(fit.theta_hat, data)
+    assert np.abs(eps[list(cert.active)]).max() <= 1e-8
+
+    # where no face end is finite, the fit keeps the smoothed stages' end and no certificate
+    real_minimize, runs = qmele.estimation.minimize, []
+
+    def recorded(*args, **kwargs):
+        runs.append(real_minimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(qmele.estimation, "minimize", recorded)
+    monkeypatch.setattr(qmele.estimation, "_face_fit", lambda *args: None)
+    kept = fit_self_weighted(data, orders, config)
+    assert len(runs) == 2  # mu = 1e-2 and 1e-3: n = 600 stops at the first mu with mu * n <= 4
+    assert kept.certificate is None and kept.starts == 1
+    assert kept.converged is runs[-1].success is True
+    np.testing.assert_array_equal(kept.theta_hat.theta, runs[-1].x)
+    assert kept.objective_value == qmele_objective(kept.theta_hat, data, kept.weights)
+    assert kept.objective_value > fit.objective_value
 
 
 def test_fit_status_names_a_singular_information_matrix():

@@ -92,3 +92,29 @@ def test_fitcheck_digest_prints_one_sha256(capsys):
     # the value is pinned in CHANGES.md, not here: it depends on the machine's floating point
     fitcheck.main(["digest"])
     assert re.fullmatch(r"[0-9a-f]{64}\n", capsys.readouterr().out)
+
+
+def test_fitcheck_compare_counts_objective_rises_and_drops(tmp_path, capsys):
+    def fit(seed, objective, certified, theta=(0.0, 0.5)):
+        return {"design": "d", "bench": None, "seed": seed, "criterion": "qmele", "orders": [1, 0, 0, 0],
+                "theta": list(theta), "se": [0.1, 0.1], "objective": objective, "truth": 2.0, "nfev": 10,
+                "iterations": 5, "starts": 1, "converged": True, "status": "ok", "local": None,
+                "certificate": {"active": 2, "max_s": 0.5, "kkt": 0.0, "pivots": 0, "certified": certified}}
+
+    # (seed, OLD objective, NEW objective, certified at OLD, at NEW)
+    cases = [(1, 1.0, 1.0 + 2**-38, True, True),  # a rise of 3.6e-12, certified at both
+             (2, 1.0, 1.0 - 2**-36, True, True),  # a drop of 1.5e-11
+             (3, 1.0, 1.0 + 2**-42, True, True),  # 2.3e-13: rounding, not counted
+             (4, 1.0, 1.0 + 2**-10, False, False),  # a rise of 9.8e-4, listed
+             (5, 1.0, 1.0 - 2**-20, False, True)]  # a drop of 9.5e-7, certified at NEW alone
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text("".join(json.dumps(fit(s, before, c_old)) + "\n" for s, before, _, c_old, _ in cases))
+    new.write_text("".join(json.dumps(fit(s, after, c_new, (0.0, 0.5 + 0.05 * (s == 4)))) + "\n"
+                           for s, _, after, _, c_new in cases))
+    fitcheck.main(["compare", str(new), str(old)])
+    out = capsys.readouterr().out.splitlines()
+    moves = ("objective moves beyond 1e-12: certified at both rises 1 (+3.64e-12) drops 1 (-1.46e-11); "
+             "rest rises 1 (+9.77e-04) drops 1 (-9.54e-07)")
+    assert out[2:4] == [" " * 15 + moves, " " * 15 + "rises above 1e-09: 4 +9.77e-04 (0.50 SE)"]
+    assert out[5] == " " * 15 + "uncertified: 4"
+    assert out[6:] == ["all designs", f"  sw_qmele     {moves}"]

@@ -36,14 +36,18 @@ theta moves in OLD's standard errors (median, largest), median and total
 criterion evaluations and certified fits (for a one-step, the steps that
 held a coordinate, or, in an older record, were halved), the fits with
 identical theta, SE and objective, and the failing one-steps. Under each
-self-weighted line come NEW's counts (fits, certified, certified on a face
+self-weighted line come the count and sum of the objective rises and drops
+beyond 1e-12, over the fits certified at both trees and over the rest,
+each rise above 1e-9 with its theta move in OLD's SEs, and NEW's counts
+(fits, certified, certified on a face
 below a vertex, i.e. on fewer than p+q+1 kinks, pivoted, uncertified, run
 from more than one start of the fit's start list, and converged above
 truth by more than a relative 1e-9, as perfbench judges), the fits that
 certified at OLD with no pivot and how many of them changed theta,
 objective or nfev, the fits that raised at OLD and at NEW (left out of
 every other count), and NEW's uncertified fits as benchmark
-seed:simulation seed. compare FILE FILE summarises one tree.
+seed:simulation seed. The last lines give the rises and drops over all
+designs. compare FILE FILE summarises one tree.
 
 The tool builds FitConfig(restarts=...) and calls local_qmele_step without
 a config, so a tree older than either (whose step takes its g0 mode from a
@@ -71,6 +75,8 @@ THETA_FINITE, THETA_IGARCH = (0.0, 0.5, 0.1, 0.18, 0.4), (0.0, 0.5, 0.1, 0.3, 0.
 THETA_ARMA = (0.0, 0.5, 0.3, 0.1, 0.18, 0.4)
 OBJECTIVES = {"qmele": qmele_objective, "qmle": qmle_objective}
 TRUTH_RTOL = 1e-9
+# objective changes smaller than OBJECTIVE_TOL are rounding; rises above LISTED_RISE are listed
+OBJECTIVE_TOL, LISTED_RISE = 1e-12, 1e-9
 # digest: (name, orders, theta, innovations, base seed); path i of n = 600 has seed base + i
 DIGEST_DESIGNS = (
     ("laplace_finite", (1, 0, 1, 1), THETA_FINITE, LAPLACE, 50000),
@@ -249,13 +255,23 @@ def _certified(r):
     return r["certificate"] is not None and r["certificate"]["certified"]
 
 
+def _name(r):
+    """benchmark seed:simulation seed, or the simulation seed of a design path."""
+    return f"{r['bench']}:{r['seed']}" if r["bench"] is not None else str(r["seed"])
+
+
+def _move(a, b):
+    """The largest |NEW theta - OLD theta| in OLD's standard errors (NaN where an SE is)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.abs(np.subtract(a["theta"], b["theta"])) / b["se"]))
+
+
 def _summary(label, pairs):
     """One line for (new, old) records of one estimator; a failed one-step is a string."""
     both = [(a, b) for a, b in pairs if isinstance(a, dict) and isinstance(b, dict)]
     fails = [sum(isinstance(r, str) for r in side) for side in zip(*pairs)]
     rise = max((a["objective"] - b["objective"] for a, b in both), default=np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        moves = np.array([np.max(np.abs(np.subtract(a["theta"], b["theta"])) / b["se"]) for a, b in both])
+    moves = np.array([_move(a, b) for a, b in both])
     moves = moves[np.isfinite(moves)]
     p50, top = (np.median(moves), np.max(moves)) if moves.size else (np.nan, np.nan)
     line = f"  {label:<12} rise {rise:+.2e}  move/SE p50 {p50:.2e} max {top:.2e}"
@@ -285,8 +301,7 @@ def _counts(pairs, raised):
     new = [a for a, _ in pairs]
     face = sum(_certified(r) and r["certificate"]["active"] < sum(r["orders"][:2]) + 1 for r in new)
     pivoted = sum(r["certificate"] is not None and r["certificate"]["pivots"] > 0 for r in new)
-    bad = [f"{r['bench']}:{r['seed']}" if r["bench"] is not None else str(r["seed"])
-           for r in new if not _certified(r)]
+    bad = [_name(r) for r in new if not _certified(r)]
     zero = [(a, b) for a, b in pairs if _certified(b) and b["certificate"]["pivots"] == 0]
     changed = sum(not _same(a, b, ("theta", "objective", "nfev")) for a, b in zero)
     print(f"{'':<15}fits {len(new)}  certified {len(new) - len(bad)}  face {face}  pivoted {pivoted}"
@@ -297,12 +312,33 @@ def _counts(pairs, raised):
         print(f"{'':<15}uncertified: " + " ".join(bad))
 
 
+def _objective_moves(pairs, head="", list_rises=True):
+    """NEW's objective rises and drops beyond OBJECTIVE_TOL against OLD, their
+    count and sum over the fits certified at both trees and over the rest, and
+    the rises above LISTED_RISE with their theta move in OLD's SEs."""
+    groups = {"certified at both": [], "rest": []}
+    for a, b in pairs:
+        groups["certified at both" if _certified(a) and _certified(b) else "rest"].append(
+            a["objective"] - b["objective"])
+    parts = []
+    for label, diffs in groups.items():
+        diffs = np.array(diffs)
+        rises, drops = diffs[diffs > OBJECTIVE_TOL], diffs[diffs < -OBJECTIVE_TOL]
+        parts.append(f"{label} rises {rises.size} ({rises.sum():+.2e}) drops {drops.size} ({drops.sum():+.2e})")
+    print(f"{head:<15}objective moves beyond {OBJECTIVE_TOL:g}: " + "; ".join(parts))
+    big = [f"{_name(a)} {a['objective'] - b['objective']:+.2e} ({_move(a, b):.2f} SE)"
+           for a, b in pairs if a["objective"] - b["objective"] > LISTED_RISE]
+    if list_rises and big:
+        print(f"{'':<15}rises above {LISTED_RISE:g}: " + " ".join(big))
+
+
 def compare(new_path, old_path):
     with open(new_path, encoding="utf-8") as f_new, open(old_path, encoding="utf-8") as f_old:
         new, old = [json.loads(line) for line in f_new], [json.loads(line) for line in f_old]
     key = ("design", "bench", "seed", "criterion")
     if [[r[k] for k in key] for r in new] != [[r[k] for k in key] for r in old]:
         raise SystemExit(f"{new_path} and {old_path} do not hold the same fits")
+    fitted = {"qmele": [], "qmle": []}
     for design in dict.fromkeys(r["design"] for r in new):
         print(design)
         for criterion in ("qmele", "qmle"):
@@ -310,12 +346,18 @@ def compare(new_path, old_path):
             if pairs:
                 raised = [sum(map(_raised, side)) for side in zip(*pairs)]
                 pairs = [(a, b) for a, b in pairs if not (_raised(a) or _raised(b))]
+                fitted[criterion] += pairs
                 if pairs:  # not every fit raised
                     _summary(f"sw_{criterion}", pairs)
+                    _objective_moves(pairs)
                 _counts(pairs, raised)
                 steps = [(a["local"], b["local"]) for a, b in pairs if None not in (a["local"], b["local"])]
                 if steps:
                     _summary(f"local_{criterion}", steps)
+    print("all designs")
+    for criterion, pairs in fitted.items():
+        if pairs:
+            _objective_moves(pairs, f"  sw_{criterion}", list_rises=False)
 
 
 def main(argv=None):
