@@ -29,11 +29,11 @@ evaluation allocates no n-length array but the compiled filter's
 outputs, one per recursion. Its held-gamma mode, for fits over delta
 alone at a vertex, keeps eps and eps^2 for the held gamma in arrays of
 its own and runs only the volatility pass, the loss, b_t and the lambda
-pass. The exponential fit descends up to three smoothed criteria, fewer
-for a short series; then every fit finishes on a face {eps_t = 0, t in
-A} of its criterion, A empty for the gaussian one, and certifies its
-end. The fit descends one fixed list of starts in turn, the initializer
-first, until its stopping rule holds (fit_self_weighted).
+pass. The exponential fit descends up to three smoothed criteria; then every
+fit finishes on a face {eps_t = 0, t in A} of its criterion, A empty for
+the gaussian one, and certifies its end. The fit descends one fixed list
+of starts in turn, the initializer first, until its stopping rule holds
+(fit_self_weighted).
 The "local" estimator takes a single Newton-type step from the self-weighted
 fit,
 
@@ -87,8 +87,7 @@ ESTIMATOR_KINDS = (SW_QMELE, LOCAL_QMELE, SW_QMLE, LOCAL_QMLE)
 ETA2_FLOOR = 1.0 + 1e-6
 COND_LIMIT = 1e12
 # mu of the exponential fit's smoothed stages at L-BFGS-B's default
-# tolerances, which bring the fit near its kinks, where the face finish takes
-# over; a series of length n stops at the first mu with mu * n <= 4.
+# tolerances, which bring the fit near its kinks for the face finish.
 # Every face run is tight, since the default stop divides the reduction by
 # max(|f|, 1), loose for a criterion below 1. MAX_ITER caps the iterations
 # of each run, far above what any fit takes.
@@ -278,9 +277,8 @@ class Criterion:
     omega(w, h, eta2, eta_sq_dev) give the per-observation scales of the
     deps and dh cross products in Sigma and Omega, where eta_sq_dev is the
     plug-in for E(1 - eta^2)^2. ladder lists the mu of the stages on the
-    smoothed criterion before the face finish, run up to the first with
-    mu * n <= 4: none for a smooth criterion, whose finish starts with no
-    kinks rather than at a vertex (p+q+1 kinks).
+    smoothed criterion before the face finish: none for a smooth criterion,
+    whose finish starts with no kinks rather than at a vertex (p+q+1 kinks).
     """
 
     sw_kind: str
@@ -775,7 +773,7 @@ def _certify(ev, theta, active, box, pivots, grad, eps, h):
 def _face_fit(ev, theta, active, box, runs):
     """One tight L-BFGS-B run on the face {eps_t = 0, t in active} from
     theta: (theta, success, ev.point(theta, active)) at its end, None where
-    no gamma near theta.gamma solves eps_A = 0.
+    no gamma near theta.gamma solves eps_A = 0 or J_A is not finite there.
 
     With no kinks the run is over theta itself, and at a vertex (p+q+1
     kinks) over delta alone with gamma held at the vertex. In between,
@@ -794,8 +792,10 @@ def _face_fit(ev, theta, active, box, runs):
     basis = np.empty((k, 0))
     if m:
         with np.errstate(over="ignore", invalid="ignore"):
-            jac = eps_gamma_derivs(orders, ev.y, theta.gamma, residuals(orders, ev.y, theta.gamma))
-        basis = np.linalg.svd(jac[active])[2][len(active) :].T
+            jac = eps_gamma_derivs(orders, ev.y, theta.gamma, residuals(orders, ev.y, theta.gamma))[active]
+        if not np.isfinite(jac).all():
+            return None
+        basis = np.linalg.svd(jac)[2][len(active) :].T
 
     def on_face(z):
         return _kink_gamma(ev, theta.gamma, active, basis, z)
@@ -916,13 +916,13 @@ def fit_self_weighted(data, orders, config=FitConfig(), criterion="qmele"):
     minimizer sits on a face of its |eps| kinks, with 0 to p+q+1 residuals
     zero, so its descent first runs stages on the smoothed criterion
     (|eta| -> sqrt(eta^2 + mu^2), mu = 1e-2, 1e-3, 1e-4), each started where
-    the previous one ended, until the first mu with mu * n <= 4, as
-    smoothing need only reach the 1/n spacing of the residuals nearest zero
-    (Chen 2012): one stage to n = 400, two to 4000, then three. The face
-    finish (_face_finish) then fits faces by tight L-BFGS-B runs, from the
-    vertex of the p+q+1 smallest |eta_t| (with no kinks from the
-    initializer for the gaussian criterion), until a certificate shows the
-    end is Clarke-stationary. A descent that
+    the previous one ended, up to the first mu with mu * n <= 4: smoothing
+    need only reach the 1/n spacing of the residuals nearest zero (Chen
+    2012), so n <= 400 runs one stage, n <= 4000 two and a longer series
+    three. The face finish (_face_finish) then fits faces
+    by tight L-BFGS-B runs, from the vertex of the p+q+1 smallest |eta_t|
+    (with no kinks from the initializer for the gaussian criterion), until
+    a certificate shows the end is Clarke-stationary. A descent that
     neither certifies nor ends in a successful run with a finite value is
     not converged. One list of starts is descended in turn: the
     initializer; a variance-targeted start (Francq, Horvath & Zakoian

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -54,7 +55,7 @@ from qmele.estimation import (
     _sym_inv,
     _weighted_mean,
 )
-from qmele.model import _eps_h, adjoint, checked_eps_h, residuals, volatility
+from qmele.model import _eps_h, adjoint, checked_eps_h, eps_gamma_derivs, residuals, volatility
 
 from conftest import AR1_GARCH11, LAPLACE, THETA_FINITE, THETA_IGARCH, estimates_matrix, make_theta
 
@@ -1207,14 +1208,52 @@ def test_a_scenario_fits_as_its_fit_config():
     assert (again.objective_value, again.nfev, again.starts) == (fit.objective_value, fit.nfev, fit.starts)
 
 
-def test_a_singular_face_matrix_is_a_nan_trial_point():
+def test_a_singular_face_matrix_is_a_nan_trial_point(monkeypatch):
     # on this path a face run's M = [J_A; N'] is singular at a trial point,
     # which once raised LinAlgError out of the fit and of its replication
+    real_solve, raised = np.linalg.solve, []
+
+    def solve(a, b):
+        try:
+            return real_solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(sys._getframe(1).f_code.co_name)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
     theta = make_theta(THETA_ARMA21_GARCH22, ARMA21_GARCH22)
-    data = simulate(theta, LAPLACE, 1000, burn_in=500, seed=7028)
+    data = simulate(theta, LAPLACE, 1000, burn_in=500, seed=7562)
     fit = fit_self_weighted(data, ARMA21_GARCH22, FitConfig(g0_mode=G0Mode.known(0.5)))
+    assert "value_and_gradient" in raised
     assert fit.converged and fit.status == "ok"
-    scenario = ScenarioConfig(theta0=theta, dist=LAPLACE, n=1000, replications=1, seed=7028,
+    scenario = ScenarioConfig(theta0=theta, dist=LAPLACE, n=1000, replications=1, seed=7562,
+                              g0_mode=G0Mode.known(0.5))
+    record = run_replication(scenario, 0)
+    assert record.converged[SW_QMELE]
+    assert record.estimates[SW_QMELE].tobytes() == fit.theta_hat.theta.tobytes()
+
+
+def test_a_face_whose_jacobian_is_not_finite_is_no_face(monkeypatch):
+    # on this path a pivot hands the face finish a gamma at which J_A is not
+    # finite, whose SVD raised LinAlgError out of the fit and of its replication
+    import qmele.estimation
+
+    real_face_fit, faces = qmele.estimation._face_fit, []
+
+    def face_fit(ev, theta, active, box, runs):
+        if 0 < len(active) < ev.k:
+            with np.errstate(over="ignore", invalid="ignore"):
+                eps = residuals(ev.orders, ev.y, theta.gamma)
+                faces.append(np.isfinite(eps_gamma_derivs(ev.orders, ev.y, theta.gamma, eps)[active]).all())
+        return real_face_fit(ev, theta, active, box, runs)
+
+    monkeypatch.setattr(qmele.estimation, "_face_fit", face_fit)
+    theta = make_theta(THETA_ARMA21_GARCH22, ARMA21_GARCH22)
+    data = simulate(theta, LAPLACE, 1000, burn_in=500, seed=7481)
+    fit = fit_self_weighted(data, ARMA21_GARCH22, FitConfig(g0_mode=G0Mode.known(0.5)))
+    assert not all(faces)
+    assert fit.converged and fit.status == "ok"
+    scenario = ScenarioConfig(theta0=theta, dist=LAPLACE, n=1000, replications=1, seed=7481,
                               g0_mode=G0Mode.known(0.5))
     record = run_replication(scenario, 0)
     assert record.converged[SW_QMELE]
