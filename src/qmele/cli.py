@@ -332,7 +332,8 @@ def build_parser():
     p = sub.add_parser("mc-table", help="run a replication study from a config file")
     add_common(p)
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, help="worker processes (default 1 = serial)")
+    p.add_argument("--jobs", type=int,
+                   help="processes that run replications, this one included (default 1 = serial)")
     p.add_argument("--replications", type=int, help="override the config value")
     p.set_defaults(func=cmd_mc_table)
 

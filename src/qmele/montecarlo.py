@@ -1,10 +1,11 @@
 """Replication study harness: simulate, fit every requested estimator,
 aggregate bias / sample SD / mean asymptotic SD per parameter.
 
-Replication i uses seed base_seed + i, so parallel and serial execution
-produce identical tables; failed replications are excluded from the moments
-and counted separately. A study whose n is too short for its model fails
-as a whole, with the fit's InsufficientDataError.
+Replication i uses seed base_seed + i, so a parallel study, whose processes
+claim the replications one at a time, gives the serial run's tables; failed
+replications are excluded from the moments and counted separately. A study
+whose n is too short for its model fails as a whole, with the fit's
+InsufficientDataError.
 
 Scenario files are flat key = value sections read through one table,
 _KEYS; a key a file omits takes the default of the dataclass it sets.
@@ -13,7 +14,7 @@ load_fit_config reads the fit-settings sections alone (qmele fit --config).
 
 import configparser
 from dataclasses import dataclass
-from multiprocessing import Pool
+from multiprocessing import Pool, Value
 
 import numpy as np
 
@@ -125,23 +126,57 @@ def run_replication(config, index):
     return ReplicationRecord(index, estimates, std_errors, converged)
 
 
-def _worker(args):
-    return run_replication(*args)
+_counter = None  # a parallel study's next replication index, set in each pool worker
+
+
+def _share(counter):
+    global _counter
+    _counter = counter
+
+
+def _claim(config, counter=None):
+    """Run the replications this process claims, one index at a time from
+    the shared counter, until the counter passes the study's last. A
+    replication that raises moves the counter past the end, so the other
+    processes stop claiming too."""
+    counter = _counter if counter is None else counter
+    records = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value += 1
+        if i >= config.replications:
+            return records
+        try:
+            records.append(run_replication(config, i))
+        except BaseException:
+            counter.value = config.replications
+            raise
 
 
 def run_scenario(config, jobs=1):
     """Run all replications and aggregate them into an McTable.
 
-    jobs must be >= 1; above 1 it runs replications in a process pool, with
-    results identical to the serial run because each replication owns its
-    derived seed and the aggregation folds in replication order.
+    jobs, an integer >= 1, is the number of processes that run replications
+    at once, this one included. Above 1 a pool of the other jobs - 1 (at
+    most replications - 1) and this process each claim the next replication
+    from a shared counter until none is left. The results are identical to
+    the serial run because each replication owns its derived seed and the
+    aggregation folds in replication order.
     """
-    if not jobs >= 1:
+    if not isinstance(jobs, (int, np.integer)):
+        raise DomainError(f"jobs must be an integer, got {jobs!r}")
+    if jobs < 1:
         raise DomainError("jobs must be >= 1")
-    tasks = [(config, i) for i in range(config.replications)]
-    if jobs > 1:
-        with Pool(processes=min(jobs, config.replications)) as pool:
-            records = pool.map(_worker, tasks)
+    workers = min(jobs, config.replications) - 1
+    if workers:
+        counter = Value("q", 0)
+        with Pool(workers, initializer=_share, initargs=(counter,)) as pool:
+            theirs = pool.map_async(_claim, [config] * workers)
+            records = _claim(config, counter)
+            for part in theirs.get():
+                records += part
+        records.sort(key=lambda r: r.index)
     else:
         records = [run_replication(config, i) for i in range(config.replications)]
 

@@ -474,6 +474,13 @@ def test_cli_mc_table_files(tmp_path):
     assert len(table_rows) == 6  # header + 5 parameters for one estimator
     reps = (out / "mc_replications.csv").read_text().splitlines()
     assert len(reps) == 4  # header + 3 replications
+    # three processes, one replication each at most, write the same bytes
+    out3 = tmp_path / "mc3"
+    assert run_cli("mc-table", "--config", cfg, "--out-dir", out3, "--jobs", "3") == 0
+    names = ("mc_table.csv", "mc_table.txt", "mc_replications.csv")
+    assert sorted(p.name for p in out3.iterdir()) == sorted(names)
+    for name in names:
+        assert (out3 / name).read_bytes() == (out / name).read_bytes(), name
     # replication override flag
     out2 = tmp_path / "mc2"
     assert run_cli(

@@ -3,14 +3,16 @@ reads them back."""
 
 import importlib.util
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 
-SPEC = importlib.util.spec_from_file_location(
-    "fitcheck", pathlib.Path(__file__).resolve().parents[1] / "tools" / "fitcheck.py"
-)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPEC = importlib.util.spec_from_file_location("fitcheck", ROOT / "tools" / "fitcheck.py")
 fitcheck = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(fitcheck)
 
@@ -92,6 +94,19 @@ def test_fitcheck_digest_prints_one_sha256(capsys):
     # the value is pinned in CHANGES.md, not here: it depends on the machine's floating point
     fitcheck.main(["digest"])
     assert re.fullmatch(r"[0-9a-f]{64}\n", capsys.readouterr().out)
+
+
+def test_fitcheck_digest_is_the_same_with_two_blas_threads():
+    # each run is a fresh interpreter, since BLAS reads its thread count when numpy loads it
+    def digest(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, str(ROOT / "tools" / "fitcheck.py"), "digest"], env=env,
+                              check=True, capture_output=True, text=True, timeout=300).stdout
+
+    pinned = digest("1")
+    assert re.fullmatch(r"[0-9a-f]{64}\n", pinned)
+    assert digest("2") == pinned
 
 
 def test_fitcheck_compare_counts_objective_rises_and_drops(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import multiprocessing
+import os
 import re
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,6 +11,7 @@ import qmele
 from qmele import (
     DataIngestError,
     DomainError,
+    ESTIMATOR_KINDS,
     FitConfig,
     G0Mode,
     InnovationDist,
@@ -158,8 +162,12 @@ def test_scenario_checks_its_fit_settings():
         ScenarioConfig(**kwargs)
     with pytest.raises(DomainError, match="restarts must be >= 0"):
         replace(tiny_config(), restarts=-1)
-    for jobs in (0, -3):
+    for jobs in (0, -3, np.int64(0)):
         with pytest.raises(DomainError, match="^jobs must be >= 1$"):
+            run_scenario(tiny_config(), jobs=jobs)
+    # a float once reached multiprocessing and raised its TypeError there
+    for jobs in (2.0, 1.5, "2"):
+        with pytest.raises(DomainError, match=f"^jobs must be an integer, got {re.escape(repr(jobs))}$"):
             run_scenario(tiny_config(), jobs=jobs)
 
 
@@ -208,16 +216,86 @@ def test_replication_determinism():
 
 
 def test_serial_equals_parallel():
-    config = tiny_config()
+    config = tiny_config(estimators=ESTIMATOR_KINDS)
     serial = run_scenario(config, jobs=1)
-    parallel = run_scenario(config, jobs=2)
-    for kind in config.estimators:
-        np.testing.assert_array_equal(serial.bias[kind], parallel.bias[kind])
-        np.testing.assert_array_equal(serial.sd[kind], parallel.sd[kind])
-        np.testing.assert_array_equal(serial.ad[kind], parallel.ad[kind])
-    for ra, rb in zip(serial.records, parallel.records):
-        assert ra.index == rb.index
-        np.testing.assert_array_equal(ra.estimates[SW_QMELE], rb.estimates[SW_QMELE])
+    for jobs in (2, 3, config.replications + 2):  # the last asks for more processes than replications
+        parallel = run_scenario(config, jobs=jobs)
+        for kind in config.estimators:
+            for field in ("bias", "sd", "ad"):
+                assert getattr(serial, field)[kind].tobytes() == getattr(parallel, field)[kind].tobytes()
+            assert (serial.successes[kind], serial.failures[kind]) == (parallel.successes[kind],
+                                                                      parallel.failures[kind])
+        assert [r.index for r in parallel.records] == list(range(config.replications))
+        for ra, rb in zip(serial.records, parallel.records, strict=True):
+            assert ra.converged == rb.converged
+            for kind in config.estimators:
+                assert ra.estimates[kind].tobytes() == rb.estimates[kind].tobytes()
+                assert ra.std_errors[kind].tobytes() == rb.std_errors[kind].tobytes()
+
+
+def _logged(monkeypatch, log, fail=None):
+    """Make run_replication append "pid index" to `log` in whichever process
+    runs it; fail(pid) says whether that process raises instead."""
+    real = qmele.montecarlo.run_replication
+
+    def logged(config, index):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {index}\n")
+        if fail is not None and fail(os.getpid()):
+            raise RuntimeError(f"replication {index} failed")
+        return real(config, index)
+
+    monkeypatch.setattr(qmele.montecarlo, "run_replication", logged)
+
+
+def _calls(log):
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def test_parallel_study_runs_every_replication_once_and_the_caller_runs_some(tmp_path, monkeypatch):
+    # more processes than a 2-core host has, each claiming often: a lost
+    # update of the shared counter would run some index twice
+    log = tmp_path / "calls.txt"
+    _logged(monkeypatch, log)
+    table = run_scenario(tiny_config(replications=40), jobs=3)
+    calls = _calls(log)
+    assert sorted(index for _, index in calls) == list(range(40))
+    assert os.getpid() in {pid for pid, _ in calls}
+    assert [r.index for r in table.records] == list(range(40))
+
+
+@pytest.mark.parametrize("jobs, replications", [(1, 4), (2, 1)])
+def test_a_study_with_one_process_makes_no_pool(monkeypatch, jobs, replications):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was made")
+
+    monkeypatch.setattr(qmele.montecarlo, "Pool", no_pool)
+    table = run_scenario(tiny_config(replications=replications), jobs=jobs)
+    assert [r.index for r in table.records] == list(range(replications))
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_a_failing_replication_reaches_the_caller_and_leaves_no_process(tmp_path, monkeypatch, where):
+    caller, log = os.getpid(), tmp_path / "calls.txt"
+
+    def fail(pid):
+        if where == "caller":
+            return pid == caller
+        if pid == caller:  # run on once a worker has claimed a replication, and failed
+            deadline = time.monotonic() + 60
+            while all(p == caller for p, _ in _calls(log)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.05)
+        return pid != caller
+
+    _logged(monkeypatch, log, fail)
+    with pytest.raises(RuntimeError, match=r"^replication \d failed$"):
+        run_scenario(tiny_config(), jobs=2)
+    assert multiprocessing.active_children() == []
+    calls = _calls(log)
+    assert any((pid == caller) == (where == "caller") for pid, _ in calls)  # the failing side ran
+    # the failure stops the other processes claiming: the caller takes no second replication
+    assert sum(pid == caller for pid, _ in calls) <= 1
 
 
 def test_single_replication_flags_sd_undefined():

@@ -9,7 +9,8 @@ paths x both criteria; the last design has two lags in the AR, ARCH and
 GARCH parts) with their status and certificate, two one-step updates per
 converged fit (the fit's kernel g0, and g0 = 0.5 passed in), the
 public score, information, covariance and objective functions at the true
-parameters, and a 3-replication run_scenario with all four estimators.
+parameters, and a 3-replication run_scenario with all four estimators, run
+on two processes so that the parallel path is covered too.
 Floats are hashed by their bytes and exceptions by type and message, so two
 trees print the same digest only if they compute the same numbers bit for
 bit on the same machine.
@@ -159,7 +160,7 @@ def digest():
     orders, theta = _truth(order_tuple, theta_tuple)
     table = run_scenario(ScenarioConfig(
         orders=orders, theta0=theta, dist=dist, n=600, replications=3, seed=seed,
-        estimators=ESTIMATOR_KINDS, g0_mode=KNOWN, restarts=1))
+        estimators=ESTIMATOR_KINDS, g0_mode=KNOWN, restarts=1), jobs=2)
     for kind in ESTIMATOR_KINDS:
         d.add(kind, table.bias[kind], table.sd[kind], table.ad[kind],
               table.successes[kind], table.failures[kind])
